@@ -102,7 +102,13 @@ def _expect_int(value, path, minimum=None):
 def _expect_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, "expected a finite number")
+    return x
 
 
 def _expect_list(value, path, min_len=0):
@@ -384,9 +390,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # --- verification suite -------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .mixture import (
     OverlapVector,
@@ -26,7 +26,9 @@ __all__ = [
     "Configuration",
     "BandSpec",
     "overlap",
+    "species_overlaps",
     "sample_uniform",
+    "sample_uniform_batch",
     "sample_on_shell",
     "in_band",
     "in_multi_band",
@@ -35,6 +37,7 @@ __all__ = [
     "rescale_to_shell",
     "log_band_volume",
     "sample_uniform_in_band",
+    "sample_uniform_in_band_batch",
     "uniform_overlap_tail",
     "save_configuration",
     "load_configuration",
@@ -97,25 +100,51 @@ def _check_same_layout(a: Configuration, b: Configuration):
         raise ValueError("configurations have different layouts")
 
 
+def species_overlaps(a: np.ndarray, b: np.ndarray, layout: SpeciesLayout) -> np.ndarray:
+    """Per-species R_s(a,b) = N_s^{-1} sum_{i in I_s} a_i b_i over the last axis.
+
+    a and b are coordinate arrays whose leading axes broadcast, so one call
+    covers any batch of pairs; the result has shape (..., n_species).
+    """
+    starts = [sl.start for sl in layout.slices]
+    return np.add.reduceat(np.multiply(a, b), starts, axis=-1) / np.array(layout.sizes)
+
+
 def overlap(a: Configuration, b: Configuration) -> OverlapVector:
     """Per-species R_s(a,b) = N_s^{-1} sum_{i in I_s} a_i b_i."""
     _check_same_layout(a, b)
-    vals = [float(a.block(s) @ b.block(s)) / a.layout.sizes[s]
-            for s in range(a.layout.n_species)]
-    return OverlapVector(tuple(vals))
+    vals = species_overlaps(a.coords, b.coords, a.layout)
+    return OverlapVector(tuple(float(v) for v in vals))
+
+
+def _unit_rows(k: int, d: int, rng: np.random.Generator,
+               normal: np.ndarray | None = None) -> np.ndarray:
+    """k isotropic unit vectors in R^d, orthogonal to the unit vector normal
+    when one is given.  Rows of zero norm (a probability-zero event) are
+    redrawn."""
+    g = rng.standard_normal((k, d))
+    if normal is not None:
+        g -= np.outer(g @ normal, normal)
+    norm = np.linalg.norm(g, axis=1)
+    bad = np.flatnonzero(norm == 0.0)
+    if bad.size:
+        g[bad] = _unit_rows(bad.size, d, rng, normal)
+        norm[bad] = 1.0
+    return g / norm[:, None]
+
+
+def sample_uniform_batch(layout: SpeciesLayout, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k independent uniform draws on S_N, as rows of a (k, N) array: per
+    block, an isotropic unit vector scaled to norm sqrt(N_s)."""
+    coords = np.empty((k, layout.n))
+    for s, sl in enumerate(layout.slices):
+        coords[:, sl] = math.sqrt(layout.sizes[s]) * _unit_rows(k, layout.sizes[s], rng)
+    return coords
 
 
 def sample_uniform(layout: SpeciesLayout, rng: np.random.Generator) -> Configuration:
-    """Uniform on S_N: per block, standard normal rescaled to norm sqrt(N_s)."""
-    coords = np.empty(layout.n)
-    for s, sl in enumerate(layout.slices):
-        g = rng.standard_normal(layout.sizes[s])
-        norm = np.linalg.norm(g)
-        while norm == 0.0:  # probability-zero guard
-            g = rng.standard_normal(layout.sizes[s])
-            norm = np.linalg.norm(g)
-        coords[sl] = g * (math.sqrt(layout.sizes[s]) / norm)
-    return Configuration(coords, layout)
+    """Uniform on S_N: one row of sample_uniform_batch."""
+    return Configuration(sample_uniform_batch(layout, 1, rng)[0], layout)
 
 
 def sample_on_shell(layout: SpeciesLayout, q, rng: np.random.Generator) -> Configuration:
@@ -252,14 +281,12 @@ def _species_band_log_measure(d: int, q: float, delta: float) -> float:
     return log_num - log_den
 
 
-def log_band_volume(layout: SpeciesLayout, q, delta: float, n_mc: int | None = None,
-                    rng: np.random.Generator | None = None) -> float:
+def log_band_volume(layout: SpeciesLayout, q, delta: float) -> float:
     """(1/N) log mu(B(m, delta)) for any m on the shell S_N(q).
 
     The band measure factorizes over species and each factor is an exact
     1-D integral of (1-x^2)^((N_s-3)/2) over the admissible cosine interval,
-    so no sampling is needed; n_mc and rng are accepted for interface
-    compatibility and ignored.  Centers anywhere in the closed ball are
+    so no sampling is needed.  Centers anywhere in the closed ball are
     allowed (q in [0, 1] per species).
     """
     qv = as_overlap_array(q, layout.n_species)
@@ -273,26 +300,24 @@ def log_band_volume(layout: SpeciesLayout, q, delta: float, n_mc: int | None = N
     return total / layout.n
 
 
-def sample_uniform_in_band(m: Configuration, delta: float, rng: np.random.Generator) -> Configuration:
-    """Exact uniform draw from B(m, delta) on S_N.
+def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
+                                 rng: np.random.Generator) -> np.ndarray:
+    """k independent exact uniform draws from B(m, delta) on S_N, as rows of
+    a (k, N) array.
 
     Per species: the cosine against m has a truncated symmetric-Beta law,
-    inverted through the Beta CDF; the orthogonal part is an isotropic
-    direction.  Raises if some species band is empty (possible when N_s = 1).
+    inverted through the regularized incomplete Beta function; the
+    orthogonal part is an isotropic direction.  Raises if some species band
+    is empty (possible when N_s = 1).
     """
     layout = m.layout
     rm = m.self_overlap().as_array()
-    coords = np.empty(layout.n)
+    coords = np.empty((k, layout.n))
     for s, sl in enumerate(layout.slices):
         d = layout.sizes[s]
         q = float(rm[s])
         if q <= 0.0:
-            g = rng.standard_normal(d)
-            norm = np.linalg.norm(g)
-            while norm == 0.0:
-                g = rng.standard_normal(d)
-                norm = np.linalg.norm(g)
-            coords[sl] = g * (math.sqrt(d) / norm)
+            coords[:, sl] = math.sqrt(d) * _unit_rows(k, d, rng)
             continue
         root = math.sqrt(q)
         if d == 1:
@@ -300,29 +325,28 @@ def sample_uniform_in_band(m: Configuration, delta: float, rng: np.random.Genera
             signs = [t for t in (1.0, -1.0) if abs(t * root - q) <= delta]
             if not signs:
                 raise ValueError(f"empty band for species {layout.species[s]}")
-            pick = signs[0] if len(signs) == 1 else signs[int(rng.integers(0, 2))]
-            coords[sl] = pick * mhat
+            pick = rng.integers(0, 2, size=k) if len(signs) == 2 else np.zeros(k, dtype=int)
+            coords[:, sl.start] = np.array(signs)[pick] * mhat
             continue
         c1 = max((q - delta) / root, -1.0)
         c2 = min((q + delta) / root, 1.0)
         if c2 < c1:
             raise ValueError(f"empty band for species {layout.species[s]}")
         a = (d - 1) / 2.0
-        lo, hi = stats.beta.cdf((c1 + 1) / 2, a, a), stats.beta.cdf((c2 + 1) / 2, a, a)
-        u = lo + (hi - lo) * rng.uniform()
-        c = 2.0 * float(stats.beta.ppf(u, a, a)) - 1.0
-        c = min(max(c, c1), c2)
+        lo, hi = special.betainc(a, a, (c1 + 1) / 2), special.betainc(a, a, (c2 + 1) / 2)
+        u = lo + (hi - lo) * rng.uniform(size=k)
+        c = np.clip(2.0 * special.betaincinv(a, a, u) - 1.0, c1, c2)
         mhat = m.coords[sl] / (root * math.sqrt(d))
-        g = rng.standard_normal(d)
-        g -= (g @ mhat) * mhat
-        norm = np.linalg.norm(g)
-        while norm == 0.0:
-            g = rng.standard_normal(d)
-            g -= (g @ mhat) * mhat
-            norm = np.linalg.norm(g)
-        w = g / norm
-        coords[sl] = math.sqrt(d) * (c * mhat + math.sqrt(max(1.0 - c * c, 0.0)) * w)
-    return Configuration(coords, layout)
+        w = _unit_rows(k, d, rng, mhat)
+        radial = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        coords[:, sl] = math.sqrt(d) * (c[:, None] * mhat + radial[:, None] * w)
+    return coords
+
+
+def sample_uniform_in_band(m: Configuration, delta: float, rng: np.random.Generator) -> Configuration:
+    """Exact uniform draw from B(m, delta) on S_N: one row of
+    sample_uniform_in_band_batch."""
+    return Configuration(sample_uniform_in_band_batch(m, delta, 1, rng)[0], m.layout)
 
 
 def uniform_overlap_tail(d: int, tau: float) -> float:
@@ -334,7 +358,7 @@ def uniform_overlap_tail(d: int, tau: float) -> float:
     if d == 1:
         return 1.0  # overlap is +-1
     a = (d - 1) / 2.0
-    return 2.0 * float(stats.beta.sf((tau + 1) / 2, a, a))
+    return 2.0 * float(special.betaincc(a, a, (tau + 1) / 2))
 
 
 def save_configuration(cfg: Configuration, path) -> None:

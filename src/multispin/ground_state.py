@@ -103,7 +103,6 @@ def _ascend_once(h: HamiltonianInstance, qv: np.ndarray, max_iters: int,
             cand = _project_to_shell(coords + trial * t, layout, qv)
             cand_value = energy(h, Configuration(cand, layout))
             if cand_value >= value + _ARMIJO_SLOPE * trial * t_norm_sq:
-                assert cand_value >= value  # ascent must be monotone
                 coords, value, step = cand, cand_value, trial
                 accepted = True
                 break

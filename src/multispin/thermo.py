@@ -22,8 +22,9 @@ from .geometry import (
     BandSpec,
     Configuration,
     log_band_volume,
-    sample_uniform,
-    sample_uniform_in_band,
+    sample_uniform_batch,
+    sample_uniform_in_band_batch,
+    species_overlaps,
 )
 from .hamiltonian import HamiltonianInstance, TENSOR_BACKEND, energy, energy_many
 from .mixture import SpeciesLayout, as_overlap_array
@@ -111,8 +112,8 @@ class _ChainRun:
     """Raw output of the tempered-ensemble engine."""
 
     beta_grid: np.ndarray
-    series: list[np.ndarray]  # per chain: post-burn-in total energy per sweep
-    snapshots: list[np.ndarray]  # per chain: (kept, n_replicas, N)
+    series: np.ndarray  # (n_chains, kept sweeps): post-burn-in total energy per sweep
+    snapshots: np.ndarray  # (n_chains, kept, n_replicas, N)
     accept_rates: np.ndarray
     swap_rates: np.ndarray
     step_sizes: np.ndarray  # (n_chains, n_species)
@@ -121,67 +122,67 @@ class _ChainRun:
     proposal_counts: np.ndarray  # per chain, post-burn-in
 
 
-def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_replicas: int,
-                   q_center: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-    """Starting tuple: uniform on S_N, or uniform on the band with pairwise
-    rejection when the run is constrained."""
+_INIT_BATCH = 200  # band candidates drawn per rejection round
+_INIT_ROUNDS = 100  # rounds before initialization gives up
+
+
+def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
+                   n_replicas: int, rng: np.random.Generator) -> np.ndarray:
+    """Starting tuples, shape (n_chains, n_replicas, N): uniform on S_N, or
+    uniform on the band with pairwise rejection when the run is constrained."""
     if band is None:
-        return np.array([sample_uniform(layout, rng).coords for _ in range(n_replicas)])
-    out = np.empty((n_replicas, layout.n))
-    for r in range(n_replicas):
-        for _ in range(20000):
-            cand = sample_uniform_in_band(band.center, band.delta, rng).coords
-            ok = True
-            for r2 in range(r):
-                for s, sl in enumerate(layout.slices):
-                    rs = float(cand[sl] @ out[r2, sl]) / layout.sizes[s]
-                    if abs(rs - q_center[s]) > band.rho:
-                        ok = False
-                        break
-                if not ok:
+        return sample_uniform_batch(layout, n_chains * n_replicas, rng).reshape(
+            n_chains, n_replicas, layout.n)
+    q_center = band.center.self_overlap().as_array()
+    out = np.empty((n_chains, n_replicas, layout.n))
+    out[:, 0] = sample_uniform_in_band_batch(band.center, band.delta, n_chains, rng)
+    for c in range(n_chains):
+        for r in range(1, n_replicas):
+            for _ in range(_INIT_ROUNDS):
+                cand = sample_uniform_in_band_batch(band.center, band.delta, _INIT_BATCH, rng)
+                ov = species_overlaps(cand[:, None, :], out[c, :r], layout)
+                ok = np.all(np.abs(ov - q_center) <= band.rho, axis=(1, 2))
+                if ok.any():
+                    out[c, r] = cand[np.argmax(ok)]
                     break
-            if ok:
-                out[r] = cand
-                break
-        else:
-            raise ValueError(
-                "could not initialize replicas inside the pairwise constraint; "
-                "the constrained set is too small for rejection sampling")
+            else:
+                raise ValueError(
+                    "could not initialize replicas inside the pairwise constraint; "
+                    "the constrained set is too small for rejection sampling")
     return out
 
 
 def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
                 rng: np.random.Generator, n_replicas: int = 1,
                 band: BandSpec | None = None) -> _ChainRun:
-    """Replica-exchange Metropolis over the beta grid.
+    """Replica-exchange Metropolis over the beta grid, batched over chains.
 
-    Proposals update one species block of one replica at a time: a tangent
-    Gaussian step re-projected to the block sphere (for single-coordinate
-    blocks, a lazy sign flip).  Both kernels are symmetric, so acceptance is
-    min(1, 1_constraints * exp(beta dH)).  Every chain owns its own RNG
-    stream; swap randomness belongs to the lower-beta chain of each pair, so
-    results do not depend on scheduling.
+    Proposals update one species block of one replica at a time, on every
+    chain at once: a tangent Gaussian step re-projected to the block sphere
+    (for single-coordinate blocks, a lazy sign flip).  Both kernels are
+    symmetric, so acceptance is min(1, 1_constraints * exp(beta dH)).  After
+    each sweep, neighbouring chains (even pairs on even sweeps, odd pairs on
+    odd sweeps) swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).
+    All randomness comes from rng, drawn as whole arrays over the chain axis
+    in a fixed order, so results depend only on the seed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     layout = h.layout
+    slices = layout.slices
     n_chains = beta_grid.size
-    streams = rng.spawn(n_chains)
-    q_center = None
-    m_coords = None
+    every_chain = np.ones(n_chains, dtype=bool)
+    q_center = m_coords = None
     if band is not None:
         q_center = band.center.self_overlap().as_array()
         m_coords = band.center.coords
-    coords = np.array([
-        _init_replicas(layout, band, n_replicas, q_center, streams[c])
-        for c in range(n_chains)
-    ])
-    energies = np.array([energy_many(h, coords[c]) for c in range(n_chains)])
+    coords = _init_replicas(layout, band, n_chains, n_replicas, rng)
+    energies = energy_many(h, coords.reshape(-1, layout.n)).reshape(n_chains, n_replicas)
     step_sizes = np.full((n_chains, layout.n_species), 0.5)
     burn = steps // 3
     thin = max(1, -(-(steps - burn) // _MAX_KEPT_SAMPLES))
-    series: list[list[float]] = [[] for _ in range(n_chains)]
-    snapshots: list[list[np.ndarray]] = [[] for _ in range(n_chains)]
+    series = np.empty((n_chains, steps - burn))
+    snapshots = np.empty((n_chains, len(range(0, steps - burn, thin)), n_replicas, layout.n))
     prop_count = np.zeros(n_chains, dtype=int)
     acc_count = np.zeros(n_chains, dtype=int)
     swap_tries = np.zeros(max(n_chains - 1, 1), dtype=int)
@@ -190,94 +191,79 @@ def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
     for t in range(steps):
         adapting = t < burn
         for r in range(n_replicas):
-            for s, sl in enumerate(layout.slices):
+            others = [r2 for r2 in range(n_replicas) if r2 != r]
+            for s, sl in enumerate(slices):
                 d = layout.sizes[s]
-                props = np.array(coords[:, r, :])
-                moved = np.zeros(n_chains, dtype=bool)
-                for c in range(n_chains):
-                    if d == 1:
-                        if streams[c].uniform() < 0.5:
-                            props[c, sl] = -props[c, sl]
-                            moved[c] = True
-                    else:
-                        g = streams[c].standard_normal(d)
-                        x = coords[c, r, sl]
-                        v = g - (g @ x) * x / d
-                        y = x + step_sizes[c, s] * v
-                        props[c, sl] = y * (math.sqrt(d) / np.linalg.norm(y))
-                        moved[c] = True
+                x = coords[:, r, sl]
+                if d == 1:
+                    moved = rng.random(n_chains) < 0.5
+                    y = np.where(moved[:, None], -x, x)
+                else:
+                    g = rng.standard_normal((n_chains, d))
+                    v = g - (np.einsum("ij,ij->i", g, x) / d)[:, None] * x
+                    y = x + step_sizes[:, s, None] * v
+                    y *= np.sqrt(d / np.einsum("ij,ij->i", y, y))[:, None]
+                    moved = every_chain
+                props = coords[:, r].copy()
+                props[:, sl] = y
                 prop_e = energy_many(h, props)
-                for c in range(n_chains):
-                    u = max(float(streams[c].uniform()), 1e-300)
-                    if not moved[c]:
-                        continue
-                    ok = True
-                    if band is not None:
-                        rsm = float(props[c, sl] @ m_coords[sl]) / d
-                        ok = abs(rsm - q_center[s]) <= band.delta
-                        if ok and n_replicas > 1:
-                            for r2 in range(n_replicas):
-                                if r2 == r:
-                                    continue
-                                rss = float(props[c, sl] @ coords[c, r2, sl]) / d
-                                if abs(rss - q_center[s]) > band.rho:
-                                    ok = False
-                                    break
-                    accepted = ok and math.log(u) < beta_grid[c] * (prop_e[c] - energies[c, r])
-                    if accepted:
-                        coords[c, r, sl] = props[c, sl]
-                        energies[c, r] = prop_e[c]
-                    if t >= burn:
-                        prop_count[c] += 1
-                        acc_count[c] += int(accepted)
-                    if adapting and d > 1:
-                        step_sizes[c, s] = float(np.clip(
-                            step_sizes[c, s] * math.exp(0.1 * (int(accepted) - _TARGET_ACCEPT)),
-                            1e-4, 10.0))
+                log_u = np.log(np.maximum(rng.random(n_chains), 1e-300))
+                ok = moved
+                if band is not None:
+                    rsm = species_overlaps(props, m_coords, layout)[:, s]
+                    ok = ok & (np.abs(rsm - q_center[s]) <= band.delta)
+                    if others:
+                        rss = species_overlaps(props[:, None, :], coords[:, others],
+                                               layout)[..., s]
+                        ok &= np.all(np.abs(rss - q_center[s]) <= band.rho, axis=1)
+                accepted = ok & (log_u < beta_grid * (prop_e - energies[:, r]))
+                coords[:, r, sl] = np.where(accepted[:, None], y, x)
+                energies[:, r] = np.where(accepted, prop_e, energies[:, r])
+                if not adapting:
+                    prop_count += moved
+                    acc_count += accepted
+                elif d > 1:
+                    step_sizes[:, s] = np.clip(
+                        step_sizes[:, s] * np.exp(0.1 * (accepted - _TARGET_ACCEPT)),
+                        1e-4, 10.0)
         if n_replicas > 1:
             # synchronized sign flips keep pairwise overlaps invariant, so
             # they connect components that single-replica flips cannot reach
-            for s, sl in enumerate(layout.slices):
+            for s, sl in enumerate(slices):
                 if layout.sizes[s] != 1:
                     continue
-                flip = np.array([streams[c].uniform() < 0.5 for c in range(n_chains)])
-                props = np.array(coords)
+                flip = rng.random(n_chains) < 0.5
+                props = coords.copy()
                 props[:, :, sl] = -props[:, :, sl]
                 prop_e = energy_many(h, props.reshape(-1, layout.n)).reshape(
                     n_chains, n_replicas)
-                for c in range(n_chains):
-                    u = max(float(streams[c].uniform()), 1e-300)
-                    if not flip[c]:
-                        continue
-                    ok = True
-                    if band is not None:
-                        for r in range(n_replicas):
-                            rsm = float(props[c, r, sl] @ m_coords[sl])
-                            if abs(rsm - q_center[s]) > band.delta:
-                                ok = False
-                                break
-                    dlt = prop_e[c].sum() - energies[c].sum()
-                    if ok and math.log(u) < beta_grid[c] * dlt:
-                        coords[c, :, sl] = props[c, :, sl]
-                        energies[c] = prop_e[c]
+                log_u = np.log(np.maximum(rng.random(n_chains), 1e-300))
+                ok = flip
+                if band is not None:
+                    rsm = species_overlaps(props, m_coords, layout)[..., s]
+                    ok = ok & np.all(np.abs(rsm - q_center[s]) <= band.delta, axis=1)
+                dlt = prop_e.sum(axis=1) - energies.sum(axis=1)
+                accepted = ok & (log_u < beta_grid * dlt)
+                coords[accepted] = props[accepted]
+                energies[accepted] = prop_e[accepted]
         if n_chains > 1:
-            for c in range(t % 2, n_chains - 1, 2):
-                u = max(float(streams[c].uniform()), 1e-300)
-                gain = (beta_grid[c + 1] - beta_grid[c]) * (
-                    energies[c].sum() - energies[c + 1].sum())
-                accepted = math.log(u) < gain
-                if accepted:
-                    coords[[c, c + 1]] = coords[[c + 1, c]]
-                    energies[[c, c + 1]] = energies[[c + 1, c]]
-                if t >= burn:
-                    swap_tries[c] += 1
-                    swap_accepts[c] += int(accepted)
-        if t >= burn:
-            for c in range(n_chains):
-                series[c].append(float(energies[c].sum()))
+            lo = np.arange(t % 2, n_chains - 1, 2)
+            log_u = np.log(np.maximum(rng.random(lo.size), 1e-300))
+            totals = energies.sum(axis=1)
+            gain = (beta_grid[lo + 1] - beta_grid[lo]) * (totals[lo] - totals[lo + 1])
+            accepted = log_u < gain
+            a = lo[accepted]
+            pair = np.concatenate([a, a + 1])
+            swapped = np.concatenate([a + 1, a])
+            coords[pair] = coords[swapped]
+            energies[pair] = energies[swapped]
+            if not adapting:
+                swap_tries[lo] += 1
+                swap_accepts[lo] += accepted
+        if not adapting:
+            series[:, t - burn] = energies.sum(axis=1)
             if (t - burn) % thin == 0:
-                for c in range(n_chains):
-                    snapshots[c].append(np.array(coords[c]))
+                snapshots[:, (t - burn) // thin] = coords
 
     accept_rates = np.where(prop_count > 0, acc_count / np.maximum(prop_count, 1), 1.0)
     with np.errstate(invalid="ignore"):
@@ -289,8 +275,8 @@ def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
         flags.append("swap-acceptance-low")
     return _ChainRun(
         beta_grid=beta_grid,
-        series=[np.array(v) for v in series],
-        snapshots=[np.array(v) for v in snapshots],
+        series=series,
+        snapshots=snapshots,
         accept_rates=accept_rates,
         swap_rates=swap_rates[: max(n_chains - 1, 0)],
         step_sizes=step_sizes,
@@ -337,10 +323,6 @@ def _block_std_error(series: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(n_blocks))
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    return float(0.5 * np.sum((y[1:] + y[:-1]) * np.diff(x)))
-
-
 def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
                         grid: np.ndarray) -> tuple[float, float]:
     """Simpson integral plus error: propagated node SEs through the Simpson
@@ -352,7 +334,7 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
         float(simpson(np.eye(grid.size)[k], x=grid)) for k in range(grid.size)
     ])
     mc_term = math.sqrt(float(np.sum((weights * ses) ** 2)))
-    grid_term = abs(value - _trapezoid(means, grid))
+    grid_term = abs(value - float(np.trapezoid(means, grid)))
     return value, mc_term + grid_term
 
 
@@ -467,22 +449,11 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
     n_rep = spec.n
 
     trials = 4000
-    hits = 0
-    for _ in range(trials):
-        tup = [sample_uniform_in_band(m, spec.delta, rng).coords for _ in range(n_rep)]
-        ok = True
-        for i in range(n_rep):
-            for j in range(i + 1, n_rep):
-                for s, sl in enumerate(layout.slices):
-                    rs = float(tup[i][sl] @ tup[j][sl]) / layout.sizes[s]
-                    if abs(rs - q[s]) > spec.rho:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        hits += int(ok)
+    tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
+        trials, n_rep, n)
+    i, j = np.triu_indices(n_rep, 1)
+    pair_ov = species_overlaps(tuples[:, i], tuples[:, j], layout)
+    hits = int(np.all(np.abs(pair_ov - q) <= spec.rho, axis=(1, 2)).sum())
     flags = []
     if hits == 0:
         pair_log = math.log(0.5 / trials)
@@ -546,23 +517,10 @@ def multisamplability_record(h: HamiltonianInstance, q, n: int, eps: float,
     runs = [pt_sampler(h, grid, steps, streams[i]) for i in range(n)]
     target = grid.size - 1
     counts = min(len(r.samples[target]) for r in runs)
-    hits = 0
-    for t in range(counts):
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = runs[i].samples[target][t]
-                b = runs[j].samples[target][t]
-                for s, sl in enumerate(layout.slices):
-                    rs = float(a[sl] @ b[sl]) / layout.sizes[s]
-                    if not abs(rs - qv[s]) < eps:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        hits += int(ok)
+    samples = np.array([r.samples[target][:counts] for r in runs])
+    i, j = np.triu_indices(n, 1)
+    pair_ov = species_overlaps(samples[i], samples[j], layout)
+    hits = int(np.all(np.abs(pair_ov - qv) < eps, axis=(0, 2)).sum())
     flags = [f for r in runs for f in r.flags]
     if hits == 0:
         value = math.log(0.5 / counts) / layout.n

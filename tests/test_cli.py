@@ -1,12 +1,14 @@
 """Config parsing, verification suite, and batch-command behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from multispin.cli import (
     ConfigError,
+    _write_json,
     dump_config,
     main,
     parse_config,
@@ -165,6 +167,30 @@ class TestCommands:
         config = write_config(tmp_path, doc)
         assert main(["free-energy", "--config", str(config)]) == 2
         assert "model.sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mangle, path_fragment",
+        [
+            (lambda d: d["model"]["terms"][0].__setitem__("delta_sq", math.inf),
+             "model.terms[0].delta_sq"),
+            (lambda d: d["free_energy"].__setitem__("beta_grid", [0.0, math.nan]),
+             "free_energy.beta_grid[1]"),
+        ],
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, mangle, path_fragment):
+        doc = corner_doc()
+        mangle(doc)
+        config = write_config(tmp_path, doc)  # json writes Infinity / NaN literals
+        out = tmp_path / "out"
+        assert main(["free-energy", "--config", str(config), "--out", str(out)]) == 2
+        assert path_fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_output_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"mean": math.nan})
+        assert not path.exists()
 
     def test_free_energy_outputs(self, tmp_path):
         config = write_config(tmp_path, corner_doc())

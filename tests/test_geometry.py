@@ -19,6 +19,7 @@ from multispin.geometry import (
     sample_on_shell,
     sample_uniform,
     sample_uniform_in_band,
+    sample_uniform_in_band_batch,
     save_configuration,
     tilde_transform,
     uniform_overlap_tail,
@@ -327,6 +328,34 @@ def test_sample_uniform_in_band():
             sig = sample_uniform_in_band(m, delta, rng)
             assert sig.is_on_sphere(1e-9)
             assert in_band(sig, m, delta + 1e-12)
+
+
+def band_center_mixed():
+    # one discrete, one continuous and one zero block
+    lay = SpeciesLayout(("a", "b", "c"), (1, 5, 9))
+    rng = np.random.default_rng(23)
+    block_b = sample_on_shell(SpeciesLayout(("b",), (5,)), [0.4], rng).coords
+    return Configuration(np.concatenate([[0.6], block_b, np.zeros(9)]), lay)
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
+def test_batched_band_draw_rows_lie_in_band(delta):
+    m = band_center_mixed()
+    rows = sample_uniform_in_band_batch(m, delta, 400, np.random.default_rng(24))
+    assert rows.shape == (400, m.layout.n)
+    for row in rows:
+        sig = Configuration(row, m.layout)
+        assert sig.is_on_sphere(1e-9)
+        assert in_band(sig, m, delta + 1e-12)
+    # both signs of the discrete block are admissible only in the widest band
+    assert len(np.unique(rows[:, 0])) == (2 if delta == 1.0 else 1)
+
+
+def test_scalar_band_draw_is_row_zero_of_one_row_batch():
+    m = band_center_mixed()
+    one = sample_uniform_in_band(m, 0.3, np.random.default_rng(25))
+    batch = sample_uniform_in_band_batch(m, 0.3, 1, np.random.default_rng(25))
+    np.testing.assert_array_equal(one.coords, batch[0])
 
 
 def test_sample_uniform_in_band_matches_conditional_law():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multispin.geometry import BandSpec, Configuration
+from multispin.geometry import BandSpec, Configuration, in_multi_band, sample_on_shell
 from multispin.hamiltonian import (
     COVARIANCE_BACKEND,
     build_instance,
@@ -14,6 +14,7 @@ from multispin.hamiltonian import (
 from multispin.mixture import Mixture, SpeciesLayout
 from multispin.thermo import (
     FreeEnergyEstimate,
+    _run_chains,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
@@ -354,6 +355,28 @@ def test_multi_replica_matches_enumeration_oracle():
     assert abs(est.value - en) <= 3 * est.std_error
     assert est.meta["pairwise_hits"] > 0
     assert est.meta["log_band_volume"] < 0.0
+
+
+def continuous_band_spec():
+    # criterion-7 shape: 8+8 blocks, q = (0.3, 0.3), delta = rho = 0.15
+    lay = SpeciesLayout(("a", "b"), (8, 8))
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0, (2, 0): 0.5}), lay, seed=12)
+    m = sample_on_shell(lay, [0.3, 0.3], np.random.default_rng(13))
+    return h, BandSpec(m, delta=0.15, n=2, rho=0.15)
+
+
+@pytest.mark.parametrize("case", ["corner", "continuous"])
+def test_constrained_chains_keep_every_tuple_in_multi_band(case):
+    if case == "corner":
+        h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=2, rho=1.2)
+    else:
+        h, spec = continuous_band_spec()
+    run = _run_chains(h, np.linspace(0, 1, 5), 150, np.random.default_rng(14),
+                      n_replicas=2, band=spec)
+    tuples = np.concatenate([run.snapshots.reshape(-1, 2, h.layout.n), run.final_coords])
+    for tup in tuples:
+        assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)
+    assert min(run.accept_rates) > 0.0
 
 
 def test_multi_replica_infeasible_pairing_hits_floor():
