@@ -36,7 +36,9 @@ from .geometry import (
 )
 from .ground_state import ascend, eigen_oracle_2spin
 from .hamiltonian import (
+    DEFAULT_MEMORY_BUDGET,
     build_instance,
+    disorder_entries,
     energy,
     energy_many,
     gradient,
@@ -251,6 +253,10 @@ def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
             raise ConfigError(f"model.terms[{k}].p", "duplicate multi-degree")
         terms[p] = coeff
     mixture = Mixture.from_terms(terms, n_species=len(species))
+    entries = disorder_entries(mixture, SpeciesLayout(tuple(species), sizes))
+    if entries > DEFAULT_MEMORY_BUDGET:
+        raise ConfigError("model", f"disorder needs {entries} dense entries, "
+                                   f"over the budget of {DEFAULT_MEMORY_BUDGET}")
     return tuple(species), sizes, mixture
 
 

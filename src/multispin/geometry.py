@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
@@ -38,6 +39,7 @@ __all__ = [
     "log_band_volume",
     "sample_uniform_in_band",
     "sample_uniform_in_band_batch",
+    "sign_patterns",
     "uniform_overlap_tail",
     "save_configuration",
     "load_configuration",
@@ -131,6 +133,15 @@ def _unit_rows(k: int, d: int, rng: np.random.Generator,
         g[bad] = _unit_rows(bad.size, d, rng, normal)
         norm[bad] = 1.0
     return g / norm[:, None]
+
+
+@lru_cache(maxsize=8)
+def sign_patterns(n: int) -> np.ndarray:
+    """All 2^n sign vectors as rows, fixed order (coordinate 0 fastest)."""
+    codes = np.arange(2**n, dtype=np.int64)[:, None]
+    patterns = 2.0 * ((codes >> np.arange(n)) & 1) - 1.0
+    patterns.setflags(write=False)
+    return patterns
 
 
 def sample_uniform_batch(layout: SpeciesLayout, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, sample_on_shell
+from .geometry import Configuration, sample_on_shell, sign_patterns
 from .hamiltonian import (
     HamiltonianInstance,
     TENSOR_BACKEND,
@@ -159,8 +159,7 @@ def exact_gs_enumeration(h: HamiltonianInstance, q) -> float:
         raise ValueError("enumeration requires every species to have one coordinate")
     qv = require_shell_overlap(q, layout.n_species)
     n = layout.n
-    codes = np.arange(2**n, dtype=np.int64)[:, None]
-    patterns = (2.0 * ((codes >> np.arange(n)) & 1) - 1.0) * np.sqrt(qv)[None, :]
+    patterns = sign_patterns(n) * np.sqrt(qv)[None, :]
     return float(energy_many(h, patterns).max()) / n
 
 
@@ -182,7 +181,7 @@ def eigen_oracle_2spin(h: HamiltonianInstance, q) -> float:
     s = p.index(2)
     layout = h.layout
     qv = require_shell_overlap(q, layout.n_species)
-    block = h.tensors[0][layout.slices[s], layout.slices[s]]
+    block = h.tensors[0]
     sym = 0.5 * (block + block.T)
     lam = float(np.linalg.eigvalsh(sym)[-1])
     return math.sqrt(layout.n) * lam * layout.sizes[s] * qv[s] / layout.n

@@ -1,24 +1,25 @@
 """Gaussian Hamiltonian realization with covariance N·xi(R(sigma, sigma')).
 
-Two backends share one instance type.  The coefficient-tensor backend draws
-the disorder arrays explicitly (one dense array of i.i.d. standard normals
-per mixture term, weighted by the per-pattern scalar of the coefficient
-identity), so the energy and its Euclidean gradient are evaluable anywhere.
-The covariance-factor backend never materializes coefficients; it samples
-exact joint values on finite point sets from the covariance matrix.
+Two backends share one instance type.  The coefficient-tensor backend holds
+one disorder block per mixture term p, of shape (N_{s_1}, ..., N_{s_k}) with
+its slots in canonical (sorted-species) order, so the energy and its
+Euclidean gradient are evaluable anywhere while only the index tuples of
+the term's species pattern are stored.  The covariance-factor backend never
+materializes coefficients; it samples exact joint values on finite point
+sets from the covariance matrix.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .geometry import Configuration, overlap
+from .geometry import Configuration, _unit_rows, overlap
 from .mixture import (
     Mixture,
     SpeciesLayout,
@@ -36,6 +37,7 @@ __all__ = [
     "ExternalField",
     "HamiltonianInstance",
     "build_instance",
+    "disorder_entries",
     "energy",
     "energy_many",
     "gradient",
@@ -50,29 +52,18 @@ __all__ = [
 
 TENSOR_BACKEND = "coefficient-tensor"
 COVARIANCE_BACKEND = "covariance-factor"
-DEFAULT_MEMORY_BUDGET = 2**28  # dense disorder entries across all terms
+DEFAULT_MEMORY_BUDGET = 2**28  # dense disorder entries drawn across all terms
 
 # chunk staged batch contractions so intermediates stay below ~2^24 floats
 _BATCH_ELEMENT_CAP = 2**24
+# the seeded draw is streamed in chunks of whole index rows of about this
+# many entries (at least one row), so a build holds little beyond its blocks
+_DRAW_CHUNK = 2**14
 
 
-@lru_cache(maxsize=256)
-def _pattern_mask(sizes: tuple[int, ...], p: tuple[int, ...]) -> np.ndarray:
-    """0/1 tensor over index tuples marking those whose species pattern is p."""
-    n = sum(sizes)
-    indicators = []
-    start = 0
-    for d in sizes:
-        e = np.zeros(n)
-        e[start:start + d] = 1.0
-        indicators.append(e)
-        start += d
-    slots = [s for s, c in enumerate(p) for _ in range(c)]
-    mask = np.zeros((n,) * len(slots))
-    for order in sorted(set(itertools.permutations(slots))):
-        mask += reduce(np.multiply.outer, [indicators[s] for s in order])
-    mask.setflags(write=False)
-    return mask
+def _slots(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Species of each index slot of term p, in canonical (sorted) order."""
+    return tuple(s for s, c in enumerate(p) for _ in range(c))
 
 
 def _tuple_scalar(layout: SpeciesLayout, p: tuple[int, ...], delta_sq: float) -> float:
@@ -81,6 +72,43 @@ def _tuple_scalar(layout: SpeciesLayout, p: tuple[int, ...], delta_sq: float) ->
     for s, c in enumerate(p):
         val *= math.factorial(c) / float(layout.sizes[s]) ** c
     return math.sqrt(val)
+
+
+def disorder_entries(xi: Mixture, layout: SpeciesLayout) -> int:
+    """Dense entries the seeded draw visits, N^k per term of degree k; the
+    memory budget bounds this count, which bounds the held blocks too."""
+    return sum(layout.n ** sum(p) for p, _ in xi.terms)
+
+
+def _draw_block(rng: np.random.Generator, layout: SpeciesLayout, p: tuple[int, ...],
+                scalar: float) -> np.ndarray:
+    """Canonical block of term p, folded from one dense (N,)*k standard-normal
+    draw streamed along axis 0.
+
+    Each distinct slot ordering of p picks out one sub-block of the dense
+    draw; the stable sort of its species puts that sub-block's axes in
+    canonical order, and the block is scalar times the sum over orderings.
+    """
+    slots = _slots(p)
+    k = len(slots)
+    slices = layout.slices
+    block = np.zeros(tuple(layout.sizes[s] for s in slots))
+    folds = [[] for _ in slices]  # per species of draw axis 0
+    for order in sorted(set(itertools.permutations(slots))):
+        perm = tuple(sorted(range(k), key=order.__getitem__))
+        index = (slice(None),) + tuple(slices[s] for s in order[1:])
+        folds[order[0]].append((perm.index(0), index, perm))
+    step = max(1, _DRAW_CHUNK // layout.n ** (k - 1))
+    for s, sl in enumerate(slices):
+        for lo in range(sl.start, sl.stop, step):
+            hi = min(lo + step, sl.stop)
+            rows = rng.standard_normal((hi - lo,) + (layout.n,) * (k - 1))
+            for axis, index, perm in folds[s]:
+                at = (slice(None),) * axis + (slice(lo - sl.start, hi - sl.start),)
+                block[at] += rows[index].transpose(perm)
+    block *= scalar
+    block.setflags(write=False)
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +126,7 @@ class ExternalField:
 class HamiltonianInstance:
     """One realized disorder sample of the Gaussian process.
 
-    mixture holds the terms backed by disorder tensors; when an external
+    mixture holds the terms backed by disorder blocks; when an external
     field is attached the full covariance corresponds to law_mixture, which
     adds the field's one-spin coefficients.  Instances are immutable, and
     energy/gradient evaluation is pure, so concurrent use is safe.
@@ -108,9 +136,25 @@ class HamiltonianInstance:
     layout: SpeciesLayout
     backend: str
     seed: int
-    tensors: tuple[np.ndarray, ...] = ()  # scaled arrays, aligned with mixture.terms
-    raw_disorder: tuple[np.ndarray, ...] = ()  # the i.i.d. normals, same alignment
+    tensors: tuple[np.ndarray, ...] = ()  # canonical blocks, aligned with mixture.terms
     field: ExternalField | None = None
+    # coordinate slice of each block axis, per term; fixed at construction
+    slot_slices: tuple[tuple[slice, ...], ...] = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        species = self.layout.slices
+        object.__setattr__(self, "slot_slices", tuple(
+            tuple(species[s] for s in _slots(p)) for p, _ in self.mixture.terms))
+
+    @property
+    def raw_disorder(self) -> tuple[np.ndarray, ...]:
+        """The dense (N,)*k i.i.d. normals behind each block, redrawn from
+        seed on every access."""
+        if self.backend != TENSOR_BACKEND:
+            return ()
+        rng = np.random.default_rng(self.seed)
+        return tuple(rng.standard_normal((self.layout.n,) * sum(p))
+                     for p, _ in self.mixture.terms)
 
     @property
     def law_mixture(self) -> Mixture:
@@ -125,7 +169,7 @@ class HamiltonianInstance:
         return Mixture.from_terms(terms, n_species=self.layout.n_species)
 
     def memory_entries(self) -> int:
-        return sum(self.layout.n ** sum(p) for p, _ in self.mixture.terms)
+        return disorder_entries(self.mixture, self.layout)
 
 
 def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int,
@@ -134,10 +178,12 @@ def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int,
     """Draw the disorder for mixture xi on the given layout.
 
     The tensor backend draws, per mixture term and in the fixed lexicographic
-    term order, a dense array of i.i.d. standard normals indexed by the k
-    coordinates, and scales it by the per-pattern coefficient (zero off the
-    term's species pattern).  The covariance backend stores only (xi, layout,
-    seed) and realizes values lazily on point sets.
+    term order, a dense (N,)*k array of i.i.d. standard normals indexed by
+    the k coordinates, and keeps only its canonical block: the sum over the
+    term's slot orderings of the matching sub-blocks, scaled by the
+    per-pattern coefficient.  The draw is streamed, so it is never held
+    whole.  The covariance backend stores only (xi, layout, seed) and
+    realizes values lazily on point sets.
     """
     if xi.n_species != layout.n_species:
         raise ValueError(f"mixture has {xi.n_species} species, layout {layout.n_species}")
@@ -145,21 +191,14 @@ def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int,
         return HamiltonianInstance(xi, layout, backend, int(seed))
     if backend != TENSOR_BACKEND:
         raise ValueError(f"unknown backend {backend!r}")
-    cost = sum(layout.n ** sum(p) for p, _ in xi.terms)
+    cost = disorder_entries(xi, layout)
     if cost > budget:
         raise ValueError(
             f"disorder needs {cost} dense entries, over the budget of {budget}")
     rng = np.random.default_rng(int(seed))
-    raw, scaled = [], []
-    for p, delta_sq in xi.terms:
-        k = sum(p)
-        j = rng.standard_normal((layout.n,) * k)
-        a = _tuple_scalar(layout, p, delta_sq) * _pattern_mask(layout.sizes, p) * j
-        j.setflags(write=False)
-        a.setflags(write=False)
-        raw.append(j)
-        scaled.append(a)
-    return HamiltonianInstance(xi, layout, backend, int(seed), tuple(scaled), tuple(raw))
+    blocks = tuple(_draw_block(rng, layout, p, _tuple_scalar(layout, p, delta_sq))
+                   for p, delta_sq in xi.terms)
+    return HamiltonianInstance(xi, layout, backend, int(seed), blocks)
 
 
 def _require_tensor(h: HamiltonianInstance):
@@ -169,19 +208,21 @@ def _require_tensor(h: HamiltonianInstance):
 
 
 def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
-    """H(sigma) = sqrt(N) sum over terms and index tuples, plus any field."""
+    """H(sigma) = sqrt(N) sum over terms of the block contracted with the
+    species blocks of sigma, one per slot, plus any field."""
     _require_tensor(h)
     if sigma.layout != h.layout:
         raise ValueError("configuration layout does not match instance")
+    x = sigma.coords
     total = 0.0
-    for (p, _), a in zip(h.mixture.terms, h.tensors):
+    for slices, a in zip(h.slot_slices, h.tensors):
         t = a
-        for _ in range(sum(p)):
-            t = t @ sigma.coords
-        total += float(t)
+        for sl in reversed(slices[1:]):
+            t = t.reshape(-1, sl.stop - sl.start).dot(x[sl])
+        total += float(t.dot(x[slices[0]]))
     total *= math.sqrt(h.layout.n)
     if h.field is not None:
-        total += float(h.field.vector @ sigma.coords)
+        total += float(h.field.vector @ x)
     return total
 
 
@@ -192,41 +233,41 @@ def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != h.layout.n:
         raise ValueError(f"expected (batch, {h.layout.n}) coordinates")
-    n = h.layout.n
     n_batch = coords.shape[0]
     out = np.zeros(n_batch)
-    for (p, _), a in zip(h.mixture.terms, h.tensors):
-        k = sum(p)
-        if k == 1:
-            out += coords @ a
-            continue
-        chunk = max(1, _BATCH_ELEMENT_CAP // n ** (k - 1))
-        flat = a.reshape(-1, n)
+    for slices, a in zip(h.slot_slices, h.tensors):
+        flat = a.reshape(-1, a.shape[-1]).T
+        chunk = max(1, _BATCH_ELEMENT_CAP // flat.shape[1])
         for lo in range(0, n_batch, chunk):
-            block = coords[lo:lo + chunk]
-            v = flat @ block.T
-            for _ in range(k - 1):
-                v = np.einsum("inb,bn->ib", v.reshape(-1, n, v.shape[-1]), block)
-            out[lo:lo + chunk] += v[0]
-    out *= math.sqrt(n)
+            rows = coords[lo:lo + chunk]
+            v = rows[:, slices[-1]] @ flat
+            for sl in reversed(slices[:-1]):
+                v = v.reshape(len(rows), -1, sl.stop - sl.start) @ rows[:, sl, None]
+            out[lo:lo + chunk] += v.reshape(-1)
+    out *= math.sqrt(h.layout.n)
     if h.field is not None:
         out += coords @ h.field.vector
     return out
 
 
 def gradient(h: HamiltonianInstance, sigma: Configuration) -> np.ndarray:
-    """Euclidean gradient of the energy, accumulated one index slot at a time."""
+    """Euclidean gradient of the energy.  Per term, block axis c takes the
+    block contracted on every other axis: the leading axes are folded in
+    once, as a running prefix, and the trailing axes per slot."""
     _require_tensor(h)
     if sigma.layout != h.layout:
         raise ValueError("configuration layout does not match instance")
+    x = sigma.coords
     g = np.zeros(h.layout.n)
-    for (p, _), a in zip(h.mixture.terms, h.tensors):
-        k = sum(p)
-        for slot in range(k):
-            t = np.moveaxis(a, slot, 0)
-            for _ in range(k - 1):
-                t = t @ sigma.coords
-            g += t
+    for slices, a in zip(h.slot_slices, h.tensors):
+        prefix = a
+        for c, sl in enumerate(slices):
+            t = prefix
+            for rest in reversed(slices[c + 1:]):
+                t = t.reshape(-1, rest.stop - rest.start).dot(x[rest])
+            g[sl] += t
+            if c + 1 < len(slices):
+                prefix = x[sl].dot(prefix.reshape(sl.stop - sl.start, -1))
     g *= math.sqrt(h.layout.n)
     if h.field is not None:
         g = g + h.field.vector
@@ -247,26 +288,18 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _realize(h: HamiltonianInstance, points) -> np.ndarray:
-    """Joint Gaussian values on the point set from the exact covariance."""
+def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> np.ndarray:
+    """Sample (H(sigma_1)...H(sigma_M)) jointly with covariance N·xi(R),
+    from the exact covariance matrix of the point set."""
+    h = build_instance(xi, layout, seed, backend=COVARIANCE_BACKEND)
     pts = list(points)
     m = len(pts)
     cov = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            r = overlap(pts[i], pts[j])
-            cov[i, j] = cov[j, i] = h.layout.n * eval_mixture(h.mixture, r)
-    factor = factor_covariance(cov)
-    z = np.random.default_rng(int(h.seed)).standard_normal(m)
-    values = factor @ z
-    if h.field is not None:
-        values = values + np.array([h.field.vector @ p.coords for p in pts])
-    return values
-
-
-def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> np.ndarray:
-    """Sample (H(sigma_1)...H(sigma_M)) jointly with covariance N·xi(R)."""
-    return _realize(build_instance(xi, layout, seed, backend=COVARIANCE_BACKEND), points)
+            cov[i, j] = cov[j, i] = layout.n * eval_mixture(xi, overlap(pts[i], pts[j]))
+    z = np.random.default_rng(h.seed).standard_normal(m)
+    return factor_covariance(cov) @ z
 
 
 def _base_coefficients(shifted: Mixture, q: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -330,8 +363,7 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
     vector.setflags(write=False)
     field = ExternalField(int(seed), tuple(float(v) for v in qv),
                           tuple(float(d) for d in delta), normals, vector)
-    return HamiltonianInstance(hq.mixture, layout, hq.backend, hq.seed,
-                               hq.tensors, hq.raw_disorder, field)
+    return dataclasses.replace(hq, field=field)
 
 
 def sample_in_ball(layout: SpeciesLayout, rng: np.random.Generator) -> Configuration:
@@ -339,13 +371,9 @@ def sample_in_ball(layout: SpeciesLayout, rng: np.random.Generator) -> Configura
     coords = np.empty(layout.n)
     for s, sl in enumerate(layout.slices):
         d = layout.sizes[s]
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        while norm == 0.0:
-            g = rng.standard_normal(d)
-            norm = np.linalg.norm(g)
+        direction = _unit_rows(1, d, rng)[0]
         radius = rng.uniform() ** (1.0 / d)
-        coords[sl] = g * (radius * math.sqrt(d) / norm)
+        coords[sl] = direction * (radius * math.sqrt(d))
     return Configuration(coords, layout)
 
 

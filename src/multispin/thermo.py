@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -24,6 +23,7 @@ from .geometry import (
     log_band_volume,
     sample_uniform_batch,
     sample_uniform_in_band_batch,
+    sign_patterns,
     species_overlaps,
 )
 from .hamiltonian import HamiltonianInstance, TENSOR_BACKEND, energy, energy_many
@@ -548,16 +548,6 @@ def multisamplability_profile(h: HamiltonianInstance, q, n: int, eps: float,
     return multisamplability_record(h, q, n, eps, beta_grid, steps, rng)["value"]
 
 
-@lru_cache(maxsize=8)
-def _sign_patterns(n: int) -> np.ndarray:
-    """All 2^n sign vectors, fixed order (coordinate 0 fastest)."""
-    codes = np.arange(2**n, dtype=np.int64)[:, None]
-    bits = (codes >> np.arange(n)) & 1
-    patterns = (2.0 * bits - 1.0).astype(float)
-    patterns.setflags(write=False)
-    return patterns
-
-
 def _require_corner(h: HamiltonianInstance):
     if h.backend != TENSOR_BACKEND:
         raise ValueError("enumeration needs the coefficient-tensor backend")
@@ -570,7 +560,7 @@ def exact_fe_enumeration(h: HamiltonianInstance) -> FreeEnergyEstimate:
     e^H over all sign patterns."""
     _require_corner(h)
     n = h.layout.n
-    energies = energy_many(h, _sign_patterns(n))
+    energies = energy_many(h, sign_patterns(n))
     value = (float(logsumexp(energies)) - n * math.log(2.0)) / n
     return FreeEnergyEstimate(value, 0.0, "enumeration",
                               {"n_configurations": int(2**n)})
@@ -582,7 +572,7 @@ def _enum_band(h: HamiltonianInstance, m: Configuration, delta: float):
     if m.layout != h.layout:
         raise ValueError("band center layout does not match instance")
     n = h.layout.n
-    patterns = _sign_patterns(n)
+    patterns = sign_patterns(n)
     q = m.self_overlap().as_array()
     in_band = np.all(np.abs(patterns * m.coords - q) <= delta, axis=1)
     centered = energy_many(h, patterns) - energy(h, m)

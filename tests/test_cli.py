@@ -168,6 +168,19 @@ class TestCommands:
         assert main(["free-energy", "--config", str(config)]) == 2
         assert "model.sizes" in capsys.readouterr().err
 
+    def test_model_over_disorder_budget_exit_code(self, tmp_path, capsys):
+        # 40^6 dense entries exceed the default budget of 2^28: refused at
+        # parse time, before any command draws disorder
+        doc = {"model": {"species": ["a"], "sizes": [40],
+                         "terms": [{"p": [6], "delta_sq": 1.0}]},
+               "ground_state": {"q": [0.5], "seeds": 1}}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "model: " in err and "budget" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mangle, path_fragment",
         [
