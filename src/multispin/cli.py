@@ -4,8 +4,9 @@ One JSON config describes the model (species, block sizes, mixture terms)
 and the parameters of each batch command.  Subcommands run the estimator
 pipelines and emit CSV + JSON files; `verify` runs the cross-module
 invariant suite and reports machine-readable pass/fail results.  Every
-random quantity is seeded from (master_seed, task path), so outputs are
-byte-identical across worker counts.
+random quantity is seeded from (master_seed, task path), and tasks run in
+order in one process, so outputs are byte-identical for every --workers
+value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +55,15 @@ from .mixture import (
     xi_q,
 )
 from .seeding import derive_seed
-from .tap import EstimatorConfig, candidate_multisamplable, resolve_fe_method, tap_evaluate, tap_inequality_scan
+from .tap import (
+    DEFAULT_BETA_GRID,
+    EstimatorConfig,
+    candidate_multisamplable,
+    fe_per_seed,
+    resolve_fe_method,
+    tap_evaluate,
+    tap_inequality_scan,
+)
 from .thermo import (
     exact_fe_enumeration,
     exact_fe_quadrature,
@@ -144,13 +152,10 @@ def _expect_beta_grid(value, path):
     return grid
 
 
-_DEFAULT_BETA_GRID = tuple(float(b) for b in np.linspace(0.0, 1.0, 21))
-
-
 @dataclass(frozen=True)
 class FreeEnergyParams:
     method: str = "auto"
-    beta_grid: tuple[float, ...] = _DEFAULT_BETA_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     sweeps: int = 800
     quadrature_nodes: int = 16
     seeds: int = 20
@@ -168,7 +173,7 @@ class GroundStateParams:
 class TapScanParams:
     q_grid: tuple[tuple[float, ...], ...] = ((0.0,), (0.3,), (0.6,))
     method: str = "auto"
-    beta_grid: tuple[float, ...] = _DEFAULT_BETA_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     sweeps: int = 800
     quadrature_nodes: int = 16
     seeds: int = 20
@@ -182,7 +187,7 @@ class MultisampParams:
     q: tuple[float, ...] = (0.0,)
     n: int = 2
     eps_grid: tuple[float, ...] = (0.5, 0.25)
-    beta_grid: tuple[float, ...] = _DEFAULT_BETA_GRID
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     sweeps: int = 600
     seeds: int = 5
 
@@ -253,11 +258,15 @@ def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
             raise ConfigError(f"model.terms[{k}].p", "duplicate multi-degree")
         terms[p] = coeff
     mixture = Mixture.from_terms(terms, n_species=len(species))
-    entries = disorder_entries(mixture, SpeciesLayout(tuple(species), sizes))
-    if entries > DEFAULT_MEMORY_BUDGET:
-        raise ConfigError("model", f"disorder needs {entries} dense entries, "
-                                   f"over the budget of {DEFAULT_MEMORY_BUDGET}")
+    _check_budget(mixture, SpeciesLayout(tuple(species), sizes), "model")
     return tuple(species), sizes, mixture
+
+
+def _check_budget(mixture: Mixture, layout: SpeciesLayout, path: str) -> None:
+    entries = disorder_entries(mixture, layout)
+    if entries > DEFAULT_MEMORY_BUDGET:
+        raise ConfigError(path, f"disorder needs {entries} dense entries, "
+                                f"over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
 def _parse_section(doc: dict, name: str, cls, n_species: int):
@@ -282,9 +291,10 @@ def _parse_section(doc: dict, name: str, cls, n_species: int):
             kwargs[f.name] = value
             continue
         raw = section[f.name]
-        if f.name in ("sweeps", "seeds", "restarts", "max_iters",
-                      "quadrature_nodes", "n"):
+        if f.name in ("sweeps", "seeds", "restarts", "max_iters", "n"):
             kwargs[f.name] = _expect_int(raw, path, minimum=1)
+        elif f.name == "quadrature_nodes":
+            kwargs[f.name] = _expect_int(raw, path, minimum=2)
         elif f.name == "method":
             if raw not in ("auto", "enumeration", "quadrature", "ti"):
                 raise ConfigError(path, "must be auto, enumeration, quadrature, or ti")
@@ -335,7 +345,7 @@ def parse_config(text: str) -> ExperimentConfig:
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty string")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         master_seed=master_seed,
         species=species,
         sizes=sizes,
@@ -346,6 +356,11 @@ def parse_config(text: str) -> ExperimentConfig:
         multisamp=_parse_section(doc, "multisamp", MultisampParams, n_species),
         out_dir=out_dir,
     )
+    # tap-scan also draws the recentered mixtures, whose lower-degree terms
+    # can push a model at the edge of the budget over it
+    for k, q in enumerate(config.tap_scan.q_grid):
+        _check_budget(xi_q(mixture, q), config.layout, f"tap_scan.q_grid[{k}]")
+    return config
 
 
 def dump_config(config: ExperimentConfig) -> str:
@@ -376,13 +391,13 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def _run_tasks(tasks, workers: int) -> list:
-    """Run zero-argument tasks, collecting results in submission order so the
-    worker count cannot change any output."""
-    if workers <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    """Run zero-argument tasks in order and collect their results.
+
+    The worker count is accepted and ignored: the tasks hold the interpreter
+    lock in short numpy calls, so a thread pool only made runs slower, and
+    the work is batched inside each task instead.
+    """
+    return [task() for task in tasks]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -693,23 +708,15 @@ def cmd_free_energy(config: ExperimentConfig, workers: int = 1) -> int:
     params = config.free_energy
     layout = config.layout
     method = resolve_fe_method(params.method, layout)
-
-    def task(i: int):
-        def run():
-            h = build_instance(config.mixture, layout,
-                               seed=derive_seed(config.master_seed, "free-energy",
-                                                "instance", i))
-            rng = np.random.default_rng(
-                derive_seed(config.master_seed, "free-energy", "mc", i))
-            if method == "enumeration":
-                return exact_fe_enumeration(h)
-            if method == "quadrature":
-                return exact_fe_quadrature(h, params.quadrature_nodes)
-            return fe_thermo_integration(h, np.asarray(params.beta_grid),
-                                         params.sweeps, rng)
-        return run
-
-    estimates = _run_tasks([task(i) for i in range(params.seeds)], workers)
+    seeds = range(params.seeds)
+    estimates = fe_per_seed(
+        config.mixture, layout,
+        EstimatorConfig(method=params.method, beta_grid=params.beta_grid,
+                        sweeps=params.sweeps, quadrature_nodes=params.quadrature_nodes,
+                        seeds=params.seeds),
+        [derive_seed(config.master_seed, "free-energy", "instance", i) for i in seeds],
+        [np.random.default_rng(derive_seed(config.master_seed, "free-energy", "mc", i))
+         for i in seeds])
     rows = []
     for i, est in enumerate(estimates):
         flags = ";".join(est.meta.get("flags", []))
@@ -796,39 +803,26 @@ def cmd_tap_scan(config: ExperimentConfig, workers: int = 1) -> int:
         master_seed=config.master_seed,
     )
 
-    def task(k: int, q):
-        def run():
-            rng = np.random.default_rng(derive_seed(config.master_seed, "tap-scan", k))
-            return tap_evaluate(config.mixture, layout, q, cfg, rng=rng)
-        return run
-
-    reports = _run_tasks([task(k, q) for k, q in enumerate(params.q_grid)], workers)
-    flagged = []
-    for rep in reports:
-        tol = 3.0 * rep.gap_std_error + cfg.gs_bias_allowance
-        if rep.gap < -tol:
-            rep = dataclasses.replace(
-                rep, flags=tuple(sorted(set(rep.flags) | {"tap-inequality-violated"})))
-        flagged.append(rep)
+    reports = tap_inequality_scan(config.mixture, layout, params.q_grid, cfg)
     header = [f"q_{name}" for name in config.species] + [
         "lhs", "lhs_std_error", "gs", "gs_std_error", "logvol",
         "fq", "fq_std_error", "gap", "gap_std_error", "onsager", "flags"]
     rows = []
-    for rep in flagged:
+    for rep in reports:
         rows.append(list(rep.q.values) + [
             rep.lhs.value, rep.lhs.std_error, rep.gs, rep.gs_std_error,
             rep.logvol, rep.fq.value, rep.fq.std_error, rep.gap,
             rep.gap_std_error, rep.onsager, ";".join(rep.flags)])
     out = _out_dir(config)
     _write_csv(out / "tap_scan.csv", header, rows)
-    best = candidate_multisamplable(flagged)
-    violations = sum("tap-inequality-violated" in rep.flags for rep in flagged)
+    best = candidate_multisamplable(reports)
+    violations = sum("tap-inequality-violated" in rep.flags for rep in reports)
     _write_json(out / "tap_scan.json", {
-        "reports": [rep.to_record() for rep in flagged],
+        "reports": [rep.to_record() for rep in reports],
         "candidate": best.to_record(),
         "violations": violations,
     })
-    print(f"tap scan over {len(flagged)} overlaps: {violations} violations; "
+    print(f"tap scan over {len(reports)} overlaps: {violations} violations; "
           f"closest to equality at q={list(best.q.values)} (gap {best.gap:.5f})")
     return 0 if violations == 0 else 1
 
@@ -908,7 +902,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master_seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="thread count; outputs do not depend on it")
+                       help="accepted for compatibility (must be >= 1); tasks run "
+                            "in order in one process, so it changes neither "
+                            "outputs nor speed")
         p.add_argument("--out", default=None, help="override the output directory")
         if name == "verify":
             p.add_argument("--mutate", default=None, choices=MUTATIONS,

@@ -18,9 +18,8 @@ from .hamiltonian import (
     HamiltonianInstance,
     TENSOR_BACKEND,
     build_instance,
-    energy,
     energy_many,
-    gradient,
+    gradient_many,
 )
 from .mixture import Mixture, SpeciesLayout, require_shell_overlap
 
@@ -61,66 +60,45 @@ class AscentResult:
 
 
 def _project_to_shell(coords: np.ndarray, layout: SpeciesLayout, qv: np.ndarray) -> np.ndarray:
+    """Rescale each species block of each row onto its shell sphere."""
     out = np.array(coords)
     for s, sl in enumerate(layout.slices):
         if qv[s] == 0.0:
-            out[sl] = 0.0
+            out[:, sl] = 0.0
         else:
             target = math.sqrt(layout.sizes[s] * qv[s])
-            out[sl] *= target / np.linalg.norm(out[sl])
+            out[:, sl] *= target / np.linalg.norm(out[:, sl], axis=1, keepdims=True)
     return out
 
 
 def _tangent_gradient(g: np.ndarray, coords: np.ndarray, layout: SpeciesLayout,
                       qv: np.ndarray) -> np.ndarray:
-    """Remove each block's radial component; zero-shell blocks carry no directions."""
+    """Remove each block's radial component, row by row; zero-shell blocks
+    carry no directions."""
     t = np.array(g)
     for s, sl in enumerate(layout.slices):
         if qv[s] == 0.0:
-            t[sl] = 0.0
+            t[:, sl] = 0.0
         else:
-            x = coords[sl]
-            t[sl] -= (g[sl] @ x) * x / (layout.sizes[s] * qv[s])
+            x = coords[:, sl]
+            radial = np.einsum("ij,ij->i", g[:, sl], x)
+            t[:, sl] -= radial[:, None] * x / (layout.sizes[s] * qv[s])
     return t
-
-
-def _ascend_once(h: HamiltonianInstance, qv: np.ndarray, max_iters: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, float, bool, int]:
-    layout = h.layout
-    coords = sample_on_shell(layout, qv, rng).coords
-    value = energy(h, Configuration(coords, layout))
-    step0 = 1.0 / math.sqrt(layout.n)
-    step = step0
-    for it in range(1, max_iters + 1):
-        g = gradient(h, Configuration(coords, layout))
-        t = _tangent_gradient(g, coords, layout, qv)
-        t_norm_sq = float(t @ t)
-        if math.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN:
-            return coords, value, True, it - 1
-        trial = min(step * 2.0, step0)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = _project_to_shell(coords + trial * t, layout, qv)
-            cand_value = energy(h, Configuration(cand, layout))
-            if cand_value >= value + _ARMIJO_SLOPE * trial * t_norm_sq:
-                coords, value, step = cand, cand_value, trial
-                accepted = True
-                break
-            trial *= _ARMIJO_SHRINK
-        if not accepted:
-            # no admissible step: numerically stationary, count as converged
-            return coords, value, True, it
-    return coords, value, False, max_iters
 
 
 def ascend(h: HamiltonianInstance, q, restarts: int, max_iters: int,
            rng: np.random.Generator) -> AscentResult:
     """Multi-restart projected gradient ascent of H over the shell S_N(q).
 
-    Each restart starts uniformly on the shell and follows the per-species
-    tangent gradient with Armijo backtracking (shrink 0.5, slope 1e-4,
-    initial step 1/sqrt(N)), re-projecting every block after each step.
-    Ties in the final energy break toward the lowest restart index.
+    Each restart starts uniformly on the shell, from its own stream, and
+    follows the per-species tangent gradient with Armijo backtracking
+    (shrink 0.5, slope 1e-4, initial step 1/sqrt(N)), re-projecting every
+    block after each step.  All restarts advance together: one batched
+    gradient per iteration, and each backtracking round evaluates the
+    restarts still searching.  A restart stops when its tangent gradient
+    falls below tolerance or no step passes the Armijo test (both count as
+    converged).  Ties in the final energy break toward the lowest restart
+    index.
     """
     if h.backend != TENSOR_BACKEND:
         raise ValueError("ascent needs the coefficient-tensor backend")
@@ -129,23 +107,50 @@ def ascend(h: HamiltonianInstance, q, restarts: int, max_iters: int,
     layout = h.layout
     qv = require_shell_overlap(q, layout.n_species)
     streams = rng.spawn(restarts)
-    best_coords, best_value, best_idx = None, -math.inf, -1
-    converged = 0
-    counts = []
-    for i in range(restarts):
-        coords, value, ok, iters = _ascend_once(h, qv, max_iters, streams[i])
-        converged += int(ok)
-        counts.append(iters)
-        if value > best_value:
-            best_coords, best_value, best_idx = coords, value, i
-    maximizer = Configuration(best_coords, layout)
+    coords = np.array([sample_on_shell(layout, qv, stream).coords for stream in streams])
+    values = energy_many(h, coords)
+    step0 = 1.0 / math.sqrt(layout.n)
+    steps = np.full(restarts, step0)
+    counts = np.full(restarts, max_iters)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for it in range(1, max_iters + 1):
+        if active.size == 0:
+            break
+        x = coords[active]
+        t = _tangent_gradient(gradient_many(h, x), x, layout, qv)
+        t_norm_sq = np.einsum("ij,ij->i", t, t)
+        flat = np.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN
+        counts[active[flat]] = it - 1
+        converged[active[flat]] = True
+        active, x, t, t_norm_sq = active[~flat], x[~flat], t[~flat], t_norm_sq[~flat]
+        trial = np.minimum(steps[active] * 2.0, step0)
+        searching = np.ones(active.size, dtype=bool)
+        for _ in range(_MAX_BACKTRACKS):
+            idx = np.flatnonzero(searching)
+            if idx.size == 0:
+                break
+            cand = _project_to_shell(x[idx] + trial[idx, None] * t[idx], layout, qv)
+            cand_values = energy_many(h, cand)
+            ok = cand_values >= values[active[idx]] + _ARMIJO_SLOPE * trial[idx] * t_norm_sq[idx]
+            rows = active[idx[ok]]
+            coords[rows] = cand[ok]
+            values[rows] = cand_values[ok]
+            steps[rows] = trial[idx[ok]]
+            searching[idx[ok]] = False
+            trial[idx[~ok]] *= _ARMIJO_SHRINK
+        # no admissible step: numerically stationary, count as converged
+        counts[active[searching]] = it
+        converged[active[searching]] = True
+        active = active[~searching]
+    best = int(np.argmax(values))
     return AscentResult(
-        maximizer=maximizer,
-        energy_per_spin=best_value / layout.n,
+        maximizer=Configuration(coords[best], layout),
+        energy_per_spin=float(values[best]) / layout.n,
         restarts=restarts,
-        converged_fraction=converged / restarts,
-        iteration_counts=tuple(counts),
-        best_restart=best_idx,
+        converged_fraction=int(converged.sum()) / restarts,
+        iteration_counts=tuple(int(c) for c in counts),
+        best_restart=best,
     )
 
 

@@ -12,6 +12,7 @@ sets from the covariance matrix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -41,6 +42,11 @@ __all__ = [
     "energy",
     "energy_many",
     "gradient",
+    "gradient_many",
+    "InstanceGroup",
+    "stack_instances",
+    "group_energies",
+    "block_entries",
     "realize_on_points",
     "factor_covariance",
     "attach_external_field",
@@ -78,6 +84,13 @@ def disorder_entries(xi: Mixture, layout: SpeciesLayout) -> int:
     """Dense entries the seeded draw visits, N^k per term of degree k; the
     memory budget bounds this count, which bounds the held blocks too."""
     return sum(layout.n ** sum(p) for p, _ in xi.terms)
+
+
+def block_entries(xi: Mixture, layout: SpeciesLayout) -> int:
+    """Entries the canonical blocks of one instance hold, prod_s N_s^p(s)
+    per term."""
+    return sum(math.prod(layout.sizes[s] ** c for s, c in enumerate(p))
+               for p, _ in xi.terms)
 
 
 def _draw_block(rng: np.random.Generator, layout: SpeciesLayout, p: tuple[int, ...],
@@ -171,6 +184,12 @@ class HamiltonianInstance:
     def memory_entries(self) -> int:
         return disorder_entries(self.mixture, self.layout)
 
+    @functools.cached_property
+    def group(self) -> InstanceGroup:
+        """This instance as a group of one (views of its blocks), stacked on
+        first use."""
+        return stack_instances([self])
+
 
 def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int,
                    backend: str = TENSOR_BACKEND,
@@ -226,52 +245,118 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
     return total
 
 
-def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
-    """Energies of a batch of configurations, rows of coords, via staged
-    chunked contractions (same values as energy on each row)."""
+@dataclass(frozen=True, eq=False)
+class InstanceGroup:
+    """Tensor-backend instances of one mixture on one layout, with each
+    term's blocks stacked once on a leading instance axis, so one batched
+    contraction evaluates every instance.  A group of one stacks views."""
+
+    size: int
+    layout: SpeciesLayout
+    slot_slices: tuple[tuple[slice, ...], ...]
+    flats: tuple[np.ndarray, ...]  # per term (K, d_last, rest): stacked blocks, last axis first
+    fields: np.ndarray | None  # (K, N) field vectors, or None when no instance has one
+
+
+def stack_instances(hs) -> InstanceGroup:
+    """Stack the blocks of instances that share mixture terms and layout."""
+    hs = list(hs)
+    if not hs:
+        raise ValueError("need at least one instance")
+    for h in hs:
+        _require_tensor(h)
+    first = hs[0]
+    keys = [p for p, _ in first.mixture.terms]
+    if any(h.layout != first.layout or [p for p, _ in h.mixture.terms] != keys
+           for h in hs):
+        raise ValueError("grouped instances must share mixture terms and layout")
+    flats = []
+    for t, a in enumerate(first.tensors):
+        stacked = a[None] if len(hs) == 1 else np.stack([h.tensors[t] for h in hs])
+        flats.append(stacked.reshape(len(hs), -1, a.shape[-1]).transpose(0, 2, 1))
+    fields = None
+    if any(h.field is not None for h in hs):
+        zero = np.zeros(first.layout.n)
+        fields = np.stack([zero if h.field is None else h.field.vector for h in hs])
+    return InstanceGroup(len(hs), first.layout, first.slot_slices, tuple(flats), fields)
+
+
+def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
+    """Energies of a batch of configurations per instance: coords has shape
+    (K, batch, N) and row b of instance k is evaluated on instance k.  Each
+    term is one stacked matrix product over the block's last axis, then
+    batched matrix-vector products, chunked so intermediates stay below
+    about _BATCH_ELEMENT_CAP floats."""
+    coords = np.asarray(coords, dtype=float)
+    k, n = group.size, group.layout.n
+    if coords.ndim != 3 or coords.shape[0] != k or coords.shape[2] != n:
+        raise ValueError(f"expected ({k}, batch, {n}) coordinates")
+    n_batch = coords.shape[1]
+    out = np.zeros((k, n_batch))
+    for slices, flat in zip(group.slot_slices, group.flats):
+        chunk = max(1, _BATCH_ELEMENT_CAP // (k * flat.shape[2]))
+        for lo in range(0, n_batch, chunk):
+            rows = coords[:, lo:lo + chunk]
+            v = rows[..., slices[-1]] @ flat
+            rows = rows.reshape(-1, n)
+            for sl in reversed(slices[:-1]):
+                v = v.reshape(len(rows), -1, sl.stop - sl.start) @ rows[:, sl, None]
+            out[:, lo:lo + chunk] += v.reshape(k, -1)
+    out *= math.sqrt(n)
+    if group.fields is not None:
+        for i in range(k):
+            out[i] += coords[i] @ group.fields[i]
+    return out
+
+
+def _check_rows(h: HamiltonianInstance, coords) -> np.ndarray:
     _require_tensor(h)
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != h.layout.n:
         raise ValueError(f"expected (batch, {h.layout.n}) coordinates")
+    return coords
+
+
+def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
+    """Energies of a batch of configurations, rows of coords: the group-of-one
+    case of group_energies (same values as energy on each row)."""
+    coords = _check_rows(h, coords)
+    return group_energies(h.group, coords[None])[0]
+
+
+def gradient_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
+    """Euclidean energy gradients at a batch of configurations, rows of coords.
+
+    Per term, block axis c takes the block contracted on every other axis:
+    the leading axes are folded in once per row, as a running prefix, and
+    the trailing axes per slot, as batched matrix-vector products.
+    """
+    coords = _check_rows(h, coords)
     n_batch = coords.shape[0]
-    out = np.zeros(n_batch)
+    g = np.zeros_like(coords)
     for slices, a in zip(h.slot_slices, h.tensors):
-        flat = a.reshape(-1, a.shape[-1]).T
-        chunk = max(1, _BATCH_ELEMENT_CAP // flat.shape[1])
-        for lo in range(0, n_batch, chunk):
-            rows = coords[lo:lo + chunk]
-            v = rows[:, slices[-1]] @ flat
-            for sl in reversed(slices[:-1]):
-                v = v.reshape(len(rows), -1, sl.stop - sl.start) @ rows[:, sl, None]
-            out[lo:lo + chunk] += v.reshape(-1)
-    out *= math.sqrt(h.layout.n)
-    if h.field is not None:
-        out += coords @ h.field.vector
-    return out
-
-
-def gradient(h: HamiltonianInstance, sigma: Configuration) -> np.ndarray:
-    """Euclidean gradient of the energy.  Per term, block axis c takes the
-    block contracted on every other axis: the leading axes are folded in
-    once, as a running prefix, and the trailing axes per slot."""
-    _require_tensor(h)
-    if sigma.layout != h.layout:
-        raise ValueError("configuration layout does not match instance")
-    x = sigma.coords
-    g = np.zeros(h.layout.n)
-    for slices, a in zip(h.slot_slices, h.tensors):
-        prefix = a
+        prefix = a[None]  # leading axis: 1 until the first fold, then the batch
         for c, sl in enumerate(slices):
             t = prefix
             for rest in reversed(slices[c + 1:]):
-                t = t.reshape(-1, rest.stop - rest.start).dot(x[rest])
-            g[sl] += t
+                t = t.reshape(len(t), -1, rest.stop - rest.start) @ coords[:, rest, None]
+            g[:, sl] += t.reshape(len(t), -1)
             if c + 1 < len(slices):
-                prefix = x[sl].dot(prefix.reshape(sl.stop - sl.start, -1))
+                d = sl.stop - sl.start
+                prefix = (coords[:, None, sl] @ prefix.reshape(len(prefix), d, -1)).reshape(
+                    (n_batch,) + a.shape[c + 1:])
     g *= math.sqrt(h.layout.n)
     if h.field is not None:
-        g = g + h.field.vector
+        g += h.field.vector
     return g
+
+
+def gradient(h: HamiltonianInstance, sigma: Configuration) -> np.ndarray:
+    """Euclidean gradient of the energy: the one-row case of gradient_many."""
+    _require_tensor(h)
+    if sigma.layout != h.layout:
+        raise ValueError("configuration layout does not match instance")
+    return gradient_many(h, sigma.coords[None])[0]
 
 
 def factor_covariance(cov: np.ndarray) -> np.ndarray:

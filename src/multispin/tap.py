@@ -20,7 +20,12 @@ import numpy as np
 
 from .geometry import uniform_overlap_tail
 from .ground_state import ascend, exact_gs_enumeration
-from .hamiltonian import HamiltonianInstance, build_instance
+from .hamiltonian import (
+    _BATCH_ELEMENT_CAP,
+    HamiltonianInstance,
+    block_entries,
+    build_instance,
+)
 from .mixture import (
     Mixture,
     OverlapVector,
@@ -36,12 +41,14 @@ from .thermo import (
     FreeEnergyEstimate,
     exact_fe_enumeration,
     exact_fe_quadrature,
-    fe_thermo_integration,
+    fe_thermo_integration_many,
     pt_sampler,
 )
 
 __all__ = [
+    "DEFAULT_BETA_GRID",
     "EstimatorConfig",
+    "fe_per_seed",
     "resolve_fe_method",
     "TapReport",
     "tap_evaluate",
@@ -53,6 +60,7 @@ __all__ = [
 ]
 
 _FE_METHODS = ("auto", "enumeration", "quadrature", "ti")
+DEFAULT_BETA_GRID = tuple(float(b) for b in np.linspace(0.0, 1.0, 21))
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class EstimatorConfig:
     """
 
     method: str = "auto"
-    beta_grid: tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 21))
+    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     sweeps: int = 800
     quadrature_nodes: int = 16
     seeds: int = 20
@@ -130,13 +138,33 @@ def resolve_fe_method(method: str, layout: SpeciesLayout) -> str:
     return "ti"
 
 
-def _fe_single(h: HamiltonianInstance, method: str, config: EstimatorConfig,
-               rng: np.random.Generator) -> FreeEnergyEstimate:
-    if method == "enumeration":
-        return exact_fe_enumeration(h)
-    if method == "quadrature":
-        return exact_fe_quadrature(h, config.quadrature_nodes)
-    return fe_thermo_integration(h, np.asarray(config.beta_grid), config.sweeps, rng)
+def fe_per_seed(xi: Mixture, layout: SpeciesLayout, config: EstimatorConfig,
+                instance_seeds: list[int],
+                streams: list[np.random.Generator]) -> list[FreeEnergyEstimate]:
+    """Free energy of the instance drawn from each seed, by config.method
+    resolved for the layout; thermodynamic integration of instance i uses
+    generator streams[i].
+
+    Instances are built in consecutive groups whose stacked blocks hold at
+    most _BATCH_ELEMENT_CAP entries (a larger instance forms a group of
+    one), and the tempered chains of a group run together.  Each estimate
+    equals the one its instance gets on its own.
+    """
+    method = resolve_fe_method(config.method, layout)
+    per_group = max(1, _BATCH_ELEMENT_CAP // max(1, block_entries(xi, layout)))
+    estimates = []
+    for lo in range(0, len(instance_seeds), per_group):
+        group = [build_instance(xi, layout, seed=seed)
+                 for seed in instance_seeds[lo:lo + per_group]]
+        if method == "ti":
+            estimates.extend(fe_thermo_integration_many(
+                group, np.asarray(config.beta_grid), config.sweeps,
+                streams[lo:lo + per_group]))
+        elif method == "enumeration":
+            estimates.extend(exact_fe_enumeration(h) for h in group)
+        else:
+            estimates.extend(exact_fe_quadrature(h, config.quadrature_nodes) for h in group)
+    return estimates
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -150,22 +178,15 @@ def _fe_over_seeds(xi: Mixture, layout: SpeciesLayout, label: str,
                    rng: np.random.Generator) -> FreeEnergyEstimate:
     """Disorder-averaged free energy: mean over fresh instances, SE from the
     scatter of per-seed estimates (which already carries any MC noise)."""
-    method = resolve_fe_method(config.method, layout)
     instance_seeds = [derive_seed(config.master_seed, label, i) for i in range(seeds)]
-    streams = rng.spawn(seeds)
-    values, mc_errors, flags = [], [], []
-    for i, inst_seed in enumerate(instance_seeds):
-        h = build_instance(xi, layout, seed=inst_seed)
-        est = _fe_single(h, method, config, streams[i])
-        values.append(est.value)
-        mc_errors.append(est.std_error)
-        flags.extend(est.meta.get("flags", []))
+    estimates = fe_per_seed(xi, layout, config, instance_seeds, rng.spawn(seeds))
+    values = [est.value for est in estimates]
     mean, se = _mean_se(values)
-    return FreeEnergyEstimate(mean, se, est.method, {
+    return FreeEnergyEstimate(mean, se, estimates[-1].method, {
         "seed_values": values,
         "instance_seeds": instance_seeds,
-        "mean_mc_std_error": float(np.mean(mc_errors)),
-        "flags": sorted(set(flags)),
+        "mean_mc_std_error": float(np.mean([est.std_error for est in estimates])),
+        "flags": sorted({f for est in estimates for f in est.meta.get("flags", [])}),
     })
 
 

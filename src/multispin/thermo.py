@@ -9,6 +9,7 @@ variable of thermodynamic integration (or explicitly via scale_mixture).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,14 @@ from .geometry import (
     sign_patterns,
     species_overlaps,
 )
-from .hamiltonian import HamiltonianInstance, TENSOR_BACKEND, energy, energy_many
+from .hamiltonian import (
+    HamiltonianInstance,
+    TENSOR_BACKEND,
+    energy,
+    energy_many,
+    group_energies,
+    stack_instances,
+)
 from .mixture import SpeciesLayout, as_overlap_array
 
 __all__ = [
@@ -40,6 +48,7 @@ __all__ = [
     "exact_penalty_enumeration",
     "pt_sampler",
     "fe_thermo_integration",
+    "fe_thermo_integration_many",
     "restricted_fe",
     "multi_replica_fe",
     "multisamplability_profile",
@@ -152,42 +161,74 @@ def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
     return out
 
 
-def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
-                rng: np.random.Generator, n_replicas: int = 1,
-                band: BandSpec | None = None) -> _ChainRun:
-    """Replica-exchange Metropolis over the beta grid, batched over chains.
+def _group_sampler(rngs, method):
+    """shape -> method(rng, shape) for each instance's generator, concatenated
+    along the first axis; a group fills the blocks of one array in place."""
+    if len(rngs) == 1:
+        return functools.partial(method, rngs[0])
+
+    def draw(shape):
+        out = np.empty((len(rngs),) + shape)
+        for block, rng in zip(out, rngs):
+            method(rng, out=block)
+        return out.reshape((-1,) + shape[1:])
+    return draw
+
+
+def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
+               band: BandSpec | None = None, keep_snapshots: bool = True) -> list[_ChainRun]:
+    """Replica-exchange Metropolis over the beta grid, batched over a group
+    of instances that share mixture terms and layout, and over chains.
 
     Proposals update one species block of one replica at a time, on every
-    chain at once: a tangent Gaussian step re-projected to the block sphere
-    (for single-coordinate blocks, a lazy sign flip).  Both kernels are
-    symmetric, so acceptance is min(1, 1_constraints * exp(beta dH)).  After
-    each sweep, neighbouring chains (even pairs on even sweeps, odd pairs on
-    odd sweeps) swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).
-    All randomness comes from rng, drawn as whole arrays over the chain axis
-    in a fixed order, so results depend only on the seed.
+    chain of every instance at once: a tangent Gaussian step re-projected to
+    the block sphere (for single-coordinate blocks, a lazy sign flip).  Both
+    kernels are symmetric, so acceptance is min(1, 1_constraints *
+    exp(beta dH)).  After each sweep, neighbouring chains (even pairs on even
+    sweeps, odd pairs on odd sweeps) swap states when
+    log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  Instance k draws all its
+    randomness from rngs[k], as whole arrays over the chain axis in a fixed
+    order, so its run depends only on its own seed, not on the group.
+    Without keep_snapshots no thinned states are kept (snapshots hold zero
+    per chain), so a large group holds only its energy series.
+
+    The state arrays have one row per (instance, chain), instance-major, so
+    a group of one is laid out exactly as a single run.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    layout = h.layout
+    group = stack_instances(hs)
+    layout = group.layout
     slices = layout.slices
+    k = group.size
     n_chains = beta_grid.size
-    every_chain = np.ones(n_chains, dtype=bool)
+    n_rows = k * n_chains
+    betas = np.tile(beta_grid, k)
+    every_row = np.ones(n_rows, dtype=bool)
     q_center = m_coords = None
     if band is not None:
         q_center = band.center.self_overlap().as_array()
         m_coords = band.center.coords
-    coords = _init_replicas(layout, band, n_chains, n_replicas, rng)
-    energies = energy_many(h, coords.reshape(-1, layout.n)).reshape(n_chains, n_replicas)
-    step_sizes = np.full((n_chains, layout.n_species), 0.5)
+    coords = np.concatenate([_init_replicas(layout, band, n_chains, n_replicas, rng)
+                             for rng in rngs])
+    energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
+        n_rows, n_replicas)
+    step_sizes = np.full((n_rows, layout.n_species), 0.5)
     burn = steps // 3
     thin = max(1, -(-(steps - burn) // _MAX_KEPT_SAMPLES))
-    series = np.empty((n_chains, steps - burn))
-    snapshots = np.empty((n_chains, len(range(0, steps - burn, thin)), n_replicas, layout.n))
-    prop_count = np.zeros(n_chains, dtype=int)
-    acc_count = np.zeros(n_chains, dtype=int)
-    swap_tries = np.zeros(max(n_chains - 1, 1), dtype=int)
-    swap_accepts = np.zeros(max(n_chains - 1, 1), dtype=int)
+    kept = len(range(0, steps - burn, thin)) if keep_snapshots else 0
+    series = np.empty((n_rows, steps - burn))
+    snapshots = np.empty((n_rows, kept, n_replicas, layout.n))
+    prop_count = np.zeros(n_rows, dtype=int)
+    acc_count = np.zeros(n_rows, dtype=int)
+    swap_tries = np.zeros((k, max(n_chains - 1, 1)), dtype=int)
+    swap_accepts = np.zeros((k, max(n_chains - 1, 1)), dtype=int)
+    # left chain of each pair tried on even and on odd sweeps, and its rows
+    swap_lo = [np.arange(parity, n_chains - 1, 2) for parity in (0, 1)]
+    swap_rows = [(lo + n_chains * np.arange(k)[:, None]).reshape(-1) for lo in swap_lo]
 
+    uniforms = _group_sampler(rngs, np.random.Generator.random)
+    normals = _group_sampler(rngs, np.random.Generator.standard_normal)
     for t in range(steps):
         adapting = t < burn
         for r in range(n_replicas):
@@ -196,18 +237,18 @@ def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
                 d = layout.sizes[s]
                 x = coords[:, r, sl]
                 if d == 1:
-                    moved = rng.random(n_chains) < 0.5
+                    moved = uniforms((n_chains,)) < 0.5
                     y = np.where(moved[:, None], -x, x)
                 else:
-                    g = rng.standard_normal((n_chains, d))
+                    g = normals((n_chains, d))
                     v = g - (np.einsum("ij,ij->i", g, x) / d)[:, None] * x
                     y = x + step_sizes[:, s, None] * v
                     y *= np.sqrt(d / np.einsum("ij,ij->i", y, y))[:, None]
-                    moved = every_chain
+                    moved = every_row
                 props = coords[:, r].copy()
                 props[:, sl] = y
-                prop_e = energy_many(h, props)
-                log_u = np.log(np.maximum(rng.random(n_chains), 1e-300))
+                prop_e = group_energies(group, props.reshape(k, n_chains, -1)).reshape(n_rows)
+                log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
                 ok = moved
                 if band is not None:
                     rsm = species_overlaps(props, m_coords, layout)[:, s]
@@ -216,7 +257,7 @@ def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
                         rss = species_overlaps(props[:, None, :], coords[:, others],
                                                layout)[..., s]
                         ok &= np.all(np.abs(rss - q_center[s]) <= band.rho, axis=1)
-                accepted = ok & (log_u < beta_grid * (prop_e - energies[:, r]))
+                accepted = ok & (log_u < betas * (prop_e - energies[:, r]))
                 coords[:, r, sl] = np.where(accepted[:, None], y, x)
                 energies[:, r] = np.where(accepted, prop_e, energies[:, r])
                 if not adapting:
@@ -232,58 +273,69 @@ def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
             for s, sl in enumerate(slices):
                 if layout.sizes[s] != 1:
                     continue
-                flip = rng.random(n_chains) < 0.5
+                flip = uniforms((n_chains,)) < 0.5
                 props = coords.copy()
                 props[:, :, sl] = -props[:, :, sl]
-                prop_e = energy_many(h, props.reshape(-1, layout.n)).reshape(
-                    n_chains, n_replicas)
-                log_u = np.log(np.maximum(rng.random(n_chains), 1e-300))
+                prop_e = group_energies(group, props.reshape(k, -1, layout.n)).reshape(
+                    n_rows, n_replicas)
+                log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
                 ok = flip
                 if band is not None:
                     rsm = species_overlaps(props, m_coords, layout)[..., s]
                     ok = ok & np.all(np.abs(rsm - q_center[s]) <= band.delta, axis=1)
                 dlt = prop_e.sum(axis=1) - energies.sum(axis=1)
-                accepted = ok & (log_u < beta_grid * dlt)
+                accepted = ok & (log_u < betas * dlt)
                 coords[accepted] = props[accepted]
                 energies[accepted] = prop_e[accepted]
         if n_chains > 1:
-            lo = np.arange(t % 2, n_chains - 1, 2)
-            log_u = np.log(np.maximum(rng.random(lo.size), 1e-300))
+            lo, rows = swap_lo[t % 2], swap_rows[t % 2]
+            log_u = np.log(np.maximum(uniforms(lo.shape), 1e-300))
             totals = energies.sum(axis=1)
-            gain = (beta_grid[lo + 1] - beta_grid[lo]) * (totals[lo] - totals[lo + 1])
+            gain = (betas[rows + 1] - betas[rows]) * (totals[rows] - totals[rows + 1])
             accepted = log_u < gain
-            a = lo[accepted]
+            a = rows[accepted]
             pair = np.concatenate([a, a + 1])
             swapped = np.concatenate([a + 1, a])
             coords[pair] = coords[swapped]
             energies[pair] = energies[swapped]
             if not adapting:
-                swap_tries[lo] += 1
-                swap_accepts[lo] += accepted
+                swap_tries[:, lo] += 1
+                swap_accepts[:, lo] += accepted.reshape(k, -1)
         if not adapting:
             series[:, t - burn] = energies.sum(axis=1)
-            if (t - burn) % thin == 0:
+            if kept and (t - burn) % thin == 0:
                 snapshots[:, (t - burn) // thin] = coords
 
     accept_rates = np.where(prop_count > 0, acc_count / np.maximum(prop_count, 1), 1.0)
     with np.errstate(invalid="ignore"):
         swap_rates = np.where(swap_tries > 0, swap_accepts / np.maximum(swap_tries, 1), 1.0)
-    flags = []
-    if np.any(accept_rates < _MOVE_FLAG_RATE):
-        flags.append("move-acceptance-low")
-    if n_chains > 1 and np.any(swap_rates[: n_chains - 1] < _SWAP_FLAG_RATE):
-        flags.append("swap-acceptance-low")
-    return _ChainRun(
-        beta_grid=beta_grid,
-        series=series,
-        snapshots=snapshots,
-        accept_rates=accept_rates,
-        swap_rates=swap_rates[: max(n_chains - 1, 0)],
-        step_sizes=step_sizes,
-        flags=flags,
-        final_coords=coords,
-        proposal_counts=prop_count,
-    )
+    runs = []
+    for i in range(k):
+        chains = slice(i * n_chains, (i + 1) * n_chains)
+        flags = []
+        if np.any(accept_rates[chains] < _MOVE_FLAG_RATE):
+            flags.append("move-acceptance-low")
+        if n_chains > 1 and np.any(swap_rates[i, : n_chains - 1] < _SWAP_FLAG_RATE):
+            flags.append("swap-acceptance-low")
+        runs.append(_ChainRun(
+            beta_grid=beta_grid,
+            series=series[chains],
+            snapshots=snapshots[chains],
+            accept_rates=accept_rates[chains],
+            swap_rates=swap_rates[i, : max(n_chains - 1, 0)],
+            step_sizes=step_sizes[chains],
+            flags=flags,
+            final_coords=coords[chains],
+            proposal_counts=prop_count[chains],
+        ))
+    return runs
+
+
+def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
+                rng: np.random.Generator, n_replicas: int = 1,
+                band: BandSpec | None = None) -> _ChainRun:
+    """One instance's tempered run: the group-of-one case of _run_group."""
+    return _run_group([h], beta_grid, steps, [rng], n_replicas, band)[0]
 
 
 def pt_sampler(h: HamiltonianInstance, beta_grid, steps: int,
@@ -338,6 +390,41 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
     return value, mc_term + grid_term
 
 
+def fe_thermo_integration_many(hs, beta_grid, steps: int,
+                               rngs) -> list[FreeEnergyEstimate]:
+    """fe_thermo_integration of each instance of a group that shares mixture
+    terms and layout, with rngs[k] the generator of instance k.  The chains
+    of every instance advance together; each estimate equals the one the
+    instance gets on its own with the same generator."""
+    grid = _check_beta_grid(beta_grid)
+    hs, rngs = list(hs), list(rngs)
+    if len(hs) != len(rngs):
+        raise ValueError("need one generator per instance")
+    if grid.size == 1:
+        return [FreeEnergyEstimate(0.0, 0.0, "thermo-integration",
+                                   {"beta_grid": [0.0], "sweeps": 0, "flags": []})
+                for _ in hs]
+    n = hs[0].layout.n
+    estimates = []
+    for run in _run_group(hs, grid, steps, rngs, keep_snapshots=False):
+        means = np.array([s.mean() / n for s in run.series])
+        ses = np.array([_block_std_error(s) / n for s in run.series])
+        value, err = _simpson_with_error(means, ses, grid)
+        meta = {
+            "beta_grid": [float(b) for b in grid],
+            "sweeps": steps,
+            "node_means": [float(v) for v in means],
+            "node_std_errors": [float(v) for v in ses],
+            "samples_per_node": int(len(run.series[0])),
+            "accept_rates": [float(v) for v in run.accept_rates],
+            "swap_rates": [float(v) for v in run.swap_rates],
+            "flags": list(run.flags),
+        }
+        estimates.append(FreeEnergyEstimate(float(value), float(err),
+                                            "thermo-integration", meta))
+    return estimates
+
+
 def fe_thermo_integration(h: HamiltonianInstance, beta_grid, steps: int,
                           rng: np.random.Generator) -> FreeEnergyEstimate:
     """F at the last grid beta, as the integral of the mean energy per spin.
@@ -346,26 +433,7 @@ def fe_thermo_integration(h: HamiltonianInstance, beta_grid, steps: int,
     F; the error combines per-node Monte Carlo SEs with the Simpson-vs-
     trapezoid grid term.
     """
-    grid = _check_beta_grid(beta_grid)
-    n = h.layout.n
-    if grid.size == 1:
-        return FreeEnergyEstimate(0.0, 0.0, "thermo-integration",
-                                  {"beta_grid": [0.0], "sweeps": 0, "flags": []})
-    run = _run_chains(h, grid, steps, rng)
-    means = np.array([s.mean() / n for s in run.series])
-    ses = np.array([_block_std_error(s) / n for s in run.series])
-    value, err = _simpson_with_error(means, ses, grid)
-    meta = {
-        "beta_grid": [float(b) for b in grid],
-        "sweeps": steps,
-        "node_means": [float(v) for v in means],
-        "node_std_errors": [float(v) for v in ses],
-        "samples_per_node": int(len(run.series[0])),
-        "accept_rates": [float(v) for v in run.accept_rates],
-        "swap_rates": [float(v) for v in run.swap_rates],
-        "flags": list(run.flags),
-    }
-    return FreeEnergyEstimate(float(value), float(err), "thermo-integration", meta)
+    return fe_thermo_integration_many([h], beta_grid, steps, [rng])[0]
 
 
 def restricted_fe(h: HamiltonianInstance, m: Configuration, delta: float,

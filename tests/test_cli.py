@@ -84,6 +84,8 @@ class TestConfigParsing:
              "model.terms[1].p"),
             (lambda d: d["free_energy"].__setitem__("sweeps", 0),
              "free_energy.sweeps"),
+            (lambda d: d["free_energy"].__setitem__("quadrature_nodes", 1),
+             "free_energy.quadrature_nodes"),
             (lambda d: d["free_energy"].__setitem__("beta_grid", [0.5, 1.0]),
              "free_energy.beta_grid[0]"),
             (lambda d: d["free_energy"].__setitem__("beta_grid", [0.0, 1.0, 1.0]),
@@ -115,6 +117,19 @@ class TestConfigParsing:
         doc["model"]["terms"].append({"p": [1, 1], "delta_sq": 0.1})
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(json.dumps(doc))
+
+    def test_recentered_mixture_over_budget_rejected(self):
+        # 128^4 = 2^28 entries fit the budget, but recentering at q = 0.3
+        # adds lower-degree terms; parsing refuses it without drawing disorder
+        doc = {"model": {"species": ["a"], "sizes": [128],
+                         "terms": [{"p": [4], "delta_sq": 1.0}]},
+               "tap_scan": {"q_grid": [[0.0], [0.3]]}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == "tap_scan.q_grid[1]"
+        assert "budget" in str(err.value)
+        doc["tap_scan"]["q_grid"] = [[0.0]]
+        assert parse_config(json.dumps(doc)).tap_scan.q_grid == ((0.0,),)
 
 
 class TestVerificationSuite:

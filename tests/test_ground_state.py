@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from multispin.geometry import sample_on_shell
-from multispin.hamiltonian import COVARIANCE_BACKEND, build_instance, energy, energy_many
+from multispin.geometry import Configuration, sample_on_shell
+from multispin.hamiltonian import (
+    COVARIANCE_BACKEND,
+    build_instance,
+    energy,
+    energy_many,
+    gradient,
+)
 from multispin.ground_state import ascend, eigen_oracle_2spin, gs_concentration_probe
 from multispin.mixture import Mixture, SpeciesLayout
 from multispin.thermo import exact_fe_quadrature
@@ -26,6 +32,58 @@ def test_ascent_result_invariants():
     assert 0.0 <= res.converged_fraction <= 1.0
     rec = res.to_record()
     assert rec["restarts"] == 4 and "iterations_mean" in rec
+
+
+def _ascend_one_restart(h, qv, max_iters, rng):
+    """Reference: one restart on its own, Armijo rule written out per step."""
+    lay = h.layout
+    n = lay.n
+
+    def on_shell(x):
+        x = np.array(x)
+        for s, sl in enumerate(lay.slices):
+            x[sl] *= math.sqrt(lay.sizes[s] * qv[s]) / np.linalg.norm(x[sl])
+        return x
+
+    x = sample_on_shell(lay, qv, rng).coords
+    value = energy(h, Configuration(x, lay))
+    step0 = step = 1.0 / math.sqrt(n)
+    for it in range(1, max_iters + 1):
+        g = gradient(h, Configuration(x, lay))
+        t = np.array(g)
+        for s, sl in enumerate(lay.slices):
+            t[sl] -= (g[sl] @ x[sl]) * x[sl] / (lay.sizes[s] * qv[s])
+        t_norm_sq = float(t @ t)
+        if math.sqrt(t_norm_sq) / n < 1e-8:
+            return value, it - 1
+        trial = min(2.0 * step, step0)
+        for _ in range(40):
+            cand = on_shell(x + trial * t)
+            cand_value = energy(h, Configuration(cand, lay))
+            if cand_value >= value + 1e-4 * trial * t_norm_sq:
+                x, value, step = cand, cand_value, trial
+                break
+            trial *= 0.5
+        else:
+            return value, it
+    return value, max_iters
+
+
+@pytest.mark.parametrize("terms, sizes, q, restarts, max_iters", [
+    ({(2, 1): 1.0, (1, 1): 0.5}, (1, 6), (0.3, 0.4), 5, 300),
+    ({(2, 0): 0.4, (1, 1): 0.6, (0, 3): 0.3}, (6, 10), (0.5, 0.8), 4, 25),
+    ({(2, 1): 1.0, (1, 2): 1.0, (1, 1): 1.0}, (12, 12), (0.5, 0.5), 3, 60),
+])
+def test_batched_ascent_matches_restarts_run_alone(terms, sizes, q, restarts, max_iters):
+    lay = SpeciesLayout(("a", "b"), sizes)
+    h = build_instance(Mixture.from_terms(terms), lay, seed=17)
+    res = ascend(h, q, restarts, max_iters, np.random.default_rng(5))
+    streams = np.random.default_rng(5).spawn(restarts)
+    alone = [_ascend_one_restart(h, np.array(q), max_iters, st) for st in streams]
+    assert res.iteration_counts == tuple(it for _, it in alone)
+    values = [v for v, _ in alone]
+    assert res.best_restart == int(np.argmax(values))
+    assert res.energy_per_spin * lay.n == pytest.approx(max(values), rel=1e-12)
 
 
 def test_zero_hamiltonian_gives_zero_energy():

@@ -18,11 +18,14 @@ from multispin.hamiltonian import (
     energy_many,
     factor_covariance,
     gradient,
+    gradient_many,
+    group_energies,
     lipschitz_ratio,
     load_instance,
     realize_on_points,
     sample_in_ball,
     save_instance,
+    stack_instances,
 )
 from multispin.mixture import (
     Mixture,
@@ -440,6 +443,7 @@ def test_blocks_match_dense_reference():
         abs_dense = [np.abs(a) for a in dense]
         pts = [sample_uniform(lay, rng) for _ in range(5)]
         batch = energy_many(h, np.array([p.coords for p in pts]))
+        batch_g = gradient_many(h, np.array([p.coords for p in pts]))
         for k, sig in enumerate(pts):
             want_e, want_g = _dense_energy_and_gradient(dense, sig.coords)
             # rounding scale: the same sums taken over absolute values
@@ -447,6 +451,25 @@ def test_blocks_match_dense_reference():
             assert abs(energy(h, sig) - want_e) <= 1e-12 * scale_e
             assert abs(batch[k] - want_e) <= 1e-12 * scale_e
             assert np.all(np.abs(gradient(h, sig) - want_g) <= 1e-12 * scale_g)
+            assert np.all(np.abs(batch_g[k] - want_g) <= 1e-12 * scale_g)
+
+
+def test_group_energies_match_each_instance():
+    # one stacked contraction gives every instance the values it gets alone,
+    # field included; instances of different mixtures cannot be grouped
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    hs = [build_instance(mix, lay, seed=60 + i) for i in range(3)]
+    hs[1] = attach_external_field(build_instance(mix, lay, seed=61), [0.2, 0.4], seed=9)
+    coords = np.random.default_rng(8).standard_normal((3, 5, lay.n))
+    grouped = group_energies(stack_instances(hs), coords)
+    for k, h in enumerate(hs):
+        assert np.array_equal(grouped[k], energy_many(h, coords[k]))
+    other = build_instance(Mixture.from_terms({(1, 1): 1.0}), lay, seed=1)
+    with pytest.raises(ValueError):
+        stack_instances([hs[0], other])
+    with pytest.raises(ValueError):
+        group_energies(stack_instances(hs), coords[:2])
 
 
 def test_build_streams_the_dense_draw():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from multispin import tap
 from multispin.geometry import uniform_overlap_tail
-from multispin.hamiltonian import build_instance
+from multispin.hamiltonian import block_entries, build_instance
 from multispin.mixture import (
     Mixture,
     SpeciesLayout,
@@ -18,12 +19,14 @@ from multispin.tap import (
     EstimatorConfig,
     TapReport,
     candidate_multisamplable,
+    fe_per_seed,
     nesting_experiment,
     onsager_check,
     replica_symmetry_diagnostic,
     tap_evaluate,
     tap_inequality_scan,
 )
+from multispin.thermo import fe_thermo_integration
 
 CORNER = SpeciesLayout(("a", "b"), (1, 1))
 CORNER_MIX = Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3})
@@ -149,3 +152,36 @@ def test_flags_propagate_from_estimators():
                           seeds=2, restarts=1, max_iters=20, master_seed=5)
     rep = tap_evaluate(xi, lay, [0.2], cfg, seeds=2)
     assert "swap-acceptance-low" in rep.flags
+
+
+@pytest.mark.parametrize("terms, sizes", [
+    ({(1, 1): 1.0}, (4, 4)),
+    ({(2, 1): 1.0, (1, 1): 0.5}, (1, 6)),
+    ({(2, 0): 0.5, (1, 1): 1.0}, (3, 2)),
+])
+@pytest.mark.parametrize("split", [False, True])
+def test_grouped_ti_matches_one_instance_at_a_time(terms, sizes, split, monkeypatch):
+    xi = Mixture.from_terms(terms)
+    lay = SpeciesLayout(("a", "b"), sizes)
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.25, 0.5, 1.0), sweeps=60)
+    seeds = [31 + i for i in range(5)]
+    groups = []
+    grouped_ti = tap.fe_thermo_integration_many
+
+    def spy(hs, *args):
+        groups.append(len(hs))
+        return grouped_ti(hs, *args)
+
+    monkeypatch.setattr(tap, "fe_thermo_integration_many", spy)
+    if split:  # room for two instances per group
+        monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP", 2 * block_entries(xi, lay) + 1)
+    grouped = fe_per_seed(xi, lay, cfg, seeds,
+                          [np.random.default_rng(100 + s) for s in seeds])
+    assert groups == ([2, 2, 1] if split else [5])
+    for seed, est in zip(seeds, grouped):
+        alone = fe_thermo_integration(build_instance(xi, lay, seed=seed), cfg.beta_grid,
+                                      cfg.sweeps, np.random.default_rng(100 + seed))
+        assert est.value == alone.value
+        assert est.std_error == alone.std_error
+        assert est.meta["accept_rates"] == alone.meta["accept_rates"]
+        assert est.meta["swap_rates"] == alone.meta["swap_rates"]
