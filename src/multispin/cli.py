@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +57,8 @@ from .mixture import (
 )
 from .seeding import derive_seed
 from .tap import (
-    DEFAULT_BETA_GRID,
     EstimatorConfig,
+    _mean_se,
     candidate_multisamplable,
     fe_per_seed,
     resolve_fe_method,
@@ -129,10 +130,10 @@ def _expect_list(value, path, min_len=0):
     return value
 
 
-def _expect_shell_vector(value, path, n_species):
+def _expect_shell_vector(value, path, layout):
     vals = _expect_list(value, path, min_len=1)
-    if len(vals) != n_species:
-        raise ConfigError(path, f"expected {n_species} per-species values")
+    if len(vals) != layout.n_species:
+        raise ConfigError(path, f"expected {layout.n_species} per-species values")
     out = []
     for k, v in enumerate(vals):
         x = _expect_number(v, f"{path}[{k}]")
@@ -152,44 +153,78 @@ def _expect_beta_grid(value, path):
     return grid
 
 
-@dataclass(frozen=True)
-class FreeEnergyParams:
-    method: str = "auto"
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    sweeps: int = 800
-    quadrature_nodes: int = 16
-    seeds: int = 20
+def _expect_q_grid(value, path, layout):
+    points = _expect_list(value, path, min_len=1)
+    return tuple(_expect_shell_vector(pt, f"{path}[{k}]", layout)
+                 for k, pt in enumerate(points))
 
 
-@dataclass(frozen=True)
-class GroundStateParams:
-    q: tuple[float, ...] = (0.3,)
-    restarts: int = 8
-    max_iters: int = 300
-    seeds: int = 20
+def _expect_eps_grid(value, path, layout):
+    vals = _expect_list(value, path, min_len=1)
+    grid = tuple(_expect_number(v, f"{path}[{k}]") for k, v in enumerate(vals))
+    if any(e <= 0.0 for e in grid):
+        raise ConfigError(path, "epsilons must be > 0")
+    return grid
 
 
-@dataclass(frozen=True)
-class TapScanParams:
-    q_grid: tuple[tuple[float, ...], ...] = ((0.0,), (0.3,), (0.6,))
-    method: str = "auto"
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    sweeps: int = 800
-    quadrature_nodes: int = 16
-    seeds: int = 20
-    restarts: int = 8
-    max_iters: int = 300
-    gs_bias_allowance: float = 0.02
+def _expect_method(value, path, layout):
+    try:
+        resolve_fe_method(value, layout)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+    return value
 
 
-@dataclass(frozen=True)
-class MultisampParams:
-    q: tuple[float, ...] = (0.0,)
-    n: int = 2
-    eps_grid: tuple[float, ...] = (0.5, 0.25)
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    sweeps: int = 600
-    seeds: int = 5
+def _expect_allowance(value, path, layout):
+    x = _expect_number(value, path)
+    if x < 0.0:
+        raise ConfigError(path, "must be >= 0")
+    return x
+
+
+def _int_at_least(minimum):
+    return lambda value, path, layout: _expect_int(value, path, minimum=minimum)
+
+
+# field name -> validator(value, path, layout), for every section field
+_VALIDATORS = {
+    "method": _expect_method,
+    "beta_grid": lambda value, path, layout: _expect_beta_grid(value, path),
+    "sweeps": _int_at_least(1),
+    "quadrature_nodes": _int_at_least(2),
+    "seeds": _int_at_least(1),
+    "restarts": _int_at_least(1),
+    "max_iters": _int_at_least(1),
+    "gs_bias_allowance": _expect_allowance,
+    "q": _expect_shell_vector,
+    "q_grid": _expect_q_grid,
+    "n": _int_at_least(2),  # multisamp compares pairs of replicas
+    "eps_grid": _expect_eps_grid,
+}
+
+# section -> (field names in output order, defaults that are not the
+# EstimatorConfig field defaults).  Per-species defaults hold one overlap
+# (q) or one overlap per grid point (q_grid), repeated for every species.
+_SECTIONS = {
+    "free_energy": (("method", "beta_grid", "sweeps", "quadrature_nodes", "seeds"), {}),
+    "ground_state": (("q", "restarts", "max_iters", "seeds"), {"q": 0.3}),
+    "tap_scan": (("q_grid", "method", "beta_grid", "sweeps", "quadrature_nodes", "seeds",
+                  "restarts", "max_iters", "gs_bias_allowance"),
+                 {"q_grid": (0.0, 0.3, 0.6)}),
+    "multisamp": (("q", "n", "eps_grid", "beta_grid", "sweeps", "seeds"),
+                  {"q": 0.0, "n": 2, "eps_grid": (0.5, 0.25), "sweeps": 600, "seeds": 5}),
+}
+_SECTION_TYPES = {name: namedtuple(name, fields) for name, (fields, _) in _SECTIONS.items()}
+_ESTIMATOR_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EstimatorConfig)}
+
+
+def _default(section: str, name: str, n_species: int):
+    value = _SECTIONS[section][1].get(name, _ESTIMATOR_DEFAULTS.get(name))
+    if name == "q":
+        return (value,) * n_species
+    if name == "q_grid":
+        return tuple((v,) * n_species for v in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -200,10 +235,11 @@ class ExperimentConfig:
     species: tuple[str, ...]
     sizes: tuple[int, ...]
     mixture: Mixture
-    free_energy: FreeEnergyParams
-    ground_state: GroundStateParams
-    tap_scan: TapScanParams
-    multisamp: MultisampParams
+    # each section is a named tuple of the fields _SECTIONS lists for it
+    free_energy: tuple
+    ground_state: tuple
+    tap_scan: tuple
+    multisamp: tuple
     out_dir: str = "out"
 
     @property
@@ -269,59 +305,25 @@ def _check_budget(mixture: Mixture, layout: SpeciesLayout, path: str) -> None:
                                 f"over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
-def _parse_section(doc: dict, name: str, cls, n_species: int):
-    section = doc.get(name, {})
-    _expect_mapping(section, name)
-    defaults = cls()
-    kwargs = {}
-    known = {f.name for f in dataclasses.fields(cls)}
+def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
+    section = _expect_mapping(doc.get(name, {}), name)
+    fields = _SECTIONS[name][0]
     for key in section:
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"{name}.{key}", "unknown field")
-    for f in dataclasses.fields(cls):
-        path = f"{name}.{f.name}"
-        if f.name not in section:
-            value = getattr(defaults, f.name)
-            # per-species defaults must match the model's species count
-            if f.name in ("q",):
-                value = tuple(value[0] for _ in range(n_species))
-            if f.name == "q_grid":
-                value = tuple(tuple(point[0] for _ in range(n_species))
-                              for point in value)
-            kwargs[f.name] = value
-            continue
-        raw = section[f.name]
-        if f.name in ("sweeps", "seeds", "restarts", "max_iters", "n"):
-            kwargs[f.name] = _expect_int(raw, path, minimum=1)
-        elif f.name == "quadrature_nodes":
-            kwargs[f.name] = _expect_int(raw, path, minimum=2)
-        elif f.name == "method":
-            if raw not in ("auto", "enumeration", "quadrature", "ti"):
-                raise ConfigError(path, "must be auto, enumeration, quadrature, or ti")
-            kwargs[f.name] = raw
-        elif f.name == "beta_grid":
-            kwargs[f.name] = _expect_beta_grid(raw, path)
-        elif f.name == "q":
-            kwargs[f.name] = _expect_shell_vector(raw, path, n_species)
-        elif f.name == "q_grid":
-            points = _expect_list(raw, path, min_len=1)
-            kwargs[f.name] = tuple(
-                _expect_shell_vector(pt, f"{path}[{k}]", n_species)
-                for k, pt in enumerate(points))
-        elif f.name == "eps_grid":
-            vals = _expect_list(raw, path, min_len=1)
-            grid = tuple(_expect_number(v, f"{path}[{k}]") for k, v in enumerate(vals))
-            if any(e <= 0.0 for e in grid):
-                raise ConfigError(path, "epsilons must be > 0")
-            kwargs[f.name] = grid
-        elif f.name == "gs_bias_allowance":
-            val = _expect_number(raw, path)
-            if val < 0.0:
-                raise ConfigError(path, "must be >= 0")
-            kwargs[f.name] = val
-        else:
-            raise ConfigError(path, "unhandled field")
-    return cls(**kwargs)
+    values = {f: _VALIDATORS[f](section[f], f"{name}.{f}", layout) if f in section
+              else _default(name, f, layout.n_species) for f in fields}
+    if name == "tap_scan" and values["seeds"] < 2:
+        raise ConfigError("tap_scan.seeds", "must be >= 2 (the decomposition is "
+                                            "averaged over disorder seeds)")
+    return _SECTION_TYPES[name](**values)
+
+
+def _estimator_config(section, master_seed: int = 0) -> EstimatorConfig:
+    """The EstimatorConfig of a parsed section: its estimator fields, with
+    EstimatorConfig defaults for the rest."""
+    return EstimatorConfig(master_seed=master_seed, **{
+        k: v for k, v in section._asdict().items() if k in _ESTIMATOR_DEFAULTS})
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -341,7 +343,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("schema", f"unsupported schema version {schema}")
     master_seed = _expect_int(doc.get("master_seed", 0), "master_seed", minimum=0)
     species, sizes, mixture = _parse_model(doc)
-    n_species = len(species)
+    layout = SpeciesLayout(species, sizes)
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty string")
@@ -350,16 +352,13 @@ def parse_config(text: str) -> ExperimentConfig:
         species=species,
         sizes=sizes,
         mixture=mixture,
-        free_energy=_parse_section(doc, "free_energy", FreeEnergyParams, n_species),
-        ground_state=_parse_section(doc, "ground_state", GroundStateParams, n_species),
-        tap_scan=_parse_section(doc, "tap_scan", TapScanParams, n_species),
-        multisamp=_parse_section(doc, "multisamp", MultisampParams, n_species),
         out_dir=out_dir,
+        **{name: _parse_section(doc, name, layout) for name in _SECTIONS},
     )
     # tap-scan also draws the recentered mixtures, whose lower-degree terms
     # can push a model at the edge of the budget over it
     for k, q in enumerate(config.tap_scan.q_grid):
-        _check_budget(xi_q(mixture, q), config.layout, f"tap_scan.q_grid[{k}]")
+        _check_budget(xi_q(mixture, q), layout, f"tap_scan.q_grid[{k}]")
     return config
 
 
@@ -373,11 +372,8 @@ def dump_config(config: ExperimentConfig) -> str:
             "sizes": list(config.sizes),
             "terms": [{"p": list(p), "delta_sq": c} for p, c in config.mixture.terms],
         },
-        "free_energy": dataclasses.asdict(config.free_energy),
-        "ground_state": dataclasses.asdict(config.ground_state),
-        "tap_scan": dataclasses.asdict(config.tap_scan),
-        "multisamp": dataclasses.asdict(config.multisamp),
         "out_dir": config.out_dir,
+        **{name: getattr(config, name)._asdict() for name in _SECTIONS},
     }
 
     def listify(obj):
@@ -393,9 +389,9 @@ def dump_config(config: ExperimentConfig) -> str:
 def _run_tasks(tasks, workers: int) -> list:
     """Run zero-argument tasks in order and collect their results.
 
-    The worker count is accepted and ignored: the tasks hold the interpreter
-    lock in short numpy calls, so a thread pool only made runs slower, and
-    the work is batched inside each task instead.
+    The worker count is accepted and ignored (the commands pass 1): the
+    tasks hold the interpreter lock in short numpy calls, so a thread pool
+    only made runs slower, and the work is batched inside each task instead.
     """
     return [task() for task in tasks]
 
@@ -690,8 +686,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return path
 
 
-def cmd_verify(config: ExperimentConfig, mutation: str | None = None,
-               workers: int = 1) -> int:
+def cmd_verify(config: ExperimentConfig, mutation: str | None = None) -> int:
     report = run_verification_suite(config, mutation)
     out = _out_dir(config)
     _write_json(out / "verify_report.json", report)
@@ -704,16 +699,13 @@ def cmd_verify(config: ExperimentConfig, mutation: str | None = None,
     return 0 if report["passed"] else 1
 
 
-def cmd_free_energy(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_free_energy(config: ExperimentConfig) -> int:
     params = config.free_energy
     layout = config.layout
     method = resolve_fe_method(params.method, layout)
     seeds = range(params.seeds)
     estimates = fe_per_seed(
-        config.mixture, layout,
-        EstimatorConfig(method=params.method, beta_grid=params.beta_grid,
-                        sweeps=params.sweeps, quadrature_nodes=params.quadrature_nodes,
-                        seeds=params.seeds),
+        config.mixture, layout, _estimator_config(params),
         [derive_seed(config.master_seed, "free-energy", "instance", i) for i in seeds],
         [np.random.default_rng(derive_seed(config.master_seed, "free-energy", "mc", i))
          for i in seeds])
@@ -725,8 +717,7 @@ def cmd_free_energy(config: ExperimentConfig, workers: int = 1) -> int:
     _write_csv(out / "free_energy.csv",
                ["seed", "value", "std_error", "method", "flags"], rows)
     values = [est.value for est in estimates]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    mean, se = _mean_se(values)
     _write_json(out / "free_energy.json", {
         "estimator": method,
         "beta": params.beta_grid[-1] if method == "ti" else 1.0,
@@ -739,7 +730,7 @@ def cmd_free_energy(config: ExperimentConfig, workers: int = 1) -> int:
     return 0
 
 
-def cmd_ground_state(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_ground_state(config: ExperimentConfig) -> int:
     params = config.ground_state
     layout = config.layout
 
@@ -758,7 +749,7 @@ def cmd_ground_state(config: ExperimentConfig, workers: int = 1) -> int:
             return res, oracle
         return run
 
-    results = _run_tasks([task(i) for i in range(params.seeds)], workers)
+    results = _run_tasks([task(i) for i in range(params.seeds)], 1)
     rows = []
     for i, (res, oracle) in enumerate(results):
         rows.append([i, res.energy_per_spin,
@@ -771,8 +762,7 @@ def cmd_ground_state(config: ExperimentConfig, workers: int = 1) -> int:
                ["seed", "energy_per_spin", "eigen_oracle", "converged_fraction",
                 "iterations_mean", "iterations_max"], rows)
     values = [res.energy_per_spin for res, _ in results]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    mean, se = _mean_se(values)
     payload = {
         "q": list(params.q),
         "mean": mean,
@@ -788,22 +778,10 @@ def cmd_ground_state(config: ExperimentConfig, workers: int = 1) -> int:
     return 0
 
 
-def cmd_tap_scan(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_tap_scan(config: ExperimentConfig) -> int:
     params = config.tap_scan
-    layout = config.layout
-    cfg = EstimatorConfig(
-        method=params.method,
-        beta_grid=params.beta_grid,
-        sweeps=params.sweeps,
-        quadrature_nodes=params.quadrature_nodes,
-        seeds=params.seeds,
-        restarts=params.restarts,
-        max_iters=params.max_iters,
-        gs_bias_allowance=params.gs_bias_allowance,
-        master_seed=config.master_seed,
-    )
-
-    reports = tap_inequality_scan(config.mixture, layout, params.q_grid, cfg)
+    reports = tap_inequality_scan(config.mixture, config.layout, params.q_grid,
+                                  _estimator_config(params, config.master_seed))
     header = [f"q_{name}" for name in config.species] + [
         "lhs", "lhs_std_error", "gs", "gs_std_error", "logvol",
         "fq", "fq_std_error", "gap", "gap_std_error", "onsager", "flags"]
@@ -827,7 +805,7 @@ def cmd_tap_scan(config: ExperimentConfig, workers: int = 1) -> int:
     return 0 if violations == 0 else 1
 
 
-def cmd_multisamp(config: ExperimentConfig, workers: int = 1) -> int:
+def cmd_multisamp(config: ExperimentConfig) -> int:
     params = config.multisamp
     layout = config.layout
 
@@ -849,7 +827,7 @@ def cmd_multisamp(config: ExperimentConfig, workers: int = 1) -> int:
         for i in range(params.seeds):
             tasks.append(task(eps_index, eps, i))
             index.append((eps, i))
-    records = _run_tasks(tasks, workers)
+    records = _run_tasks(tasks, 1)
     rows = []
     for (eps, i), rec in zip(index, records):
         rows.append([eps, i, rec["value"], rec["hits"] or 0, rec["samples"] or 0,
@@ -923,14 +901,14 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
         if args.command == "verify":
-            return cmd_verify(config, mutation=args.mutate, workers=args.workers)
+            return cmd_verify(config, mutation=args.mutate)
         if args.command == "free-energy":
-            return cmd_free_energy(config, workers=args.workers)
+            return cmd_free_energy(config)
         if args.command == "ground-state":
-            return cmd_ground_state(config, workers=args.workers)
+            return cmd_ground_state(config)
         if args.command == "tap-scan":
-            return cmd_tap_scan(config, workers=args.workers)
-        return cmd_multisamp(config, workers=args.workers)
+            return cmd_tap_scan(config)
+        return cmd_multisamp(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

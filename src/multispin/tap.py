@@ -128,14 +128,20 @@ class TapReport:
 
 
 def resolve_fe_method(method: str, layout: SpeciesLayout) -> str:
-    """Concrete estimator for a requested method on a given layout."""
-    if method != "auto":
-        return method
-    if all(d == 1 for d in layout.sizes):
-        return "enumeration"
-    if all(d <= 3 for d in layout.sizes) and sum(d - 1 for d in layout.sizes) <= 6:
-        return "quadrature"
-    return "ti"
+    """Concrete estimator for a requested method on a given layout; an
+    unknown method, or an exact one the layout cannot serve, raises ValueError."""
+    if method not in _FE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_FE_METHODS)}")
+    corner = all(d == 1 for d in layout.sizes)
+    small = all(d <= 3 for d in layout.sizes) and sum(d - 1 for d in layout.sizes) <= 6
+    if method == "auto":
+        return "enumeration" if corner else "quadrature" if small else "ti"
+    if method == "enumeration" and not corner:
+        raise ValueError("enumeration requires every species to have one coordinate")
+    if method == "quadrature" and not small:
+        raise ValueError("quadrature supports species blocks of size at most 3 "
+                         "and at most 6 angular dimensions")
+    return method
 
 
 def fe_per_seed(xi: Mixture, layout: SpeciesLayout, config: EstimatorConfig,

@@ -390,6 +390,24 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
     return value, mc_term + grid_term
 
 
+def _ti_tail(run: _ChainRun, offset: float, scale: float, meta: dict) -> tuple[float, float]:
+    """Simpson integral over the beta grid of the node means
+    (mean total energy - offset) / scale, with its error.  Records the
+    per-node means and SEs, the sampler rates and the run's flags in meta."""
+    means = np.array([(s.mean() - offset) / scale for s in run.series])
+    ses = np.array([_block_std_error(s) / scale for s in run.series])
+    value, err = _simpson_with_error(means, ses, run.beta_grid)
+    meta.update({
+        "node_means": [float(v) for v in means],
+        "node_std_errors": [float(v) for v in ses],
+        "samples_per_node": int(run.series.shape[1]),
+        "accept_rates": [float(v) for v in run.accept_rates],
+        "swap_rates": [float(v) for v in run.swap_rates],
+        "flags": meta["flags"] + list(run.flags),
+    })
+    return float(value), float(err)
+
+
 def fe_thermo_integration_many(hs, beta_grid, steps: int,
                                rngs) -> list[FreeEnergyEstimate]:
     """fe_thermo_integration of each instance of a group that shares mixture
@@ -407,21 +425,9 @@ def fe_thermo_integration_many(hs, beta_grid, steps: int,
     n = hs[0].layout.n
     estimates = []
     for run in _run_group(hs, grid, steps, rngs, keep_snapshots=False):
-        means = np.array([s.mean() / n for s in run.series])
-        ses = np.array([_block_std_error(s) / n for s in run.series])
-        value, err = _simpson_with_error(means, ses, grid)
-        meta = {
-            "beta_grid": [float(b) for b in grid],
-            "sweeps": steps,
-            "node_means": [float(v) for v in means],
-            "node_std_errors": [float(v) for v in ses],
-            "samples_per_node": int(len(run.series[0])),
-            "accept_rates": [float(v) for v in run.accept_rates],
-            "swap_rates": [float(v) for v in run.swap_rates],
-            "flags": list(run.flags),
-        }
-        estimates.append(FreeEnergyEstimate(float(value), float(err),
-                                            "thermo-integration", meta))
+        meta = {"beta_grid": [float(b) for b in grid], "sweeps": steps, "flags": []}
+        value, err = _ti_tail(run, 0.0, n, meta)
+        estimates.append(FreeEnergyEstimate(value, err, "thermo-integration", meta))
     return estimates
 
 
@@ -439,48 +445,13 @@ def fe_thermo_integration(h: HamiltonianInstance, beta_grid, steps: int,
 def restricted_fe(h: HamiltonianInstance, m: Configuration, delta: float,
                   beta_grid, steps: int, rng: np.random.Generator) -> FreeEnergyEstimate:
     """Band free energy: (1/N) log of the integral of e^{H(s)-H(m)} over
-    B(m, delta).
+    B(m, delta), the one-replica case of multi_replica_fe.
 
     Thermodynamic integration with band-rejecting proposals plus the exact
     uniform band volume: at beta = 0 the restricted chain is uniform on the
     band and the free energy is (1/N) log mu(B(m, delta)) exactly.
     """
-    grid = _check_beta_grid(beta_grid)
-    layout = h.layout
-    if m.layout != layout:
-        raise ValueError("band center layout does not match instance")
-    q = m.self_overlap().as_array()
-    if np.any(q > 1.0 + 1e-9):
-        raise ValueError("band center must lie in the closed ball")
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    log_vol = log_band_volume(layout, np.clip(q, 0.0, 1.0), delta)
-    h_at_m = energy(h, m)
-    meta = {
-        "beta_grid": [float(b) for b in grid],
-        "sweeps": steps,
-        "log_band_volume": float(log_vol),
-        "center_energy": float(h_at_m),
-        "delta": float(delta),
-        "flags": [],
-    }
-    if grid.size == 1:
-        return FreeEnergyEstimate(float(log_vol), 0.0, "thermo-integration", meta)
-    band = BandSpec(m, delta, n=1, rho=0.0)
-    run = _run_chains(h, grid, steps, rng, n_replicas=1, band=band)
-    n = layout.n
-    means = np.array([(s.mean() - h_at_m) / n for s in run.series])
-    ses = np.array([_block_std_error(s) / n for s in run.series])
-    integral, err = _simpson_with_error(means, ses, grid)
-    meta.update({
-        "node_means": [float(v) for v in means],
-        "node_std_errors": [float(v) for v in ses],
-        "accept_rates": [float(v) for v in run.accept_rates],
-        "swap_rates": [float(v) for v in run.swap_rates],
-        "flags": list(run.flags),
-    })
-    return FreeEnergyEstimate(float(log_vol + integral), float(err),
-                              "thermo-integration", meta)
+    return multi_replica_fe(h, BandSpec(m, delta), beta_grid, steps, rng)
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.0) -> tuple[float, float]:
@@ -502,38 +473,22 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
 
     Decomposition at beta = 0: exact band volume per replica plus the
     log-probability that an i.i.d. uniform band tuple satisfies the pairwise
-    constraint (estimated with a Wilson interval); the beta dependence is
-    recovered by thermodynamic integration of the constrained joint chain.
+    constraint (estimated with a Wilson interval; absent for one replica);
+    the beta dependence is recovered by thermodynamic integration of the
+    constrained joint chain.
     """
     grid = _check_beta_grid(beta_grid)
-    if spec.n == 1:
-        return restricted_fe(h, spec.center, spec.delta, beta_grid, steps, rng)
     layout = h.layout
     m = spec.center
+    if m.layout != layout:
+        raise ValueError("band center layout does not match instance")
     q = m.self_overlap().as_array()
-    log_vol = log_band_volume(layout, np.clip(q, 0.0, 1.0), spec.delta)
+    if np.any(q > 1.0 + 1e-9):
+        raise ValueError("band center must lie in the closed ball")
+    log_vol = log_band_volume(layout, np.clip(q, 0.0, 1.0), spec.delta)  # raises unless delta > 0
     h_at_m = energy(h, m)
     n = layout.n
     n_rep = spec.n
-
-    trials = 4000
-    tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
-        trials, n_rep, n)
-    i, j = np.triu_indices(n_rep, 1)
-    pair_ov = species_overlaps(tuples[:, i], tuples[:, j], layout)
-    hits = int(np.all(np.abs(pair_ov - q) <= spec.rho, axis=(1, 2)).sum())
-    flags = []
-    if hits == 0:
-        pair_log = math.log(0.5 / trials)
-        pair_se = abs(pair_log)
-        flags.append("zero-hit-floor")
-    else:
-        lo, hi = wilson_interval(hits, trials)
-        pair_log = math.log(hits / trials)
-        pair_se = 0.5 * (math.log(hi) - math.log(max(lo, 1e-300)))
-    pair_term = pair_log / (n * n_rep)
-    pair_term_se = pair_se / (n * n_rep)
-
     meta = {
         "beta_grid": [float(b) for b in grid],
         "sweeps": steps,
@@ -541,30 +496,38 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         "delta": float(spec.delta),
         "rho": float(spec.rho),
         "log_band_volume": float(log_vol),
-        "pairwise_log_prob": float(pair_log),
-        "pairwise_hits": hits,
-        "pairwise_trials": trials,
         "center_energy": float(h_at_m),
+        "flags": [],
     }
-    if grid.size == 1 or hits == 0:
-        if grid.size > 1 and hits == 0:
-            flags.append("initialization-skipped")
-        meta["flags"] = flags
+    pair_term = pair_term_se = 0.0
+    if n_rep > 1:
+        trials = 4000
+        tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
+            trials, n_rep, n)
+        i, j = np.triu_indices(n_rep, 1)
+        pair_ov = species_overlaps(tuples[:, i], tuples[:, j], layout)
+        hits = int(np.all(np.abs(pair_ov - q) <= spec.rho, axis=(1, 2)).sum())
+        if hits == 0:
+            pair_log = math.log(0.5 / trials)
+            pair_se = abs(pair_log)
+            meta["flags"].append("zero-hit-floor")
+        else:
+            lo, hi = wilson_interval(hits, trials)
+            pair_log = math.log(hits / trials)
+            pair_se = 0.5 * (math.log(hi) - math.log(max(lo, 1e-300)))
+        pair_term = pair_log / (n * n_rep)
+        pair_term_se = pair_se / (n * n_rep)
+        meta.update({"pairwise_log_prob": float(pair_log), "pairwise_hits": hits,
+                     "pairwise_trials": trials})
+
+    if grid.size == 1 or "zero-hit-floor" in meta["flags"]:
+        if grid.size > 1:
+            meta["flags"].append("initialization-skipped")
         return FreeEnergyEstimate(float(log_vol + pair_term), float(pair_term_se),
                                   "thermo-integration", meta)
 
     run = _run_chains(h, grid, steps, rng, n_replicas=n_rep, band=spec)
-    means = np.array([(s.mean() - n_rep * h_at_m) / (n * n_rep) for s in run.series])
-    ses = np.array([_block_std_error(s) / (n * n_rep) for s in run.series])
-    integral, err = _simpson_with_error(means, ses, grid)
-    flags.extend(run.flags)
-    meta.update({
-        "node_means": [float(v) for v in means],
-        "node_std_errors": [float(v) for v in ses],
-        "accept_rates": [float(v) for v in run.accept_rates],
-        "swap_rates": [float(v) for v in run.swap_rates],
-        "flags": flags,
-    })
+    integral, err = _ti_tail(run, n_rep * h_at_m, n * n_rep, meta)
     return FreeEnergyEstimate(float(log_vol + pair_term + integral),
                               float(err + pair_term_se), "thermo-integration", meta)
 

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multispin.cli import (
+    _SECTIONS,
     ConfigError,
+    _estimator_config,
     _write_json,
     dump_config,
     main,
@@ -35,6 +39,18 @@ def corner_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# every section field, plus the top-level and model fields a config may change
+MUTABLE_FIELDS = [(section, name) for section, (fields, _) in _SECTIONS.items()
+                  for name in fields] + [(None, "master_seed"), (None, "out_dir"),
+                                         ("model", "sizes")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats()
+    | st.sampled_from(["", "x", "auto", "enumeration", "quadrature", "ti"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2),
+    max_leaves=6) | st.integers(1, 40) | st.lists(st.integers(1, 5), min_size=2, max_size=2)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -98,6 +114,20 @@ class TestConfigParsing:
              "ground_state.window"),
             (lambda d: d.__setitem__("extra_section", {}), "extra_section"),
             (lambda d: d.__setitem__("schema", 99), "schema"),
+            (lambda d: d["tap_scan"].__setitem__("seeds", 1), "tap_scan.seeds"),
+            (lambda d: d["multisamp"].__setitem__("n", 1), "multisamp.n"),
+            (lambda d: (d["model"].__setitem__("sizes", [2, 1]),
+                        d["free_energy"].__setitem__("method", "enumeration")),
+             "free_energy.method"),
+            (lambda d: (d["model"].__setitem__("sizes", [2, 1]),
+                        d["tap_scan"].__setitem__("method", "enumeration")),
+             "tap_scan.method"),
+            (lambda d: (d["model"].__setitem__("sizes", [4, 1]),
+                        d["free_energy"].__setitem__("method", "quadrature")),
+             "free_energy.method"),
+            (lambda d: (d["model"].__setitem__("sizes", [4, 1]),
+                        d["tap_scan"].__setitem__("method", "quadrature")),
+             "tap_scan.method"),
         ],
     )
     def test_field_path_diagnostics(self, mangle, path_fragment):
@@ -106,6 +136,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
         assert path_fragment in str(err.value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(MUTABLE_FIELDS), JSON_VALUES),
+                    min_size=1, max_size=3))
+    def test_mutated_docs_fail_cleanly_or_round_trip(self, mutations):
+        doc = corner_doc()
+        for (section, name), value in mutations:
+            (doc if section is None else doc.setdefault(section, {}))[name] = value
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        text = dump_config(cfg)
+        assert dump_config(parse_config(text)) == text
+        _estimator_config(cfg.free_energy)
+        _estimator_config(cfg.tap_scan, cfg.master_seed)
 
     def test_invalid_json_reports_document(self):
         with pytest.raises(ConfigError) as err:

@@ -290,6 +290,12 @@ def test_restricted_fe_validation():
     outside = Configuration(np.array([1.2, 0.0, 0.0, 0.0]), CORNER_LAYOUT)
     with pytest.raises(ValueError):
         restricted_fe(h, outside, 0.1, [0.0, 1.0], 10, rng)
+    # the coupled-replica estimator applies the same checks for every n; at
+    # delta 0.5 the band around the outside center is not empty
+    for spec in (BandSpec(outside, 0.5, n=1), BandSpec(outside, 0.5, n=2, rho=1.5),
+                 BandSpec(corner_center(), 0.0, n=2, rho=1.5)):
+        with pytest.raises(ValueError):
+            multi_replica_fe(h, spec, [0.0, 1.0], 10, rng)
 
 
 def test_restricted_fe_flags_frozen_chain():
