@@ -72,7 +72,7 @@ from .thermo import (
     exact_penalty_enumeration,
     exact_restricted_fe_enumeration,
     fe_thermo_integration,
-    multisamplability_record,
+    multisamplability_records,
 )
 
 __all__ = [
@@ -316,6 +316,10 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
     if name == "tap_scan" and values["seeds"] < 2:
         raise ConfigError("tap_scan.seeds", "must be >= 2 (the decomposition is "
                                             "averaged over disorder seeds)")
+    if (name == "tap_scan" and values["beta_grid"][-1] != 1.0
+            and resolve_fe_method(values["method"], layout) == "ti"):
+        raise ConfigError("tap_scan.beta_grid", "must end at 1 for thermodynamic "
+                                                "integration (gs is taken at beta 1)")
     return _SECTION_TYPES[name](**values)
 
 
@@ -338,7 +342,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(key, "unknown field")
-    schema = doc.get("schema", SCHEMA_VERSION)
+    schema = _expect_int(doc.get("schema", SCHEMA_VERSION), "schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema}")
     master_seed = _expect_int(doc.get("master_seed", 0), "master_seed", minimum=0)
@@ -808,53 +812,36 @@ def cmd_tap_scan(config: ExperimentConfig) -> int:
 def cmd_multisamp(config: ExperimentConfig) -> int:
     params = config.multisamp
     layout = config.layout
-
-    def task(eps_index: int, eps: float, i: int):
-        def run():
-            h = build_instance(config.mixture, layout,
-                               seed=derive_seed(config.master_seed, "multisamp",
-                                                "instance", i))
-            rng = np.random.default_rng(
-                derive_seed(config.master_seed, "multisamp", "mc", eps_index, i))
-            return multisamplability_record(h, params.q, params.n, eps,
-                                            np.asarray(params.beta_grid),
-                                            params.sweeps, rng)
-        return run
-
-    tasks = []
-    index = []
-    for eps_index, eps in enumerate(params.eps_grid):
-        for i in range(params.seeds):
-            tasks.append(task(eps_index, eps, i))
-            index.append((eps, i))
-    records = _run_tasks(tasks, 1)
+    per_seed = []  # per seed, one record per eps, all scored on one sampling pass
+    for i in range(params.seeds):
+        h = build_instance(config.mixture, layout,
+                           seed=derive_seed(config.master_seed, "multisamp", "instance", i))
+        rng = np.random.default_rng(derive_seed(config.master_seed, "multisamp", "mc", i))
+        per_seed.append(multisamplability_records(h, params.q, params.n, params.eps_grid,
+                                                  params.beta_grid, params.sweeps, rng))
     rows = []
-    for (eps, i), rec in zip(index, records):
-        rows.append([eps, i, rec["value"], rec["hits"] or 0, rec["samples"] or 0,
-                     ";".join(rec["flags"])])
-    out = _out_dir(config)
-    _write_csv(out / "multisamp.csv",
-               ["eps", "seed", "value", "hits", "samples", "flags"], rows)
     by_eps = []
-    cursor = 0
-    for eps in params.eps_grid:
-        chunk = records[cursor:cursor + params.seeds]
-        cursor += params.seeds
-        values = [rec["value"] for rec in chunk]
-        probs = [(rec["hits"] or 0) / rec["samples"] for rec in chunk
-                 if rec["samples"]]
-        mean_of_log = float(np.mean(values))
-        if probs and sum(probs) > 0:
+    for e, eps in enumerate(params.eps_grid):
+        chunk = [records[e] for records in per_seed]
+        for i, rec in enumerate(chunk):
+            rows.append([eps, i, rec["value"], rec["hits"] or 0, rec["samples"] or 0,
+                         ";".join(rec["flags"])])
+        # a vacuous eps (no samples) admits every tuple: probability 1
+        probs = [1.0 if rec["samples"] is None else rec["hits"] / rec["samples"]
+                 for rec in chunk]
+        if sum(probs) > 0:
             log_of_mean = math.log(float(np.mean(probs))) / layout.n
         else:
-            total = sum(rec["samples"] or 0 for rec in chunk)
-            log_of_mean = math.log(0.5 / max(total, 1)) / layout.n
+            log_of_mean = math.log(0.5 / sum(rec["samples"] for rec in chunk)) / layout.n
         by_eps.append({
             "eps": eps,
-            "mean_of_log": mean_of_log,
+            "mean_of_log": float(np.mean([rec["value"] for rec in chunk])),
             "log_of_mean": log_of_mean,
             "flags": sorted({f for rec in chunk for f in rec["flags"]}),
         })
+    out = _out_dir(config)
+    _write_csv(out / "multisamp.csv",
+               ["eps", "seed", "value", "hits", "samples", "flags"], rows)
     _write_json(out / "multisamp.json", {
         "q": list(params.q),
         "replicas": params.n,

@@ -183,12 +183,10 @@ def in_multi_band(replicas, spec: BandSpec) -> bool:
     if not all(in_band(sig, spec.center, spec.delta) for sig in replicas):
         return False
     rm = spec.center.self_overlap().as_array()
-    for i in range(len(replicas)):
-        for j in range(i + 1, len(replicas)):
-            rij = overlap(replicas[i], replicas[j]).as_array()
-            if np.any(np.abs(rij - rm) > spec.rho):
-                return False
-    return True
+    coords = np.array([sig.coords for sig in replicas])
+    i, j = np.triu_indices(len(replicas), 1)
+    rij = species_overlaps(coords[i], coords[j], spec.center.layout)
+    return bool(np.all(np.abs(rij - rm) <= spec.rho))
 
 
 def tilde_transform(sigma: Configuration, m: Configuration, q) -> Configuration:

@@ -249,17 +249,20 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
 class InstanceGroup:
     """Tensor-backend instances of one mixture on one layout, with each
     term's blocks stacked once on a leading instance axis, so one batched
-    contraction evaluates every instance.  A group of one stacks views."""
+    contraction evaluates every instance.  When every instance is the same
+    object the group holds views of its blocks with a leading axis of 1,
+    and the contractions broadcast them over the group's rows."""
 
     size: int
     layout: SpeciesLayout
     slot_slices: tuple[tuple[slice, ...], ...]
-    flats: tuple[np.ndarray, ...]  # per term (K, d_last, rest): stacked blocks, last axis first
-    fields: np.ndarray | None  # (K, N) field vectors, or None when no instance has one
+    flats: tuple[np.ndarray, ...]  # per term (K or 1, d_last, rest): blocks, last axis first
+    fields: np.ndarray | None  # (K or 1, N) field vectors, or None when no instance has one
 
 
 def stack_instances(hs) -> InstanceGroup:
-    """Stack the blocks of instances that share mixture terms and layout."""
+    """Stack the blocks of instances that share mixture terms and layout;
+    one instance repeated is not copied, its blocks are shared."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one instance")
@@ -270,14 +273,15 @@ def stack_instances(hs) -> InstanceGroup:
     if any(h.layout != first.layout or [p for p, _ in h.mixture.terms] != keys
            for h in hs):
         raise ValueError("grouped instances must share mixture terms and layout")
+    members = hs[:1] if all(h is first for h in hs) else hs
     flats = []
     for t, a in enumerate(first.tensors):
-        stacked = a[None] if len(hs) == 1 else np.stack([h.tensors[t] for h in hs])
-        flats.append(stacked.reshape(len(hs), -1, a.shape[-1]).transpose(0, 2, 1))
+        stacked = a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
+        flats.append(stacked.reshape(len(members), -1, a.shape[-1]).transpose(0, 2, 1))
     fields = None
-    if any(h.field is not None for h in hs):
+    if any(h.field is not None for h in members):
         zero = np.zeros(first.layout.n)
-        fields = np.stack([zero if h.field is None else h.field.vector for h in hs])
+        fields = np.stack([zero if h.field is None else h.field.vector for h in members])
     return InstanceGroup(len(hs), first.layout, first.slot_slices, tuple(flats), fields)
 
 
@@ -304,8 +308,9 @@ def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
             out[:, lo:lo + chunk] += v.reshape(k, -1)
     out *= math.sqrt(n)
     if group.fields is not None:
+        fields = np.broadcast_to(group.fields, (k, n))
         for i in range(k):
-            out[i] += coords[i] @ group.fields[i]
+            out[i] += coords[i] @ fields[i]
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import uniform_overlap_tail
+from .geometry import species_overlaps
 from .ground_state import ascend, exact_gs_enumeration
 from .hamiltonian import (
     _BATCH_ELEMENT_CAP,
@@ -39,10 +39,10 @@ from .mixture import (
 from .seeding import derive_seed
 from .thermo import (
     FreeEnergyEstimate,
+    _replica_samples,
     exact_fe_enumeration,
     exact_fe_quadrature,
     fe_thermo_integration_many,
-    pt_sampler,
 )
 
 __all__ = [
@@ -311,26 +311,12 @@ def replica_symmetry_diagnostic(hq: HamiltonianInstance, n: int, tau: float,
         raise ValueError("need at least two replicas")
     if tau >= 1.0 + 1e-9:
         return 0.0
-    layout = hq.layout
     rng = np.random.default_rng(derive_seed(config.master_seed, "rs-diagnostic"))
-    grid = np.asarray(config.beta_grid)
-    streams = rng.spawn(n)
-    runs = [pt_sampler(hq, grid, config.sweeps, streams[i]) for i in range(n)]
-    target = grid.size - 1
-    kept = min(len(r.samples[target]) for r in runs)
-    worst = 0.0
-    for s, sl in enumerate(layout.slices):
-        hits = 0
-        pairs = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = runs[i].samples[target][:kept, sl]
-                b = runs[j].samples[target][:kept, sl]
-                overlaps = (a * b).sum(axis=1) / layout.sizes[s]
-                hits += int(np.count_nonzero(np.abs(overlaps) >= tau))
-                pairs += kept
-        worst = max(worst, hits / pairs)
-    return worst
+    samples, _ = _replica_samples(hq, n, config.beta_grid, config.sweeps, rng)
+    i, j = np.triu_indices(n, 1)
+    overlaps = species_overlaps(samples[i], samples[j], hq.layout)  # (pairs, kept, S)
+    hits = np.count_nonzero(np.abs(overlaps) >= tau, axis=(0, 1))
+    return int(hits.max()) / (len(i) * samples.shape[1])
 
 
 def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,

@@ -53,6 +53,7 @@ __all__ = [
     "multi_replica_fe",
     "multisamplability_profile",
     "multisamplability_record",
+    "multisamplability_records",
     "wilson_interval",
 ]
 
@@ -532,45 +533,62 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
                               float(err + pair_term_se), "thermo-integration", meta)
 
 
-def multisamplability_record(h: HamiltonianInstance, q, n: int, eps: float,
-                             beta_grid, steps: int, rng: np.random.Generator) -> dict:
-    """Empirical (1/N) log G^(x)n-probability that n independent Gibbs samples
-    have all pairwise species overlaps within eps of q, with diagnostics."""
+def _replica_samples(h: HamiltonianInstance, n: int, beta_grid, steps: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
+    """Thinned states at the last grid beta of n independent tempered runs on
+    h, shape (n, kept, N), and their flags: one group of n rows sharing h's
+    blocks, run i equal to pt_sampler on the i-th generator spawned from rng."""
+    grid = _check_beta_grid(beta_grid)
+    runs = _run_group([h] * n, grid, steps, rng.spawn(n))
+    return (np.stack([run.snapshots[-1, :, 0] for run in runs]),
+            [f for run in runs for f in run.flags])
+
+
+def multisamplability_records(h: HamiltonianInstance, q, n: int, eps_grid,
+                              beta_grid, steps: int, rng: np.random.Generator) -> list[dict]:
+    """multisamplability_record at every eps of eps_grid, scored on one draw
+    of n replicas, so hits are non-decreasing in eps.  An eps >= 2 is
+    vacuous (every tuple qualifies) and gives value 0 with no samples."""
     if n < 2:
         raise ValueError("need at least two replicas")
     layout = h.layout
     qv = as_overlap_array(q, layout.n_species)
-    if eps >= 2.0:
-        return {"value": 0.0, "hits": None, "samples": None, "flags": ["vacuous"],
-                "eps": float(eps), "replicas": n}
-    grid = _check_beta_grid(beta_grid)
-    streams = rng.spawn(n)
-    runs = [pt_sampler(h, grid, steps, streams[i]) for i in range(n)]
-    target = grid.size - 1
-    counts = min(len(r.samples[target]) for r in runs)
-    samples = np.array([r.samples[target][:counts] for r in runs])
-    i, j = np.triu_indices(n, 1)
-    pair_ov = species_overlaps(samples[i], samples[j], layout)
-    hits = int(np.all(np.abs(pair_ov - qv) < eps, axis=(0, 2)).sum())
-    flags = [f for r in runs for f in r.flags]
-    if hits == 0:
-        value = math.log(0.5 / counts) / layout.n
-        flags.append("zero-hit-floor")
-        lo = hi = None
-    else:
-        value = math.log(hits / counts) / layout.n
-        lo, hi = wilson_interval(hits, counts)
-    return {
-        "value": float(value),
-        "hits": hits,
-        "samples": counts,
-        "wilson_low": lo,
-        "wilson_high": hi,
-        "flags": sorted(set(flags)),
-        "eps": float(eps),
-        "replicas": n,
-        "beta": float(grid[-1]),
-    }
+    eps_grid = [float(eps) for eps in eps_grid]
+    if any(eps < 2.0 for eps in eps_grid):
+        samples, run_flags = _replica_samples(h, n, beta_grid, steps, rng)
+        counts = samples.shape[1]
+        i, j = np.triu_indices(n, 1)
+        # worst pairwise species deviation from q, per sample tuple
+        worst = np.abs(species_overlaps(samples[i], samples[j], layout) - qv).max(axis=(0, 2))
+    records = []
+    for eps in eps_grid:
+        if eps >= 2.0:
+            records.append({"value": 0.0, "hits": None, "samples": None,
+                            "flags": ["vacuous"], "eps": eps, "replicas": n})
+            continue
+        hits = int(np.count_nonzero(worst < eps))
+        lo, hi = wilson_interval(hits, counts) if hits else (None, None)
+        records.append({
+            # with no hit, the floor counts half a hit
+            "value": math.log(max(hits, 0.5) / counts) / layout.n,
+            "hits": hits,
+            "samples": counts,
+            "wilson_low": lo,
+            "wilson_high": hi,
+            "flags": sorted(set(run_flags + (["zero-hit-floor"] if hits == 0 else []))),
+            "eps": eps,
+            "replicas": n,
+            "beta": float(beta_grid[-1]),
+        })
+    return records
+
+
+def multisamplability_record(h: HamiltonianInstance, q, n: int, eps: float,
+                             beta_grid, steps: int, rng: np.random.Generator) -> dict:
+    """Empirical (1/N) log G^(x)n-probability that n independent Gibbs samples
+    have all pairwise species overlaps within eps of q, with diagnostics: the
+    one-eps case of multisamplability_records."""
+    return multisamplability_records(h, q, n, [eps], beta_grid, steps, rng)[0]
 
 
 def multisamplability_profile(h: HamiltonianInstance, q, n: int, eps: float,

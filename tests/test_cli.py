@@ -114,6 +114,10 @@ class TestConfigParsing:
              "ground_state.window"),
             (lambda d: d.__setitem__("extra_section", {}), "extra_section"),
             (lambda d: d.__setitem__("schema", 99), "schema"),
+            (lambda d: d.__setitem__("schema", True), "schema: expected an integer"),
+            (lambda d: d.__setitem__("schema", 1.0), "schema: expected an integer"),
+            (lambda d: d["tap_scan"].update(method="ti", beta_grid=[0.0, 0.5]),
+             "tap_scan.beta_grid"),
             (lambda d: d["tap_scan"].__setitem__("seeds", 1), "tap_scan.seeds"),
             (lambda d: d["multisamp"].__setitem__("n", 1), "multisamp.n"),
             (lambda d: (d["model"].__setitem__("sizes", [2, 1]),
@@ -136,6 +140,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
         assert path_fragment in str(err.value)
+
+    def test_free_energy_keeps_any_last_beta(self):
+        # free_energy reports the beta it integrates to, so its grid may end
+        # below 1; tap_scan may too when its method is not ti
+        doc = corner_doc()
+        doc["free_energy"].update(method="ti", beta_grid=[0.0, 0.5])
+        doc["tap_scan"]["beta_grid"] = [0.0, 0.5]
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.free_energy.beta_grid[-1] == 0.5
+        assert cfg.tap_scan.beta_grid[-1] == 0.5
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.sampled_from(MUTABLE_FIELDS), JSON_VALUES),
@@ -328,6 +342,22 @@ class TestCommands:
         rows = (out / "multisamp.csv").read_text().splitlines()
         values = [float(r.split(",")[2]) for r in rows[1:]]
         assert entry["mean_of_log"] == pytest.approx(np.mean(values))
+
+    def test_multisamp_vacuous_eps_aggregates_to_zero(self, tmp_path):
+        # eps >= 2 admits every tuple: log probability 0 both ways, next to
+        # a scored eps from the same sampling pass
+        doc = corner_doc()
+        doc["multisamp"]["eps_grid"] = [3.0, 0.6]
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["multisamp", "--config", str(config), "--out", str(out)]) == 0
+        vacuous, scored = json.loads((out / "multisamp.json").read_text())["per_eps"]
+        assert vacuous["mean_of_log"] == 0.0 and vacuous["log_of_mean"] == 0.0
+        assert vacuous["flags"] == ["vacuous"]
+        rows = [r.split(",") for r in (out / "multisamp.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [3.0, 3.0, 0.6, 0.6]
+        assert all(int(r[4]) > 0 for r in rows[2:])
+        assert scored["mean_of_log"] == pytest.approx(np.mean([float(r[2]) for r in rows[2:]]))
 
     def test_outputs_do_not_depend_on_workers(self, tmp_path):
         config = write_config(tmp_path, corner_doc())

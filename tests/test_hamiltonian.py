@@ -472,6 +472,24 @@ def test_group_energies_match_each_instance():
         group_energies(stack_instances(hs), coords[:2])
 
 
+def test_repeated_instance_group_shares_blocks():
+    # n copies of one instance hold views of its blocks, not copies, and the
+    # broadcast contraction gives every row the values the instance gets
+    # alone, field included
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    h = build_instance(mix, lay, seed=62)
+    group = stack_instances([h] * 3)
+    assert group.size == 3
+    for flat, block in zip(group.flats, h.tensors):
+        assert np.shares_memory(flat, block)
+    coords = np.random.default_rng(8).standard_normal((3, 5, lay.n))
+    for inst in (h, attach_external_field(h, [0.2, 0.4], seed=9)):
+        grouped = group_energies(stack_instances([inst] * 3), coords)
+        for k in range(3):
+            assert np.array_equal(grouped[k], energy_many(inst, coords[k]))
+
+
 def test_build_streams_the_dense_draw():
     # peak traced memory stays near the held blocks: the (N,)^4 draw is
     # never held whole, only about one index row of it at a time

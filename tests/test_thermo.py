@@ -4,17 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from multispin.geometry import BandSpec, Configuration, in_multi_band, sample_on_shell
+from multispin.geometry import (
+    BandSpec,
+    Configuration,
+    in_multi_band,
+    sample_on_shell,
+    sign_patterns,
+)
 from multispin.hamiltonian import (
     COVARIANCE_BACKEND,
+    attach_external_field,
     build_instance,
     energy,
+    energy_many,
 )
-from multispin.mixture import Mixture, SpeciesLayout
+from multispin.mixture import Mixture, SpeciesLayout, xi_q
 from multispin.thermo import (
     FreeEnergyEstimate,
     _run_chains,
+    _run_group,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
@@ -24,6 +34,7 @@ from multispin.thermo import (
     multi_replica_fe,
     multisamplability_profile,
     multisamplability_record,
+    multisamplability_records,
     pt_sampler,
     restricted_fe,
     wilson_interval,
@@ -426,6 +437,79 @@ def test_multisamplability_monotone_in_eps_and_floor():
     tiny = multisamplability_record(h, [0.0], 2, 1e-9, grid, 200, np.random.default_rng(4))
     assert "zero-hit-floor" in tiny["flags"]
     assert tiny["value"] == pytest.approx(math.log(0.5 / tiny["samples"]) / 8)
+
+
+def _field_instance():
+    lay = SpeciesLayout(("a", "b"), (4, 6))
+    q = [0.3, 0.4]
+    mix = Mixture.from_terms({(1, 1): 1.0, (2, 0): 0.5, (0, 3): 0.3})
+    return attach_external_field(build_instance(xi_q(mix, q), lay, seed=8), q, seed=9)
+
+
+REPLICA_CASES = {
+    "corner": corner_instance,
+    "8+8": lambda: build_instance(Mixture.from_terms({(1, 1): 1.0, (2, 0): 0.5}),
+                                  SpeciesLayout(("a", "b"), (8, 8)), seed=6),
+    "field": _field_instance,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", sorted(REPLICA_CASES))
+def test_grouped_replicas_equal_per_replica_samplers(case, n):
+    # n replicas of one instance as one group of shared-block rows give the
+    # snapshots, energy series and flags of n separate pt_sampler runs
+    h = REPLICA_CASES[case]()
+    grid = np.array([0.0, 0.5, 1.0])
+    runs = _run_group([h] * n, grid, 150, np.random.default_rng(21).spawn(n))
+    refs = [pt_sampler(h, grid, 150, rng) for rng in np.random.default_rng(21).spawn(n)]
+    for run, ref in zip(runs, refs):
+        assert np.array_equal(run.snapshots[:, :, 0], np.stack(ref.samples))
+        assert np.array_equal(run.series, np.stack(ref.energies))
+        assert run.flags == list(ref.flags)
+
+
+def test_multisamplability_records_score_one_draw_per_eps_grid():
+    # the grid call equals one record call per eps on a same-seeded
+    # generator, and its hits never decrease as eps grows
+    h = REPLICA_CASES["8+8"]()
+    eps_grid = [0.1, 0.3, 0.6, 0.9, 2.5]
+    grid = [0.0, 0.5, 1.0]
+    records = multisamplability_records(h, [0.0, 0.0], 3, eps_grid, grid, 300,
+                                        np.random.default_rng(4))
+    for eps, rec in zip(eps_grid, records):
+        assert rec == multisamplability_record(h, [0.0, 0.0], 3, eps, grid, 300,
+                                               np.random.default_rng(4))
+    hits = [rec["hits"] for rec in records[:-1]]
+    assert hits == sorted(hits) and hits[0] < hits[-1]
+    assert records[-1]["flags"] == ["vacuous"] and records[-1]["value"] == 0.0
+
+
+ORACLE_CASES = [
+    (Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3}), SpeciesLayout(("a", "b"), (1, 1)), 5),
+    (Mixture.from_terms({(1, 1, 0): 0.6, (0, 1, 1): 0.9, (1, 0, 1): 0.4}),
+     SpeciesLayout(("a", "b", "c"), (1, 1, 1)), 17),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_multisamplability_hit_rate_matches_sign_pattern_oracle(case, n):
+    # at corner scale every species overlap is +-1, so with q = 0.5 and
+    # eps = 0.6 a tuple hits exactly when all n replicas share one sign
+    # pattern: probability sum_sigma G_1(sigma)^n.  The pooled hit rate of
+    # three runs (1200 thinned samples) must lie within 4 binomial SEs.
+    mix, lay, seed = ORACLE_CASES[case]
+    h = build_instance(mix, lay, seed=seed)
+    energies = energy_many(h, sign_patterns(lay.n))
+    p = math.exp(logsumexp(n * (energies - logsumexp(energies))))
+    hits = samples = 0
+    for k in range(3):
+        rec, = multisamplability_records(h, [0.5] * lay.n_species, n, [0.6],
+                                         [0.0, 0.5, 1.0], 1200, np.random.default_rng(k))
+        hits += rec["hits"]
+        samples += rec["samples"]
+    assert abs(hits / samples - p) <= 4.0 * math.sqrt(p * (1.0 - p) / samples)
 
 
 # --- chain of inequalities ------------------------------------------------------
