@@ -35,7 +35,7 @@ from .geometry import (
     save_configuration,
     tilde_transform,
 )
-from .ground_state import ascend, eigen_oracle_2spin
+from .ground_state import ascend, ascend_many, eigen_oracle_2spin
 from .hamiltonian import (
     DEFAULT_MEMORY_BUDGET,
     build_instance,
@@ -61,6 +61,7 @@ from .tap import (
     _mean_se,
     candidate_multisamplable,
     fe_per_seed,
+    instance_groups,
     resolve_fe_method,
     tap_evaluate,
     tap_inequality_scan,
@@ -247,14 +248,16 @@ class ExperimentConfig:
         return SpeciesLayout(self.species, self.sizes)
 
 
+def _required(mapping: dict, key: str, path: str):
+    if key not in mapping:
+        raise ConfigError(path, "missing required field")
+    return mapping[key]
+
+
 def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
-    model = _expect_mapping(doc.get("model"), "model") if "model" in doc else None
-    if model is None:
-        raise ConfigError("model", "missing required field")
-    species_raw = _expect_list(model.get("species"), "model.species", min_len=1) \
-        if "species" in model else None
-    if species_raw is None:
-        raise ConfigError("model.species", "missing required field")
+    model = _expect_mapping(_required(doc, "model", "model"), "model")
+    species_raw = _expect_list(_required(model, "species", "model.species"), "model.species",
+                               min_len=1)
     species = []
     for k, name in enumerate(species_raw):
         if not isinstance(name, str) or not name:
@@ -262,36 +265,28 @@ def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
         species.append(name)
     if len(set(species)) != len(species):
         raise ConfigError("model.species", "species names must be unique")
-    if "sizes" not in model:
-        raise ConfigError("model.sizes", "missing required field")
-    sizes_raw = _expect_list(model["sizes"], "model.sizes", min_len=1)
+    sizes_raw = _expect_list(_required(model, "sizes", "model.sizes"), "model.sizes", min_len=1)
     if len(sizes_raw) != len(species):
         raise ConfigError("model.sizes", "must match the number of species")
     sizes = tuple(_expect_int(v, f"model.sizes[{k}]", minimum=1)
                   for k, v in enumerate(sizes_raw))
-    if "terms" not in model:
-        raise ConfigError("model.terms", "missing required field")
     terms = {}
-    for k, item in enumerate(_expect_list(model["terms"], "model.terms")):
+    for k, item in enumerate(_expect_list(_required(model, "terms", "model.terms"),
+                                          "model.terms")):
         entry = _expect_mapping(item, f"model.terms[{k}]")
-        p_raw = _expect_list(entry.get("p"), f"model.terms[{k}].p", min_len=1) \
-            if "p" in entry else None
-        if p_raw is None:
-            raise ConfigError(f"model.terms[{k}].p", "missing required field")
+        path = f"model.terms[{k}]"
+        p_raw = _expect_list(_required(entry, "p", f"{path}.p"), f"{path}.p", min_len=1)
         if len(p_raw) != len(species):
-            raise ConfigError(f"model.terms[{k}].p",
-                              f"expected {len(species)} per-species degrees")
-        p = tuple(_expect_int(v, f"model.terms[{k}].p[{j}]", minimum=0)
-                  for j, v in enumerate(p_raw))
+            raise ConfigError(f"{path}.p", f"expected {len(species)} per-species degrees")
+        p = tuple(_expect_int(v, f"{path}.p[{j}]", minimum=0) for j, v in enumerate(p_raw))
         if sum(p) < 1:
-            raise ConfigError(f"model.terms[{k}].p", "total degree must be >= 1")
-        if "delta_sq" not in entry:
-            raise ConfigError(f"model.terms[{k}].delta_sq", "missing required field")
-        coeff = _expect_number(entry["delta_sq"], f"model.terms[{k}].delta_sq")
+            raise ConfigError(f"{path}.p", "total degree must be >= 1")
+        coeff = _expect_number(_required(entry, "delta_sq", f"{path}.delta_sq"),
+                               f"{path}.delta_sq")
         if coeff <= 0.0:
-            raise ConfigError(f"model.terms[{k}].delta_sq", "must be > 0")
+            raise ConfigError(f"{path}.delta_sq", "must be > 0")
         if p in terms:
-            raise ConfigError(f"model.terms[{k}].p", "duplicate multi-degree")
+            raise ConfigError(f"{path}.p", "duplicate multi-degree")
         terms[p] = coeff
     mixture = Mixture.from_terms(terms, n_species=len(species))
     _check_budget(mixture, SpeciesLayout(tuple(species), sizes), "model")
@@ -391,11 +386,11 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def _run_tasks(tasks, workers: int) -> list:
-    """Run zero-argument tasks in order and collect their results.
+    """Run zero-argument tasks in order, ignoring the worker count.
 
-    The worker count is accepted and ignored (the commands pass 1): the
-    tasks hold the interpreter lock in short numpy calls, so a thread pool
-    only made runs slower, and the work is batched inside each task instead.
+    No command calls it: each batches its seeds in a library pipeline.  It
+    stays while the benchmark tracer (benchmarks/bench_trace.py) patches it
+    unconditionally, and goes with that patch and `parallel_efficiency`.
     """
     return [task() for task in tasks]
 
@@ -736,26 +731,21 @@ def cmd_free_energy(config: ExperimentConfig) -> int:
 
 def cmd_ground_state(config: ExperimentConfig) -> int:
     params = config.ground_state
-    layout = config.layout
-
-    def task(i: int):
-        def run():
-            h = build_instance(config.mixture, layout,
-                               seed=derive_seed(config.master_seed, "ground-state",
-                                                "instance", i))
-            rng = np.random.default_rng(
-                derive_seed(config.master_seed, "ground-state", "mc", i))
-            res = ascend(h, params.q, params.restarts, params.max_iters, rng)
+    seeds = range(params.seeds)
+    results, oracles = [], []
+    for group, streams in instance_groups(
+            config.mixture, config.layout,
+            [derive_seed(config.master_seed, "ground-state", "instance", i) for i in seeds],
+            [np.random.default_rng(derive_seed(config.master_seed, "ground-state", "mc", i))
+             for i in seeds]):
+        results += ascend_many(group, params.q, params.restarts, params.max_iters, streams)
+        for h in group:
             try:
-                oracle = eigen_oracle_2spin(h, params.q)
+                oracles.append(eigen_oracle_2spin(h, params.q))
             except ValueError:
-                oracle = None
-            return res, oracle
-        return run
-
-    results = _run_tasks([task(i) for i in range(params.seeds)], 1)
+                oracles.append(None)
     rows = []
-    for i, (res, oracle) in enumerate(results):
+    for i, (res, oracle) in enumerate(zip(results, oracles)):
         rows.append([i, res.energy_per_spin,
                      "" if oracle is None else float(oracle),
                      res.converged_fraction,
@@ -765,16 +755,16 @@ def cmd_ground_state(config: ExperimentConfig) -> int:
     _write_csv(out / "ground_state.csv",
                ["seed", "energy_per_spin", "eigen_oracle", "converged_fraction",
                 "iterations_mean", "iterations_max"], rows)
-    values = [res.energy_per_spin for res, _ in results]
+    values = [res.energy_per_spin for res in results]
     mean, se = _mean_se(values)
     payload = {
         "q": list(params.q),
         "mean": mean,
         "std_error_of_mean": se,
         "values": values,
-        "converged_fractions": [res.converged_fraction for res, _ in results],
+        "converged_fractions": [res.converged_fraction for res in results],
     }
-    oracles = [oracle for _, oracle in results if oracle is not None]
+    oracles = [oracle for oracle in oracles if oracle is not None]
     if oracles:
         payload["eigen_oracle_mean"] = float(np.mean(oracles))
     _write_json(out / "ground_state.json", payload)

@@ -19,13 +19,16 @@ from .hamiltonian import (
     TENSOR_BACKEND,
     build_instance,
     energy_many,
-    gradient_many,
+    group_energies,
+    group_gradients,
+    stack_instances,
 )
 from .mixture import Mixture, SpeciesLayout, require_shell_overlap
 
 __all__ = [
     "AscentResult",
     "ascend",
+    "ascend_many",
     "eigen_oracle_2spin",
     "exact_gs_enumeration",
     "gs_concentration_probe",
@@ -64,10 +67,10 @@ def _project_to_shell(coords: np.ndarray, layout: SpeciesLayout, qv: np.ndarray)
     out = np.array(coords)
     for s, sl in enumerate(layout.slices):
         if qv[s] == 0.0:
-            out[:, sl] = 0.0
+            out[..., sl] = 0.0
         else:
             target = math.sqrt(layout.sizes[s] * qv[s])
-            out[:, sl] *= target / np.linalg.norm(out[:, sl], axis=1, keepdims=True)
+            out[..., sl] *= target / np.linalg.norm(out[..., sl], axis=-1, keepdims=True)
     return out
 
 
@@ -78,87 +81,90 @@ def _tangent_gradient(g: np.ndarray, coords: np.ndarray, layout: SpeciesLayout,
     t = np.array(g)
     for s, sl in enumerate(layout.slices):
         if qv[s] == 0.0:
-            t[:, sl] = 0.0
+            t[..., sl] = 0.0
         else:
-            x = coords[:, sl]
-            radial = np.einsum("ij,ij->i", g[:, sl], x)
-            t[:, sl] -= radial[:, None] * x / (layout.sizes[s] * qv[s])
+            x = coords[..., sl]
+            radial = np.einsum("...j,...j->...", g[..., sl], x)
+            t[..., sl] -= radial[..., None] * x / (layout.sizes[s] * qv[s])
     return t
 
 
-def ascend(h: HamiltonianInstance, q, restarts: int, max_iters: int,
-           rng: np.random.Generator) -> AscentResult:
-    """Multi-restart projected gradient ascent of H over the shell S_N(q).
+def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult]:
+    """Multi-restart projected gradient ascent of H over the shell S_N(q),
+    for each instance of a group that shares mixture terms and layout, with
+    rngs[k] the generator of instance k.
 
     Each restart starts uniformly on the shell, from its own stream, and
     follows the per-species tangent gradient with Armijo backtracking
     (shrink 0.5, slope 1e-4, initial step 1/sqrt(N)), re-projecting every
-    block after each step.  All restarts advance together: one batched
-    gradient per iteration, and each backtracking round evaluates the
-    restarts still searching.  A restart stops when its tangent gradient
-    falls below tolerance or no step passes the Armijo test (both count as
-    converged).  Ties in the final energy break toward the lowest restart
-    index.
+    block after each step.  The (instance, restart) rows advance together
+    as one fixed-shape batch, and a row that has stopped is masked, not
+    dropped, so each result equals the one its instance gets on its own.
+    A restart stops when its tangent gradient falls below tolerance or no
+    step passes the Armijo test (both count as converged).  The best
+    restart is the lowest index whose final energy is within 4 ulps of the
+    maximum, so rounding-level ties do not decide it.
     """
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError("ascent needs the coefficient-tensor backend")
+    hs, rngs = list(hs), list(rngs)
+    if len(hs) != len(rngs):
+        raise ValueError("need one generator per instance")
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be >= 1")
-    layout = h.layout
+    group = stack_instances(hs)
+    layout = group.layout
     qv = require_shell_overlap(q, layout.n_species)
-    streams = rng.spawn(restarts)
-    coords = np.array([sample_on_shell(layout, qv, stream).coords for stream in streams])
-    values = energy_many(h, coords)
+    coords = np.array([[sample_on_shell(layout, qv, stream).coords
+                        for stream in rng.spawn(restarts)] for rng in rngs])
+    values = group_energies(group, coords)
     step0 = 1.0 / math.sqrt(layout.n)
-    steps = np.full(restarts, step0)
-    counts = np.full(restarts, max_iters)
-    converged = np.zeros(restarts, dtype=bool)
-    active = np.arange(restarts)
+    steps = np.full(values.shape, step0)
+    counts = np.full(values.shape, max_iters)
+    active = np.ones(values.shape, dtype=bool)
     for it in range(1, max_iters + 1):
-        if active.size == 0:
+        if not active.any():
             break
-        x = coords[active]
-        t = _tangent_gradient(gradient_many(h, x), x, layout, qv)
-        t_norm_sq = np.einsum("ij,ij->i", t, t)
-        flat = np.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN
-        counts[active[flat]] = it - 1
-        converged[active[flat]] = True
-        active, x, t, t_norm_sq = active[~flat], x[~flat], t[~flat], t_norm_sq[~flat]
-        trial = np.minimum(steps[active] * 2.0, step0)
-        searching = np.ones(active.size, dtype=bool)
+        t = _tangent_gradient(group_gradients(group, coords), coords, layout, qv)
+        t_norm_sq = np.einsum("...j,...j->...", t, t)
+        flat = active & (np.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN)
+        counts[flat] = it - 1
+        active &= ~flat
+        trial = np.minimum(steps * 2.0, step0)
+        searching = active.copy()
         for _ in range(_MAX_BACKTRACKS):
-            idx = np.flatnonzero(searching)
-            if idx.size == 0:
+            if not searching.any():
                 break
-            cand = _project_to_shell(x[idx] + trial[idx, None] * t[idx], layout, qv)
-            cand_values = energy_many(h, cand)
-            ok = cand_values >= values[active[idx]] + _ARMIJO_SLOPE * trial[idx] * t_norm_sq[idx]
-            rows = active[idx[ok]]
-            coords[rows] = cand[ok]
-            values[rows] = cand_values[ok]
-            steps[rows] = trial[idx[ok]]
-            searching[idx[ok]] = False
-            trial[idx[~ok]] *= _ARMIJO_SHRINK
+            cand = _project_to_shell(coords + trial[..., None] * t, layout, qv)
+            cand_values = group_energies(group, cand)
+            ok = searching & (cand_values >= values + _ARMIJO_SLOPE * trial * t_norm_sq)
+            coords[ok] = cand[ok]
+            values[ok] = cand_values[ok]
+            steps[ok] = trial[ok]
+            searching &= ~ok
+            trial[searching] *= _ARMIJO_SHRINK
         # no admissible step: numerically stationary, count as converged
-        counts[active[searching]] = it
-        converged[active[searching]] = True
-        active = active[~searching]
-    best = int(np.argmax(values))
-    return AscentResult(
-        maximizer=Configuration(coords[best], layout),
-        energy_per_spin=float(values[best]) / layout.n,
+        counts[searching] = it
+        active &= ~searching
+    top = values.max(axis=1, keepdims=True)
+    best = np.argmax(values >= top - 4 * np.spacing(np.abs(top)), axis=1)
+    return [AscentResult(
+        maximizer=Configuration(coords[k, b], layout),
+        energy_per_spin=float(values[k, b]) / layout.n,
         restarts=restarts,
-        converged_fraction=int(converged.sum()) / restarts,
-        iteration_counts=tuple(int(c) for c in counts),
-        best_restart=best,
-    )
+        converged_fraction=int(np.count_nonzero(~active[k])) / restarts,
+        iteration_counts=tuple(int(c) for c in counts[k]),
+        best_restart=int(b),
+    ) for k, b in enumerate(best)]
+
+
+def ascend(h: HamiltonianInstance, q, restarts: int, max_iters: int,
+           rng: np.random.Generator) -> AscentResult:
+    """Shell ascent of one instance: the group-of-one case of ascend_many."""
+    return ascend_many([h], q, restarts, max_iters, [rng])[0]
 
 
 def exact_gs_enumeration(h: HamiltonianInstance, q) -> float:
     """Exact per-spin shell maximum when every species has one coordinate:
     the shell S_N(q) is the finite set of sign patterns scaled by sqrt(q_s)."""
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError("enumeration needs the coefficient-tensor backend")
     layout = h.layout
     if any(d != 1 for d in layout.sizes):
         raise ValueError("enumeration requires every species to have one coordinate")

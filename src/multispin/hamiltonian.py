@@ -46,6 +46,7 @@ __all__ = [
     "InstanceGroup",
     "stack_instances",
     "group_energies",
+    "group_gradients",
     "block_entries",
     "realize_on_points",
     "factor_covariance",
@@ -256,7 +257,8 @@ class InstanceGroup:
     size: int
     layout: SpeciesLayout
     slot_slices: tuple[tuple[slice, ...], ...]
-    flats: tuple[np.ndarray, ...]  # per term (K or 1, d_last, rest): blocks, last axis first
+    blocks: tuple[np.ndarray, ...]  # per term (K or 1, *block shape)
+    flats: tuple[np.ndarray, ...]  # views of blocks as (K or 1, d_last, rest), last axis first
     fields: np.ndarray | None  # (K or 1, N) field vectors, or None when no instance has one
 
 
@@ -274,15 +276,22 @@ def stack_instances(hs) -> InstanceGroup:
            for h in hs):
         raise ValueError("grouped instances must share mixture terms and layout")
     members = hs[:1] if all(h is first for h in hs) else hs
-    flats = []
-    for t, a in enumerate(first.tensors):
-        stacked = a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
-        flats.append(stacked.reshape(len(members), -1, a.shape[-1]).transpose(0, 2, 1))
+    blocks = tuple(a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
+                   for t, a in enumerate(first.tensors))
+    flats = tuple(b.reshape(len(members), -1, b.shape[-1]).transpose(0, 2, 1) for b in blocks)
     fields = None
     if any(h.field is not None for h in members):
         zero = np.zeros(first.layout.n)
         fields = np.stack([zero if h.field is None else h.field.vector for h in members])
-    return InstanceGroup(len(hs), first.layout, first.slot_slices, tuple(flats), fields)
+    return InstanceGroup(len(hs), first.layout, first.slot_slices, blocks, flats, fields)
+
+
+def _check_group_rows(group: InstanceGroup, coords) -> np.ndarray:
+    coords = np.asarray(coords, dtype=float)
+    k, n = group.size, group.layout.n
+    if coords.ndim != 3 or coords.shape[0] != k or coords.shape[2] != n:
+        raise ValueError(f"expected ({k}, batch, {n}) coordinates")
+    return coords
 
 
 def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
@@ -291,10 +300,8 @@ def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
     term is one stacked matrix product over the block's last axis, then
     batched matrix-vector products, chunked so intermediates stay below
     about _BATCH_ELEMENT_CAP floats."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _check_group_rows(group, coords)
     k, n = group.size, group.layout.n
-    if coords.ndim != 3 or coords.shape[0] != k or coords.shape[2] != n:
-        raise ValueError(f"expected ({k}, batch, {n}) coordinates")
     n_batch = coords.shape[1]
     out = np.zeros((k, n_batch))
     for slices, flat in zip(group.slot_slices, group.flats):
@@ -314,51 +321,48 @@ def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rows(h: HamiltonianInstance, coords) -> np.ndarray:
-    _require_tensor(h)
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != h.layout.n:
-        raise ValueError(f"expected (batch, {h.layout.n}) coordinates")
-    return coords
-
-
-def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
-    """Energies of a batch of configurations, rows of coords: the group-of-one
-    case of group_energies (same values as energy on each row)."""
-    coords = _check_rows(h, coords)
-    return group_energies(h.group, coords[None])[0]
-
-
-def gradient_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
-    """Euclidean energy gradients at a batch of configurations, rows of coords.
+def group_gradients(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
+    """Euclidean energy gradients of a batch of configurations per instance,
+    coords of shape (K, batch, N) as in group_energies.
 
     Per term, block axis c takes the block contracted on every other axis:
     the leading axes are folded in once per row, as a running prefix, and
     the trailing axes per slot, as batched matrix-vector products.
     """
-    coords = _check_rows(h, coords)
-    n_batch = coords.shape[0]
+    coords = _check_group_rows(group, coords)
+    k, n_batch = coords.shape[:2]
     g = np.zeros_like(coords)
-    for slices, a in zip(h.slot_slices, h.tensors):
-        prefix = a[None]  # leading axis: 1 until the first fold, then the batch
+    for slices, a in zip(group.slot_slices, group.blocks):
+        prefix = a[:, None]  # axis 1: 1 until the first fold, then the batch
         for c, sl in enumerate(slices):
             t = prefix
             for rest in reversed(slices[c + 1:]):
-                t = t.reshape(len(t), -1, rest.stop - rest.start) @ coords[:, rest, None]
-            g[:, sl] += t.reshape(len(t), -1)
+                t = t.reshape(t.shape[:2] + (-1, rest.stop - rest.start)) @ coords[..., rest, None]
+            g[..., sl] += t.reshape(t.shape[:2] + (-1,))
             if c + 1 < len(slices):
                 d = sl.stop - sl.start
-                prefix = (coords[:, None, sl] @ prefix.reshape(len(prefix), d, -1)).reshape(
-                    (n_batch,) + a.shape[c + 1:])
-    g *= math.sqrt(h.layout.n)
-    if h.field is not None:
-        g += h.field.vector
+                prefix = (coords[:, :, None, sl] @ prefix.reshape(prefix.shape[:2] + (d, -1))
+                          ).reshape((k, n_batch) + a.shape[c + 2:])
+    g *= math.sqrt(group.layout.n)
+    if group.fields is not None:
+        g += group.fields[:, None]
     return g
+
+
+def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
+    """Energies of a batch of configurations, rows of coords: the group-of-one
+    case of group_energies (same values as energy on each row)."""
+    return group_energies(h.group, np.asarray(coords, dtype=float)[None])[0]
+
+
+def gradient_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
+    """Euclidean energy gradients at a batch of configurations, rows of
+    coords: the group-of-one case of group_gradients."""
+    return group_gradients(h.group, np.asarray(coords, dtype=float)[None])[0]
 
 
 def gradient(h: HamiltonianInstance, sigma: Configuration) -> np.ndarray:
     """Euclidean gradient of the energy: the one-row case of gradient_many."""
-    _require_tensor(h)
     if sigma.layout != h.layout:
         raise ValueError("configuration layout does not match instance")
     return gradient_many(h, sigma.coords[None])[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import species_overlaps
-from .ground_state import ascend, exact_gs_enumeration
+from .ground_state import ascend_many, exact_gs_enumeration
 from .hamiltonian import (
     _BATCH_ELEMENT_CAP,
     HamiltonianInstance,
@@ -49,6 +49,7 @@ __all__ = [
     "DEFAULT_BETA_GRID",
     "EstimatorConfig",
     "fe_per_seed",
+    "instance_groups",
     "resolve_fe_method",
     "TapReport",
     "tap_evaluate",
@@ -144,6 +145,26 @@ def resolve_fe_method(method: str, layout: SpeciesLayout) -> str:
     return method
 
 
+def instance_groups(xi: Mixture, layout: SpeciesLayout, instance_seeds, *per_seed):
+    """Build the instance of each seed, in consecutive groups whose stacked
+    blocks hold at most _BATCH_ELEMENT_CAP entries (a larger instance forms
+    a group of one).  Yields each group, followed by the matching slice of
+    every per-seed list in per_seed."""
+    size = max(1, _BATCH_ELEMENT_CAP // max(1, block_entries(xi, layout)))
+    for lo in range(0, len(instance_seeds), size):
+        yield ([build_instance(xi, layout, seed=seed) for seed in instance_seeds[lo:lo + size]],
+               *(items[lo:lo + size] for items in per_seed))
+
+
+def _fe_group(group, method: str, config: EstimatorConfig, streams) -> list[FreeEnergyEstimate]:
+    if method == "ti":
+        return fe_thermo_integration_many(group, np.asarray(config.beta_grid),
+                                          config.sweeps, streams)
+    if method == "enumeration":
+        return [exact_fe_enumeration(h) for h in group]
+    return [exact_fe_quadrature(h, config.quadrature_nodes) for h in group]
+
+
 def fe_per_seed(xi: Mixture, layout: SpeciesLayout, config: EstimatorConfig,
                 instance_seeds: list[int],
                 streams: list[np.random.Generator]) -> list[FreeEnergyEstimate]:
@@ -151,26 +172,13 @@ def fe_per_seed(xi: Mixture, layout: SpeciesLayout, config: EstimatorConfig,
     resolved for the layout; thermodynamic integration of instance i uses
     generator streams[i].
 
-    Instances are built in consecutive groups whose stacked blocks hold at
-    most _BATCH_ELEMENT_CAP entries (a larger instance forms a group of
-    one), and the tempered chains of a group run together.  Each estimate
-    equals the one its instance gets on its own.
+    Instances come in the groups of instance_groups, and the tempered chains
+    of a group run together.  Each estimate equals the one its instance gets
+    on its own.
     """
     method = resolve_fe_method(config.method, layout)
-    per_group = max(1, _BATCH_ELEMENT_CAP // max(1, block_entries(xi, layout)))
-    estimates = []
-    for lo in range(0, len(instance_seeds), per_group):
-        group = [build_instance(xi, layout, seed=seed)
-                 for seed in instance_seeds[lo:lo + per_group]]
-        if method == "ti":
-            estimates.extend(fe_thermo_integration_many(
-                group, np.asarray(config.beta_grid), config.sweeps,
-                streams[lo:lo + per_group]))
-        elif method == "enumeration":
-            estimates.extend(exact_fe_enumeration(h) for h in group)
-        else:
-            estimates.extend(exact_fe_quadrature(h, config.quadrature_nodes) for h in group)
-    return estimates
+    return [est for group, group_streams in instance_groups(xi, layout, instance_seeds, streams)
+            for est in _fe_group(group, method, config, group_streams)]
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -179,41 +187,38 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), se
 
 
-def _fe_over_seeds(xi: Mixture, layout: SpeciesLayout, label: str,
-                   config: EstimatorConfig, seeds: int,
-                   rng: np.random.Generator) -> FreeEnergyEstimate:
-    """Disorder-averaged free energy: mean over fresh instances, SE from the
-    scatter of per-seed estimates (which already carries any MC noise)."""
+def _over_seeds(xi: Mixture, layout: SpeciesLayout, label: str, config: EstimatorConfig,
+                seeds: int, rng: np.random.Generator, fe: bool = True, qv=None):
+    """Disorder averages over the instances of seeds (master_seed, label, i),
+    each built once: the free energy when fe (SE from the scatter of per-seed
+    estimates, which already carries any MC noise), and the per-spin shell
+    ground state at qv when given (exhaustive on single-coordinate species
+    blocks, one grouped ascent per group otherwise), on streams spawned
+    after the free-energy ones.  Returns (fe or None, gs mean, SE, flags)."""
     instance_seeds = [derive_seed(config.master_seed, label, i) for i in range(seeds)]
-    estimates = fe_per_seed(xi, layout, config, instance_seeds, rng.spawn(seeds))
-    values = [est.value for est in estimates]
-    mean, se = _mean_se(values)
-    return FreeEnergyEstimate(mean, se, estimates[-1].method, {
-        "seed_values": values,
+    fe_streams = rng.spawn(seeds) if fe else [None] * seeds
+    gs_streams = [None] * seeds if qv is None else rng.spawn(seeds)
+    method = resolve_fe_method(config.method, layout) if fe else None
+    estimates, values, flags = [], [], set()
+    for group, group_fe_streams, streams in instance_groups(
+            xi, layout, instance_seeds, fe_streams, gs_streams):
+        if fe:
+            estimates += _fe_group(group, method, config, group_fe_streams)
+        if qv is not None and all(d == 1 for d in layout.sizes):
+            values += [exact_gs_enumeration(h, qv) for h in group]
+        elif qv is not None:
+            for res in ascend_many(group, qv, config.restarts, config.max_iters, streams):
+                values.append(res.energy_per_spin)
+                if res.converged_fraction < 0.5:
+                    flags.add("gs-poor-convergence")
+    fe_values = [est.value for est in estimates]
+    average = FreeEnergyEstimate(*_mean_se(fe_values), estimates[-1].method, {
+        "seed_values": fe_values,
         "instance_seeds": instance_seeds,
         "mean_mc_std_error": float(np.mean([est.std_error for est in estimates])),
         "flags": sorted({f for est in estimates for f in est.meta.get("flags", [])}),
-    })
-
-
-def _gs_over_seeds(xi: Mixture, layout: SpeciesLayout, qv: np.ndarray,
-                   config: EstimatorConfig, seeds: int,
-                   rng: np.random.Generator) -> tuple[float, float, list[float], list[str]]:
-    exact = all(d == 1 for d in layout.sizes)
-    instance_seeds = [derive_seed(config.master_seed, "tap-base", i) for i in range(seeds)]
-    streams = rng.spawn(seeds)
-    values, flags = [], []
-    for i, inst_seed in enumerate(instance_seeds):
-        h = build_instance(xi, layout, seed=inst_seed)
-        if exact:
-            values.append(exact_gs_enumeration(h, qv))
-        else:
-            res = ascend(h, qv, config.restarts, config.max_iters, streams[i])
-            values.append(res.energy_per_spin)
-            if res.converged_fraction < 0.5:
-                flags.append("gs-poor-convergence")
-    mean, se = _mean_se(values)
-    return mean, se, values, sorted(set(flags))
+    }) if fe else None
+    return (average, *(_mean_se(values) if qv is not None else (None, None)), sorted(flags))
 
 
 def tap_evaluate(xi: Mixture, layout: SpeciesLayout, q, config: EstimatorConfig,
@@ -232,10 +237,9 @@ def tap_evaluate(xi: Mixture, layout: SpeciesLayout, q, config: EstimatorConfig,
         raise ValueError("need at least 2 disorder seeds")
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.master_seed, "tap-mc"))
-    lhs = _fe_over_seeds(xi, layout, "tap-base", config, seeds, rng)
-    gs, gs_se, gs_values, gs_flags = _gs_over_seeds(xi, layout, qv, config, seeds, rng)
+    lhs, gs, gs_se, gs_flags = _over_seeds(xi, layout, "tap-base", config, seeds, rng, qv=qv)
     logvol = log_volume_term(layout, qv)
-    fq = _fe_over_seeds(xi_q(xi, qv), layout, "tap-recentered", config, seeds, rng)
+    fq = _over_seeds(xi_q(xi, qv), layout, "tap-recentered", config, seeds, rng)[0]
     gap = lhs.value - gs - logvol - fq.value
     gap_se = math.sqrt(lhs.std_error**2 + gs_se**2 + fq.std_error**2)
     flags = sorted(set(lhs.meta["flags"]) | set(fq.meta["flags"]) | set(gs_flags))
@@ -288,8 +292,8 @@ def onsager_check(xi: Mixture, layout: SpeciesLayout, q_star,
     (1/2) xi_{q*}(1); the two agree at a maximal multi-samplable overlap."""
     qv = require_shell_overlap(q_star, layout.n_species)
     rng = np.random.default_rng(derive_seed(config.master_seed, "onsager"))
-    fq = _fe_over_seeds(xi_q(xi, qv), layout, "onsager-recentered", config,
-                        config.seeds, rng)
+    fq = _over_seeds(xi_q(xi, qv), layout, "onsager-recentered", config,
+                     config.seeds, rng)[0]
     predicted = onsager_term(xi, qv)
     difference = fq.value - predicted
     return {
@@ -347,10 +351,12 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
 
     seeds = config.seeds
     rng = np.random.default_rng(derive_seed(config.master_seed, "nesting"))
-    gs_q, se_q, _, fl1 = _gs_over_seeds(xi, layout, qv, config, seeds, rng)
-    gs_qp, se_qp, _, fl2 = _gs_over_seeds(xi_at_q, layout, qp, config, seeds, rng)
-    gs_qhat, se_hat, _, fl3 = _gs_over_seeds(xi, layout, qhat.as_array(), config,
-                                             seeds, rng)
+    _, gs_q, se_q, fl1 = _over_seeds(xi, layout, "tap-base", config, seeds, rng,
+                                     fe=False, qv=qv)
+    _, gs_qp, se_qp, fl2 = _over_seeds(xi_at_q, layout, "tap-base", config, seeds, rng,
+                                       fe=False, qv=qp)
+    _, gs_qhat, se_hat, fl3 = _over_seeds(xi, layout, "tap-base", config, seeds, rng,
+                                          fe=False, qv=qhat.as_array())
     lhs = gs_q + gs_qp
     se = math.sqrt(se_q**2 + se_qp**2 + se_hat**2)
     slack = 3.0 * se + config.gs_bias_allowance

@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .hamiltonian import (
     HamiltonianInstance,
-    TENSOR_BACKEND,
     energy,
     energy_many,
     group_energies,
@@ -371,8 +370,6 @@ def _block_std_error(series: np.ndarray) -> float:
         return 0.0
     n_blocks = min(20, n)
     means = np.array([b.mean() for b in np.array_split(series, n_blocks)])
-    if n_blocks < 2:
-        return 0.0
     return float(means.std(ddof=1) / math.sqrt(n_blocks))
 
 
@@ -598,8 +595,6 @@ def multisamplability_profile(h: HamiltonianInstance, q, n: int, eps: float,
 
 
 def _require_corner(h: HamiltonianInstance):
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError("enumeration needs the coefficient-tensor backend")
     if any(d != 1 for d in h.layout.sizes):
         raise ValueError("enumeration requires every species to have one coordinate")
 
@@ -750,8 +745,6 @@ def _quadrature_value(h: HamiltonianInstance, nodes_per_angle: int) -> float:
 def exact_fe_quadrature(h: HamiltonianInstance, nodes_per_angle: int) -> FreeEnergyEstimate:
     """Deterministic tensor-product quadrature of the free-energy integral
     for small blocks (each species size <= 3, at most 6 angular dimensions)."""
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError("quadrature needs the coefficient-tensor backend")
     if any(d > 3 for d in h.layout.sizes):
         raise ValueError("quadrature supports species blocks of size at most 3")
     if sum(d - 1 for d in h.layout.sizes) > 6:

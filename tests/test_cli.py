@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,16 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2),
     max_leaves=6) | st.integers(1, 40) | st.lists(st.integers(1, 5), min_size=2, max_size=2)
+
+
+# ground_state field values, bounded so that every run they allow stays
+# small; each field is valid about half of the time
+SMALL_NUMBERS = st.integers(-2, 6) | st.floats(-1.0, 1.5)
+GROUND_STATE_FIELDS = {
+    "q": (st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2)
+          | st.lists(SMALL_NUMBERS, max_size=3)),
+    **{name: st.integers(1, 6) | SMALL_NUMBERS for name in ("restarts", "max_iters", "seeds")},
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -358,6 +370,16 @@ class TestCommands:
         assert [float(r[0]) for r in rows] == [3.0, 3.0, 0.6, 0.6]
         assert all(int(r[4]) > 0 for r in rows[2:])
         assert scored["mean_of_log"] == pytest.approx(np.mean([float(r[2]) for r in rows[2:]]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({}, optional=GROUND_STATE_FIELDS))
+    def test_mutated_ground_state_runs_or_exits_2(self, fields):
+        doc = corner_doc()
+        doc["ground_state"].update(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            code = main(["ground-state", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2)
 
     def test_outputs_do_not_depend_on_workers(self, tmp_path):
         config = write_config(tmp_path, corner_doc())

@@ -8,12 +8,18 @@ import pytest
 from multispin.geometry import Configuration, sample_on_shell
 from multispin.hamiltonian import (
     COVARIANCE_BACKEND,
+    attach_external_field,
     build_instance,
     energy,
     energy_many,
     gradient,
 )
-from multispin.ground_state import ascend, eigen_oracle_2spin, gs_concentration_probe
+from multispin.ground_state import (
+    ascend,
+    ascend_many,
+    eigen_oracle_2spin,
+    gs_concentration_probe,
+)
 from multispin.mixture import Mixture, SpeciesLayout
 from multispin.thermo import exact_fe_quadrature
 
@@ -84,6 +90,55 @@ def test_batched_ascent_matches_restarts_run_alone(terms, sizes, q, restarts, ma
     values = [v for v, _ in alone]
     assert res.best_restart == int(np.argmax(values))
     assert res.energy_per_spin * lay.n == pytest.approx(max(values), rel=1e-12)
+
+
+def _assert_same_ascent(res, alone):
+    assert res.energy_per_spin == alone.energy_per_spin
+    assert np.array_equal(res.maximizer.coords, alone.maximizer.coords)
+    assert res.iteration_counts == alone.iteration_counts
+    assert res.best_restart == alone.best_restart
+    assert res.converged_fraction == alone.converged_fraction
+
+
+@pytest.mark.parametrize("terms, sizes, q, field", [
+    ({(2, 1): 1.0, (1, 1): 0.5}, (1, 6), (0.3, 0.4), False),
+    ({(2, 1): 1.0, (0, 2): 0.5}, (5, 6), (0.5, 0.6), True),
+    ({(2, 1): 1.0, (1, 2): 1.0, (1, 1): 1.0}, (12, 12), (0.5, 0.5), False),
+])
+def test_grouped_ascent_matches_each_instance_alone(terms, sizes, q, field):
+    # every (instance, restart) row of the fixed-shape batch follows the path
+    # it follows alone, stopped rows included; one instance may carry a field
+    lay = SpeciesLayout(("a", "b"), sizes)
+    hs = [build_instance(Mixture.from_terms(terms), lay, seed=20 + k) for k in range(3)]
+    if field:
+        hs[1] = attach_external_field(hs[1], [0.2, 0.4], seed=9)
+    grouped = ascend_many(hs, q, 4, 60, [np.random.default_rng(40 + k) for k in range(3)])
+    assert len(grouped) == 3
+    for k, (h, res) in enumerate(zip(hs, grouped)):
+        _assert_same_ascent(res, ascend(h, q, 4, 60, np.random.default_rng(40 + k)))
+
+
+def test_tied_restarts_pick_the_lowest_index():
+    # H(x) = H(-x) for a pure even-degree model, so restarts reaching v and
+    # -v tie up to rounding; the pick is the first restart within 4 ulps of
+    # the best, whatever group the instance runs in
+    lay = SpeciesLayout(("s",), (8,))
+    other = build_instance(PURE_2SPIN, lay, seed=99)
+    for seed in range(6):
+        h = build_instance(PURE_2SPIN, lay, seed=seed)
+        res = ascend(h, [0.7], 8, 500, np.random.default_rng(seed))
+        assert res.converged_fraction == 1.0
+        assert res.best_restart == 0
+        assert res.energy_per_spin == pytest.approx(eigen_oracle_2spin(h, [0.7]), rel=1e-9)
+        grouped = ascend_many([other, h], [0.7], 8, 500,
+                              [np.random.default_rng(1), np.random.default_rng(seed)])
+        _assert_same_ascent(grouped[1], res)
+
+
+def test_ascend_many_needs_one_generator_per_instance():
+    h = build_instance(PURE_2SPIN, SpeciesLayout(("s",), (8,)), seed=5)
+    with pytest.raises(ValueError):
+        ascend_many([h, h], [0.5], 2, 10, [np.random.default_rng(0)])
 
 
 def test_zero_hamiltonian_gives_zero_energy():

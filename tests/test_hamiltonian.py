@@ -20,6 +20,7 @@ from multispin.hamiltonian import (
     gradient,
     gradient_many,
     group_energies,
+    group_gradients,
     lipschitz_ratio,
     load_instance,
     realize_on_points,
@@ -465,6 +466,8 @@ def test_group_energies_match_each_instance():
     grouped = group_energies(stack_instances(hs), coords)
     for k, h in enumerate(hs):
         assert np.array_equal(grouped[k], energy_many(h, coords[k]))
+    assert all(np.array_equal(g, gradient_many(h, c)) for g, h, c in
+               zip(group_gradients(stack_instances(hs), coords), hs, coords))
     other = build_instance(Mixture.from_terms({(1, 1): 1.0}), lay, seed=1)
     with pytest.raises(ValueError):
         stack_instances([hs[0], other])
@@ -488,6 +491,25 @@ def test_repeated_instance_group_shares_blocks():
         grouped = group_energies(stack_instances([inst] * 3), coords)
         for k in range(3):
             assert np.array_equal(grouped[k], energy_many(inst, coords[k]))
+        assert all(np.array_equal(g, gradient_many(inst, c)) for g, c in
+                   zip(group_gradients(stack_instances([inst] * 3), coords), coords))
+
+
+def test_group_gradients_match_central_differences():
+    # each instance of a group differentiates its own energies, and only the
+    # field-attached one carries the field's constant gradient
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    hs = [build_instance(mix, lay, seed=70),
+          attach_external_field(build_instance(mix, lay, seed=71), [0.2, 0.4], seed=9)]
+    group = stack_instances(hs)
+    coords = np.random.default_rng(3).standard_normal((2, 2, lay.n))
+    grads = group_gradients(group, coords)
+    step = 1e-5
+    for i in range(lay.n):
+        e = step * np.eye(lay.n)[i]
+        fd = (group_energies(group, coords + e) - group_energies(group, coords - e)) / (2 * step)
+        np.testing.assert_allclose(grads[..., i], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_build_streams_the_dense_draw():

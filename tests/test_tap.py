@@ -7,6 +7,7 @@ import pytest
 
 from multispin import tap
 from multispin.geometry import uniform_overlap_tail
+from multispin.ground_state import ascend
 from multispin.hamiltonian import block_entries, build_instance
 from multispin.mixture import (
     Mixture,
@@ -14,7 +15,9 @@ from multispin.mixture import (
     log_volume_term,
     onsager_term,
     scale_mixture,
+    xi_q,
 )
+from multispin.seeding import derive_seed
 from multispin.tap import (
     EstimatorConfig,
     TapReport,
@@ -185,3 +188,81 @@ def test_grouped_ti_matches_one_instance_at_a_time(terms, sizes, split, monkeypa
         assert est.std_error == alone.std_error
         assert est.meta["accept_rates"] == alone.meta["accept_rates"]
         assert est.meta["swap_rates"] == alone.meta["swap_rates"]
+
+
+@pytest.mark.parametrize("terms, sizes", [
+    ({(1, 1): 1.0}, (4, 4)),
+    ({(2, 1): 1.0, (1, 1): 0.5}, (1, 6)),
+    ({(2, 0): 0.5, (1, 1): 1.0}, (3, 2)),
+])
+@pytest.mark.parametrize("split", [False, True])
+def test_grouped_gs_pass_matches_one_instance_at_a_time(terms, sizes, split, monkeypatch):
+    xi = Mixture.from_terms(terms)
+    lay = SpeciesLayout(("a", "b"), sizes)
+    cfg = EstimatorConfig(restarts=3, max_iters=40, master_seed=5)
+    qv = np.array([0.3, 0.4])
+    groups, results = [], []
+    grouped_ascent = tap.ascend_many
+
+    def spy(hs, *args):
+        out = grouped_ascent(hs, *args)
+        groups.append(len(hs))
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(tap, "ascend_many", spy)
+    if split:  # room for two instances per group
+        monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP", 2 * block_entries(xi, lay) + 1)
+    _, mean, _, _ = tap._over_seeds(xi, lay, "tap-base", cfg, 5, np.random.default_rng(8),
+                                    fe=False, qv=qv)
+    assert groups == ([2, 2, 1] if split else [5])
+    streams = np.random.default_rng(8).spawn(5)
+    for i, (res, stream) in enumerate(zip(results, streams)):
+        h = build_instance(xi, lay, seed=derive_seed(cfg.master_seed, "tap-base", i))
+        alone = ascend(h, qv, cfg.restarts, cfg.max_iters, stream)
+        assert res.energy_per_spin == alone.energy_per_spin
+        assert np.array_equal(res.maximizer.coords, alone.maximizer.coords)
+        assert res.iteration_counts == alone.iteration_counts
+        assert res.best_restart == alone.best_restart
+    assert mean == np.mean([res.energy_per_spin for res in results])
+
+
+def test_tap_evaluate_builds_each_instance_once(monkeypatch):
+    # lhs and gs share the "tap-base" instances; fq draws its own
+    built = []
+    build = tap.build_instance
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["seed"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(tap, "build_instance", counting)
+    lay = SpeciesLayout(("a", "b"), (2, 2))
+    xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.5})
+    cfg = EstimatorConfig(seeds=3, quadrature_nodes=6, restarts=2, max_iters=20,
+                          master_seed=3)
+    tap_evaluate(xi, lay, [0.2, 0.3], cfg)
+    assert len(built) == 2 * cfg.seeds
+    assert len(set(built)) == len(built)
+
+
+def test_tap_evaluate_stream_layout():
+    # lhs, gs and fq take the generator's first, second and third spawn of
+    # one stream per seed, and lhs and gs read the same "tap-base" instances
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.5})
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.5, 1.0), sweeps=30, seeds=3,
+                          restarts=2, max_iters=30, master_seed=6)
+    qv = np.array([0.3, 0.4])
+    rep = tap_evaluate(xi, lay, qv, cfg, rng=np.random.default_rng(5))
+    ref = np.random.default_rng(5)
+    lhs_streams, gs_streams, fq_streams = ref.spawn(3), ref.spawn(3), ref.spawn(3)
+    base = [derive_seed(6, "tap-base", i) for i in range(3)]
+    recentered = [derive_seed(6, "tap-recentered", i) for i in range(3)]
+    assert rep.lhs.meta["seed_values"] == [
+        est.value for est in fe_per_seed(xi, lay, cfg, base, lhs_streams)]
+    assert rep.gs == np.mean([
+        ascend(build_instance(xi, lay, seed=seed), qv, 2, 30, stream).energy_per_spin
+        for seed, stream in zip(base, gs_streams)])
+    assert rep.fq.meta["seed_values"] == [
+        est.value for est in fe_per_seed(xi_q(xi, qv), lay, cfg, recentered, fq_streams)]
