@@ -734,7 +734,7 @@ def cmd_ground_state(config: ExperimentConfig) -> int:
     seeds = range(params.seeds)
     results, oracles = [], []
     for group, streams in instance_groups(
-            config.mixture, config.layout,
+            [config.mixture] * params.seeds, config.layout,
             [derive_seed(config.master_seed, "ground-state", "instance", i) for i in seeds],
             [np.random.default_rng(derive_seed(config.master_seed, "ground-state", "mc", i))
              for i in seeds]):
@@ -776,21 +776,17 @@ def cmd_tap_scan(config: ExperimentConfig) -> int:
     params = config.tap_scan
     reports = tap_inequality_scan(config.mixture, config.layout, params.q_grid,
                                   _estimator_config(params, config.master_seed))
-    header = [f"q_{name}" for name in config.species] + [
-        "lhs", "lhs_std_error", "gs", "gs_std_error", "logvol",
-        "fq", "fq_std_error", "gap", "gap_std_error", "onsager", "flags"]
-    rows = []
-    for rep in reports:
-        rows.append(list(rep.q.values) + [
-            rep.lhs.value, rep.lhs.std_error, rep.gs, rep.gs_std_error,
-            rep.logvol, rep.fq.value, rep.fq.std_error, rep.gap,
-            rep.gap_std_error, rep.onsager, ";".join(rep.flags)])
+    records = [rep.to_record() for rep in reports]
+    fields = [name for name in records[0] if name not in ("q", "flags")]
+    header = [f"q_{name}" for name in config.species] + fields + ["flags"]
+    rows = [rec["q"] + [rec[name] for name in fields] + [";".join(rec["flags"])]
+            for rec in records]
     out = _out_dir(config)
     _write_csv(out / "tap_scan.csv", header, rows)
     best = candidate_multisamplable(reports)
     violations = sum("tap-inequality-violated" in rep.flags for rep in reports)
     _write_json(out / "tap_scan.json", {
-        "reports": [rep.to_record() for rep in reports],
+        "reports": records,
         "candidate": best.to_record(),
         "violations": violations,
     })

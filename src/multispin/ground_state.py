@@ -200,8 +200,7 @@ def eigen_oracle_2spin(h: HamiltonianInstance, q) -> float:
 
 def gs_concentration_probe(xi: Mixture, layout: SpeciesLayout, q, seeds: int,
                            scale_factors=(1, 2, 4), restarts: int = 4,
-                           max_iters: int = 200, statistic=None,
-                           master_seed: int = 0) -> dict:
+                           max_iters: int = 200, statistic=None) -> dict:
     """Disorder-concentration report: empirical variance of a per-spin
     statistic (ascent energy by default) across seeds, at the base layout
     scaled by each factor; N * variance should stay within a constant band.

@@ -145,18 +145,26 @@ def resolve_fe_method(method: str, layout: SpeciesLayout) -> str:
     return method
 
 
-def instance_groups(xi: Mixture, layout: SpeciesLayout, instance_seeds, *per_seed):
-    """Build the instance of each seed, in consecutive groups whose stacked
-    blocks hold at most _BATCH_ELEMENT_CAP entries (a larger instance forms
-    a group of one).  Yields each group, followed by the matching slice of
-    every per-seed list in per_seed."""
-    size = max(1, _BATCH_ELEMENT_CAP // max(1, block_entries(xi, layout)))
-    for lo in range(0, len(instance_seeds), size):
-        yield ([build_instance(xi, layout, seed=seed) for seed in instance_seeds[lo:lo + size]],
-               *(items[lo:lo + size] for items in per_seed))
+def instance_groups(xis, layout: SpeciesLayout, instance_seeds, *per_seed):
+    """Build the instance of mixture xis[i] at instance_seeds[i] for each row
+    i, in consecutive groups of rows whose mixtures share term keys and whose
+    stacked blocks hold at most _BATCH_ELEMENT_CAP entries (a larger instance
+    forms a group of one).  Yields each group, followed by the matching slice
+    of every per-row list in per_seed."""
+    lo = 0
+    while lo < len(instance_seeds):
+        size = max(1, _BATCH_ELEMENT_CAP // max(1, block_entries(xis[lo], layout)))
+        hi = lo + 1
+        while hi < min(lo + size, len(instance_seeds)) and xis[hi].degrees == xis[lo].degrees:
+            hi += 1
+        yield ([build_instance(xi, layout, seed=seed)
+                for xi, seed in zip(xis[lo:hi], instance_seeds[lo:hi])],
+               *(items[lo:hi] for items in per_seed))
+        lo = hi
 
 
-def _fe_group(group, method: str, config: EstimatorConfig, streams) -> list[FreeEnergyEstimate]:
+def _fe_group(group, config: EstimatorConfig, streams) -> list[FreeEnergyEstimate]:
+    method = resolve_fe_method(config.method, group[0].layout)
     if method == "ti":
         return fe_thermo_integration_many(group, np.asarray(config.beta_grid),
                                           config.sweeps, streams)
@@ -170,15 +178,11 @@ def fe_per_seed(xi: Mixture, layout: SpeciesLayout, config: EstimatorConfig,
                 streams: list[np.random.Generator]) -> list[FreeEnergyEstimate]:
     """Free energy of the instance drawn from each seed, by config.method
     resolved for the layout; thermodynamic integration of instance i uses
-    generator streams[i].
-
-    Instances come in the groups of instance_groups, and the tempered chains
-    of a group run together.  Each estimate equals the one its instance gets
-    on its own.
-    """
-    method = resolve_fe_method(config.method, layout)
-    return [est for group, group_streams in instance_groups(xi, layout, instance_seeds, streams)
-            for est in _fe_group(group, method, config, group_streams)]
+    generator streams[i].  The tempered chains of a group of instance_groups
+    run together, and each estimate equals the one its instance gets alone."""
+    return [est for group, group_streams in instance_groups(
+                [xi] * len(instance_seeds), layout, instance_seeds, streams)
+            for est in _fe_group(group, config, group_streams)]
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -187,96 +191,105 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), se
 
 
-def _over_seeds(xi: Mixture, layout: SpeciesLayout, label: str, config: EstimatorConfig,
-                seeds: int, rng: np.random.Generator, fe: bool = True, qv=None):
-    """Disorder averages over the instances of seeds (master_seed, label, i),
-    each built once: the free energy when fe (SE from the scatter of per-seed
-    estimates, which already carries any MC noise), and the per-spin shell
-    ground state at qv when given (exhaustive on single-coordinate species
-    blocks, one grouped ascent per group otherwise), on streams spawned
-    after the free-energy ones.  Returns (fe or None, gs mean, SE, flags)."""
+def _over_seeds(xis, layout: SpeciesLayout, label: str, config: EstimatorConfig, seeds: int,
+                fe_streams=None, qs=(), gs_streams=()):
+    """One pass over rows r = j * seeds + i, the instance of mixture xis[j]
+    at seed (master_seed, label, i), each built once in the groups of
+    instance_groups.  Returns the disorder average of each mixture's free
+    energy when fe_streams is given (row r on fe_streams[r]; SE from the
+    scatter of per-seed estimates, which carries any MC noise), and for each
+    overlap qs[k] the (mean, SE, per-row values, flags) of the per-spin shell
+    ground state (row r on gs_streams[k][r]; exhaustive on single-coordinate
+    species blocks, one grouped ascent per group and overlap otherwise)."""
     instance_seeds = [derive_seed(config.master_seed, label, i) for i in range(seeds)]
-    fe_streams = rng.spawn(seeds) if fe else [None] * seeds
-    gs_streams = [None] * seeds if qv is None else rng.spawn(seeds)
-    method = resolve_fe_method(config.method, layout) if fe else None
-    estimates, values, flags = [], [], set()
-    for group, group_fe_streams, streams in instance_groups(
-            xi, layout, instance_seeds, fe_streams, gs_streams):
-        if fe:
-            estimates += _fe_group(group, method, config, group_fe_streams)
-        if qv is not None and all(d == 1 for d in layout.sizes):
-            values += [exact_gs_enumeration(h, qv) for h in group]
-        elif qv is not None:
+    exact = all(d == 1 for d in layout.sizes)
+    estimates, values, flags = [], [[] for _ in qs], [set() for _ in qs]
+    for group, group_fe_streams, *group_gs_streams in instance_groups(
+            [xi for xi in xis for _ in range(seeds)], layout, instance_seeds * len(xis),
+            fe_streams or [None] * (len(xis) * seeds), *gs_streams):
+        if fe_streams is not None:
+            estimates += _fe_group(group, config, group_fe_streams)
+        for qv, streams, row_values, row_flags in zip(qs, group_gs_streams, values, flags):
+            if exact:
+                row_values += [exact_gs_enumeration(h, qv) for h in group]
+                continue
             for res in ascend_many(group, qv, config.restarts, config.max_iters, streams):
-                values.append(res.energy_per_spin)
+                row_values.append(res.energy_per_spin)
                 if res.converged_fraction < 0.5:
-                    flags.add("gs-poor-convergence")
-    fe_values = [est.value for est in estimates]
-    average = FreeEnergyEstimate(*_mean_se(fe_values), estimates[-1].method, {
-        "seed_values": fe_values,
-        "instance_seeds": instance_seeds,
-        "mean_mc_std_error": float(np.mean([est.std_error for est in estimates])),
-        "flags": sorted({f for est in estimates for f in est.meta.get("flags", [])}),
-    }) if fe else None
-    return (average, *(_mean_se(values) if qv is not None else (None, None)), sorted(flags))
+                    row_flags.add("gs-poor-convergence")
+    averages = []
+    for chunk in (estimates[lo:lo + seeds] for lo in range(0, len(estimates), seeds)):
+        fe_values = [est.value for est in chunk]
+        averages.append(FreeEnergyEstimate(*_mean_se(fe_values), chunk[-1].method, {
+            "seed_values": fe_values,
+            "instance_seeds": instance_seeds,
+            "mean_mc_std_error": float(np.mean([est.std_error for est in chunk])),
+            "flags": sorted({f for est in chunk for f in est.meta.get("flags", [])}),
+        }))
+    return averages, [(*_mean_se(v), v, sorted(f)) for v, f in zip(values, flags)]
+
+
+def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfig,
+              seeds: int, rngs) -> list[TapReport]:
+    """The decomposition at every overlap q_grid[k]; rngs[k] spawns 3 * seeds
+    streams, whose thirds drive lhs, gs and fq.  One pass builds each
+    "tap-base" instance once: lhs, which does not depend on q, runs on point
+    0's first third and every report shares it, and gs runs at every
+    overlap.  fq is one pass over (overlap, seed) rows.  lhs and gs read the
+    same instances, so the gap's SE pairs them per seed (lhs_i - gs_i)."""
+    qvs = [require_shell_overlap(q, layout.n_species) for q in q_grid]
+    if not qvs:
+        return []
+    if seeds < 2:
+        raise ValueError("need at least 2 disorder seeds")
+    streams = [rng.spawn(3 * seeds) for rng in rngs]
+    [lhs], gs_passes = _over_seeds([xi], layout, "tap-base", config, seeds, streams[0][:seeds],
+                                   qvs, [s[seeds:2 * seeds] for s in streams])
+    fqs, _ = _over_seeds([xi_q(xi, qv) for qv in qvs], layout, "tap-recentered", config, seeds,
+                         [stream for s in streams for stream in s[2 * seeds:]])
+    reports = []
+    for qv, (gs, gs_se, gs_values, gs_flags), fq in zip(qvs, gs_passes, fqs):
+        logvol = log_volume_term(layout, qv)
+        paired_se = _mean_se([a - b for a, b in zip(lhs.meta["seed_values"], gs_values)])[1]
+        reports.append(TapReport(
+            q=OverlapVector(tuple(qv)), lhs=lhs, gs=gs, gs_std_error=gs_se,
+            logvol=logvol, fq=fq, gap=lhs.value - gs - logvol - fq.value,
+            gap_std_error=math.sqrt(paired_se**2 + fq.std_error**2),
+            onsager=onsager_term(xi, qv),
+            flags=tuple(sorted(set(lhs.meta["flags"]) | set(fq.meta["flags"]) | set(gs_flags)))))
+    return reports
 
 
 def tap_evaluate(xi: Mixture, layout: SpeciesLayout, q, config: EstimatorConfig,
                  seeds: int | None = None,
                  rng: np.random.Generator | None = None) -> TapReport:
-    """Evaluate the free-energy decomposition at one overlap.
-
-    lhs averages the full-mixture free energy over disorder seeds; gs
-    averages the shell ground state (exhaustive when species blocks are
-    single coordinates, ascent otherwise); fq averages the free energy of
-    the recentered mixture over its own independent disorder.
-    """
-    qv = require_shell_overlap(q, layout.n_species)
-    seeds = config.seeds if seeds is None else seeds
-    if seeds < 2:
-        raise ValueError("need at least 2 disorder seeds")
+    """Evaluate the free-energy decomposition at one overlap, the one-overlap
+    case of the pass tap_inequality_scan runs over its grid: lhs averages the
+    full-mixture free energy over disorder seeds, gs the shell ground state
+    of the same instances, and fq the free energy of the recentered mixture
+    over its own independent disorder."""
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.master_seed, "tap-mc"))
-    lhs, gs, gs_se, gs_flags = _over_seeds(xi, layout, "tap-base", config, seeds, rng, qv=qv)
-    logvol = log_volume_term(layout, qv)
-    fq = _over_seeds(xi_q(xi, qv), layout, "tap-recentered", config, seeds, rng)[0]
-    gap = lhs.value - gs - logvol - fq.value
-    gap_se = math.sqrt(lhs.std_error**2 + gs_se**2 + fq.std_error**2)
-    flags = sorted(set(lhs.meta["flags"]) | set(fq.meta["flags"]) | set(gs_flags))
-    return TapReport(
-        q=OverlapVector(tuple(qv)),
-        lhs=lhs,
-        gs=gs,
-        gs_std_error=gs_se,
-        logvol=logvol,
-        fq=fq,
-        gap=gap,
-        gap_std_error=gap_se,
-        onsager=onsager_term(xi, qv),
-        flags=tuple(flags),
-    )
+    return _tap_pass(xi, layout, [q], config, config.seeds if seeds is None else seeds,
+                     [rng])[0]
 
 
 def tap_inequality_scan(xi: Mixture, layout: SpeciesLayout, q_grid,
                         config: EstimatorConfig) -> list[TapReport]:
-    """Evaluate the decomposition over a grid of overlaps and flag genuine
-    violations of lhs >= gs + logvol + fq.
+    """Evaluate the decomposition over a grid of overlaps, point k on seed
+    (master_seed, "tap-scan", k), and flag genuine violations of
+    lhs >= gs + logvol + fq.
 
     The ascent ground state is a lower bound, which only under-states the
     right side, so gap < -(3 SE + allowance) cannot be explained by local
     search and is flagged.
     """
-    reports = []
-    for k, q in enumerate(q_grid):
-        rng = np.random.default_rng(derive_seed(config.master_seed, "tap-scan", k))
-        report = tap_evaluate(xi, layout, q, config, rng=rng)
-        tol = 3.0 * report.gap_std_error + config.gs_bias_allowance
-        if report.gap < -tol:
-            report = dataclasses.replace(
-                report,
-                flags=tuple(sorted(set(report.flags) | {"tap-inequality-violated"})))
-        reports.append(report)
-    return reports
+    q_grid = list(q_grid)
+    rngs = [np.random.default_rng(derive_seed(config.master_seed, "tap-scan", k))
+            for k in range(len(q_grid))]
+    return [dataclasses.replace(r, flags=tuple(sorted({*r.flags, "tap-inequality-violated"})))
+            if r.gap < -(3.0 * r.gap_std_error + config.gs_bias_allowance) else r
+            for r in _tap_pass(xi, layout, q_grid, config, config.seeds, rngs)]
 
 
 def candidate_multisamplable(reports: list[TapReport]) -> TapReport:
@@ -292,8 +305,8 @@ def onsager_check(xi: Mixture, layout: SpeciesLayout, q_star,
     (1/2) xi_{q*}(1); the two agree at a maximal multi-samplable overlap."""
     qv = require_shell_overlap(q_star, layout.n_species)
     rng = np.random.default_rng(derive_seed(config.master_seed, "onsager"))
-    fq = _over_seeds(xi_q(xi, qv), layout, "onsager-recentered", config,
-                     config.seeds, rng)[0]
+    [fq], _ = _over_seeds([xi_q(xi, qv)], layout, "onsager-recentered", config,
+                          config.seeds, rng.spawn(config.seeds))
     predicted = onsager_term(xi, qv)
     difference = fq.value - predicted
     return {
@@ -350,13 +363,14 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
         default=0.0)
 
     seeds = config.seeds
-    rng = np.random.default_rng(derive_seed(config.master_seed, "nesting"))
-    _, gs_q, se_q, fl1 = _over_seeds(xi, layout, "tap-base", config, seeds, rng,
-                                     fe=False, qv=qv)
-    _, gs_qp, se_qp, fl2 = _over_seeds(xi_at_q, layout, "tap-base", config, seeds, rng,
-                                       fe=False, qv=qp)
-    _, gs_qhat, se_hat, fl3 = _over_seeds(xi, layout, "tap-base", config, seeds, rng,
-                                          fe=False, qv=qhat.as_array())
+    streams = np.random.default_rng(derive_seed(config.master_seed, "nesting")).spawn(3 * seeds)
+    # gs at q and at q-hat read the same instances of xi, so they share a pass
+    _, [(gs_q, se_q, _, fl1), (gs_qhat, se_hat, _, fl3)] = _over_seeds(
+        [xi], layout, "tap-base", config, seeds, qs=[qv, qhat.as_array()],
+        gs_streams=[streams[:seeds], streams[2 * seeds:]])
+    _, [(gs_qp, se_qp, _, fl2)] = _over_seeds(
+        [xi_at_q], layout, "tap-base", config, seeds, qs=[qp],
+        gs_streams=[streams[seeds:2 * seeds]])
     lhs = gs_q + gs_qp
     se = math.sqrt(se_q**2 + se_qp**2 + se_hat**2)
     slack = 3.0 * se + config.gs_bias_allowance

@@ -64,6 +64,19 @@ GROUND_STATE_FIELDS = {
     **{name: st.integers(1, 6) | SMALL_NUMBERS for name in ("restarts", "max_iters", "seeds")},
 }
 
+# tap_scan field values, bounded the same way: at most 3 overlaps, 6 seeds,
+# 4 betas, 6 sweeps, 6 quadrature nodes and 6 ascent iterations per restart
+SMALL_INTS = st.integers(1, 6) | SMALL_NUMBERS
+TAP_SCAN_FIELDS = {
+    "q_grid": st.lists(GROUND_STATE_FIELDS["q"], max_size=3) | SMALL_NUMBERS,
+    "method": st.sampled_from(["auto", "enumeration", "quadrature", "ti", "x"]) | SMALL_NUMBERS,
+    "beta_grid": (st.lists(st.floats(-0.5, 1.5), max_size=4)
+                  | st.sampled_from([[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5]]) | SMALL_NUMBERS),
+    **{name: SMALL_INTS
+       for name in ("sweeps", "quadrature_nodes", "seeds", "restarts", "max_iters")},
+    "gs_bias_allowance": SMALL_NUMBERS,
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -380,6 +393,16 @@ class TestCommands:
             config = write_config(Path(tmp), doc)
             code = main(["ground-state", "--config", str(config), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({}, optional=TAP_SCAN_FIELDS))
+    def test_mutated_tap_scan_runs_or_exits_with_a_code(self, fields):
+        doc = corner_doc()
+        doc["tap_scan"].update(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            code = main(["tap-scan", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
 
     def test_outputs_do_not_depend_on_workers(self, tmp_path):
         config = write_config(tmp_path, corner_doc())

@@ -213,8 +213,8 @@ def test_grouped_gs_pass_matches_one_instance_at_a_time(terms, sizes, split, mon
     monkeypatch.setattr(tap, "ascend_many", spy)
     if split:  # room for two instances per group
         monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP", 2 * block_entries(xi, lay) + 1)
-    _, mean, _, _ = tap._over_seeds(xi, lay, "tap-base", cfg, 5, np.random.default_rng(8),
-                                    fe=False, qv=qv)
+    _, [(mean, _, _, _)] = tap._over_seeds([xi], lay, "tap-base", cfg, 5, qs=[qv],
+                                           gs_streams=[np.random.default_rng(8).spawn(5)])
     assert groups == ([2, 2, 1] if split else [5])
     streams = np.random.default_rng(8).spawn(5)
     for i, (res, stream) in enumerate(zip(results, streams)):
@@ -266,3 +266,102 @@ def test_tap_evaluate_stream_layout():
         for seed, stream in zip(base, gs_streams)])
     assert rep.fq.meta["seed_values"] == [
         est.value for est in fe_per_seed(xi_q(xi, qv), lay, cfg, recentered, fq_streams)]
+
+
+def test_paired_gap_std_error():
+    # lhs and gs read the same instances, so the gap's SE pairs them per seed
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.5})
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.5, 1.0), sweeps=30, seeds=4,
+                          restarts=2, max_iters=30, master_seed=6)
+    qv = np.array([0.3, 0.4])
+    rep = tap_evaluate(xi, lay, qv, cfg, rng=np.random.default_rng(5))
+    gs_streams = np.random.default_rng(5).spawn(12)[4:8]
+    gs_values = [ascend(build_instance(xi, lay, seed=derive_seed(6, "tap-base", i)),
+                        qv, 2, 30, stream).energy_per_spin
+                 for i, stream in enumerate(gs_streams)]
+    diffs = np.subtract(rep.lhs.meta["seed_values"], gs_values)
+    paired = diffs.std(ddof=1) / math.sqrt(len(diffs))
+    assert rep.gap_std_error == math.sqrt(paired**2 + rep.fq.std_error**2)
+    assert rep.gap_std_error != math.sqrt(
+        rep.lhs.std_error**2 + rep.gs_std_error**2 + rep.fq.std_error**2)
+
+
+def test_scan_point_is_tap_evaluate_with_its_generator():
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    xi = Mixture.from_terms({(2, 1): 1.0})
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.5, 1.0), sweeps=30, seeds=3,
+                          restarts=2, max_iters=30, master_seed=4)
+    grid = [(0.0, 0.3), (0.3, 0.3), (0.5, 0.2)]
+    reports = tap_inequality_scan(xi, lay, grid, cfg)
+    for k, (q, rep) in enumerate(zip(grid, reports)):
+        alone = tap_evaluate(xi, lay, q, cfg,
+                             rng=np.random.default_rng(derive_seed(4, "tap-scan", k)))
+        assert (rep.gs, rep.gs_std_error) == (alone.gs, alone.gs_std_error)
+        assert rep.fq == alone.fq
+        assert rep.lhs == reports[0].lhs
+    assert reports[0].lhs == tap_evaluate(
+        xi, lay, grid[0], cfg, rng=np.random.default_rng(derive_seed(4, "tap-scan", 0))).lhs
+
+
+def _count_builds(monkeypatch):
+    built = []
+    build = tap.build_instance
+
+    def counting(*args, **kwargs):
+        built.append((args[0], kwargs["seed"]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(tap, "build_instance", counting)
+    return built
+
+
+def test_scan_builds_each_base_instance_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    lay = SpeciesLayout(("a", "b"), (2, 2))
+    xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.5})
+    cfg = EstimatorConfig(seeds=3, quadrature_nodes=6, restarts=2, max_iters=20,
+                          master_seed=3)
+    grid = [(0.2, 0.3), (0.5, 0.1), (0.0, 0.4), (0.6, 0.6)]
+    tap_inequality_scan(xi, lay, grid, cfg)
+    assert len(built) == (1 + len(grid)) * cfg.seeds
+    base = [derive_seed(3, "tap-base", i) for i in range(cfg.seeds)]
+    assert [seed for mix, seed in built if mix is xi] == base
+
+
+def test_nesting_builds_each_instance_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    nesting_experiment(CORNER_MIX, CORNER, [0.3, 0.2], [0.4, 0.5], CONFIG)
+    assert len(built) == 2 * CONFIG.seeds
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_fq_rows_group_across_overlaps(split, monkeypatch):
+    # (2,1) recentered at (0, q_b) keeps keys {(2,0),(2,1)}; at (0.3, 0.3)
+    # it gains (1,1), so the rows of the last overlap start a new group
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    xi = Mixture.from_terms({(2, 1): 1.0})
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.5, 1.0), sweeps=30, seeds=3,
+                          restarts=1, max_iters=10, master_seed=8)
+    grid = [(0.0, 0.3), (0.0, 0.5), (0.3, 0.3)]
+    fq_groups = []
+    grouped_ti = tap.fe_thermo_integration_many
+
+    def spy(hs, *args):
+        if hs[0].mixture.degrees != xi.degrees:  # not the lhs pass
+            fq_groups.append([h.mixture.degrees for h in hs])
+        return grouped_ti(hs, *args)
+
+    monkeypatch.setattr(tap, "fe_thermo_integration_many", spy)
+    if split:  # room for two of the largest recentered instances per group
+        monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP",
+                            2 * block_entries(xi_q(xi, grid[2]), lay) + 1)
+    reports = tap_inequality_scan(xi, lay, grid, cfg)
+    assert [len(g) for g in fq_groups] == ([2, 2, 2, 2, 1] if split else [6, 3])
+    assert all(len(set(g)) == 1 for g in fq_groups)
+    for k, (q, rep) in enumerate(zip(grid, reports)):
+        streams = np.random.default_rng(derive_seed(8, "tap-scan", k)).spawn(9)[6:]
+        for i, stream in enumerate(streams):
+            h = build_instance(xi_q(xi, q), lay, seed=derive_seed(8, "tap-recentered", i))
+            alone = fe_thermo_integration(h, cfg.beta_grid, cfg.sweeps, stream)
+            assert rep.fq.meta["seed_values"][i] == alone.value
