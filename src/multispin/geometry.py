@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .mixture import (
     OverlapVector,
@@ -265,6 +264,8 @@ def _log_cos_integral(d: int, c1: float, c2: float) -> float:
             return 0.0
         return math.exp((d - 2) * math.log(ct) - gm)
 
+    from scipy import integrate
+
     val, _ = integrate.quad(rel, t1, t2, limit=200)
     if val <= 0.0:
         return -np.inf
@@ -286,7 +287,7 @@ def _species_band_log_measure(d: int, q: float, delta: float) -> float:
     c1 = max((q - delta) / root, -1.0)
     c2 = min((q + delta) / root, 1.0)
     log_num = _log_cos_integral(d, c1, c2)
-    log_den = 0.5 * math.log(math.pi) + special.gammaln((d - 1) / 2) - special.gammaln(d / 2)
+    log_den = 0.5 * math.log(math.pi) + math.lgamma((d - 1) / 2) - math.lgamma(d / 2)
     return log_num - log_den
 
 
@@ -319,6 +320,8 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
     orthogonal part is an isotropic direction.  Raises if some species band
     is empty (possible when N_s = 1).
     """
+    from scipy import special
+
     layout = m.layout
     rm = m.self_overlap().as_array()
     coords = np.empty((k, layout.n))
@@ -366,6 +369,8 @@ def uniform_overlap_tail(d: int, tau: float) -> float:
         return 0.0
     if d == 1:
         return 1.0  # overlap is +-1
+    from scipy import special
+
     a = (d - 1) / 2.0
     return 2.0 * float(special.betaincc(a, a, (tau + 1) / 2))
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 from .geometry import (
     BandSpec,
@@ -373,16 +371,43 @@ def _block_std_error(series: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(n_blocks))
 
 
+@functools.lru_cache(maxsize=64)
+def _simpson_weights(grid: tuple) -> np.ndarray:
+    """Weights w with w @ y the composite Simpson integral of y over a grid
+    of at least 2 points, the rule of scipy.integrate.simpson: parabolic
+    panels for uneven spacing, and for an even point count panels over all
+    but the last interval plus Cartwright's correction for it (two points:
+    trapezoid)."""
+    h = np.diff(np.asarray(grid, dtype=float))
+    n = h.size + 1
+    w = np.zeros(n)
+    if n == 2:
+        w[:] = 0.5 * h[0]
+        return w
+    stop = n - 2 if n % 2 else n - 3
+    for k in range(0, stop, 2):
+        h0, h1 = h[k], h[k + 1]
+        hsum, ratio = h0 + h1, h0 / h1
+        w[k] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+        w[k + 1] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+        w[k + 2] += hsum / 6.0 * (2.0 - ratio)
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+        w[-2] += (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+        w[-3] -= h1**3 / (6 * h0 * (h0 + h1))
+    w.flags.writeable = False
+    return w
+
+
 def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
                         grid: np.ndarray) -> tuple[float, float]:
     """Simpson integral plus error: propagated node SEs through the Simpson
     weights, plus a grid-resolution term |Simpson - trapezoid|."""
     if grid.size == 1:
         return 0.0, 0.0
-    value = float(simpson(means, x=grid))
-    weights = np.array([
-        float(simpson(np.eye(grid.size)[k], x=grid)) for k in range(grid.size)
-    ])
+    weights = _simpson_weights(tuple(grid.tolist()))
+    value = float(weights @ means)
     mc_term = math.sqrt(float(np.sum((weights * ses) ** 2)))
     grid_term = abs(value - float(np.trapezoid(means, grid)))
     return value, mc_term + grid_term
@@ -594,6 +619,20 @@ def multisamplability_profile(h: HamiltonianInstance, q, n: int, eps: float,
     return multisamplability_record(h, q, n, eps, beta_grid, steps, rng)["value"]
 
 
+def _logsumexp(a) -> float:
+    """log sum exp(a) over every entry, as scipy.special.logsumexp computes
+    it: the terms at the maximum are split off and counted, the rest summed
+    through log1p.  -inf entries add nothing; all -inf gives -inf."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = a == top
+    count = int(np.count_nonzero(at_top))
+    rest = float(np.sum(np.exp(np.where(at_top, -np.inf, a) - top))) / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
 def _require_corner(h: HamiltonianInstance):
     if any(d != 1 for d in h.layout.sizes):
         raise ValueError("enumeration requires every species to have one coordinate")
@@ -605,7 +644,7 @@ def exact_fe_enumeration(h: HamiltonianInstance) -> FreeEnergyEstimate:
     _require_corner(h)
     n = h.layout.n
     energies = energy_many(h, sign_patterns(n))
-    value = (float(logsumexp(energies)) - n * math.log(2.0)) / n
+    value = (_logsumexp(energies) - n * math.log(2.0)) / n
     return FreeEnergyEstimate(value, 0.0, "enumeration",
                               {"n_configurations": int(2**n)})
 
@@ -631,7 +670,7 @@ def exact_restricted_fe_enumeration(h: HamiltonianInstance, m: Configuration,
     if not np.any(in_band):
         value = -math.inf
     else:
-        value = (float(logsumexp(centered[in_band])) - n * math.log(2.0)) / n
+        value = (_logsumexp(centered[in_band]) - n * math.log(2.0)) / n
     return FreeEnergyEstimate(value, 0.0, "enumeration",
                               {"n_configurations": int(in_band.sum())})
 
@@ -653,7 +692,7 @@ def _enum_constrained_logsum(centered: np.ndarray, allowed: np.ndarray, n_rep: i
     if n_rep == 2:
         pair = centered[:, None] + centered[None, :]
         masked = np.where(allowed, pair, -np.inf)
-        return float(logsumexp(masked.ravel()))
+        return _logsumexp(masked)
     total = -math.inf
     for tup in itertools.product(range(b), repeat=n_rep):
         ok = all(allowed[tup[i], tup[j]]
@@ -689,7 +728,7 @@ def exact_penalty_enumeration(h: HamiltonianInstance, spec: BandSpec) -> float:
         raise ValueError("empty band")
     allowed = _enum_pair_allowed(patterns, idx, q, spec.rho)
     log_joint = _enum_constrained_logsum(centered[idx], allowed, spec.n)
-    log_single = float(logsumexp(centered[idx]))
+    log_single = _logsumexp(centered[idx])
     return (log_joint - spec.n * log_single) / (h.layout.n * spec.n)
 
 
@@ -739,7 +778,7 @@ def _quadrature_value(h: HamiltonianInstance, nodes_per_angle: int) -> float:
     for lo in range(0, total, chunk):
         log_terms[lo:lo + chunk] = (
             logw[lo:lo + chunk] + energy_many(h, coords[lo:lo + chunk]))
-    return float(logsumexp(log_terms)) / layout.n
+    return _logsumexp(log_terms) / layout.n
 
 
 def exact_fe_quadrature(h: HamiltonianInstance, nodes_per_angle: int) -> FreeEnergyEstimate:

@@ -303,6 +303,18 @@ def test_criterion_12_log_volume_convergence():
            "|error| " + ", ".join(f"{e:.4f}" for e in errors))
 
 
+def test_fixed_width_band_volume_converges_to_the_widened_shell():
+    # the positive counterpart of criterion 12: at fixed delta the band
+    # measure tends to the widened-shell entropy (1/2) log(1 - (q-delta)^2/q),
+    # set by the band edge nearest the equator
+    q, delta = 0.5, 0.01
+    target = 0.5 * math.log(1.0 - (q - delta) ** 2 / q)
+    errors = [abs(log_band_volume(SpeciesLayout(("s",), (n,)), [q], delta) - target)
+              for n in (50, 100, 200, 400, 800, 1600)]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 0.003, errors
+
+
 def test_criterion_13_determinism_across_workers(tmp_path):
     doc = {
         "master_seed": 11,

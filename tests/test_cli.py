@@ -77,6 +77,32 @@ TAP_SCAN_FIELDS = {
     "gs_bias_allowance": SMALL_NUMBERS,
 }
 
+# free_energy and multisamp field values, bounded the same way: at most
+# 4 betas, 3 eps values, 4 replicas, 6 sweeps, 6 quadrature nodes and 6
+# seeds; each field is valid three times in four, so most runs get past the
+# parser and reach the estimators
+def mostly(valid, invalid=SMALL_NUMBERS):
+    return st.sampled_from([valid, valid, valid, invalid]).flatmap(lambda strategy: strategy)
+
+
+ASCENDING_BETAS = st.lists(st.floats(0.01, 1.5), min_size=1, max_size=3,
+                           unique=True).map(lambda b: [0.0] + sorted(b))
+FREE_ENERGY_FIELDS = {
+    "method": mostly(st.sampled_from(["auto", "enumeration", "quadrature", "ti"]),
+                     st.just("x") | SMALL_NUMBERS),
+    "beta_grid": mostly(ASCENDING_BETAS, TAP_SCAN_FIELDS["beta_grid"]),
+    **{name: mostly(st.integers(1, 6)) for name in ("sweeps", "quadrature_nodes", "seeds")},
+}
+MULTISAMP_FIELDS = {
+    "q": mostly(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+                st.lists(SMALL_NUMBERS, max_size=3) | SMALL_NUMBERS),
+    "n": mostly(st.integers(2, 4)),
+    "eps_grid": mostly(st.lists(st.floats(0.01, 2.5), min_size=1, max_size=3),
+                       st.lists(SMALL_NUMBERS, max_size=3) | SMALL_NUMBERS),
+    "beta_grid": mostly(ASCENDING_BETAS),
+    **{name: mostly(st.integers(1, 6)) for name in ("sweeps", "seeds")},
+}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -402,6 +428,26 @@ class TestCommands:
         with tempfile.TemporaryDirectory() as tmp:
             config = write_config(Path(tmp), doc)
             code = main(["tap-scan", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({}, optional=FREE_ENERGY_FIELDS))
+    def test_mutated_free_energy_runs_or_exits_with_a_code(self, fields):
+        doc = corner_doc()
+        doc["free_energy"].update(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            code = main(["free-energy", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({}, optional=MULTISAMP_FIELDS))
+    def test_mutated_multisamp_runs_or_exits_with_a_code(self, fields):
+        doc = corner_doc()
+        doc["multisamp"].update(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            code = main(["multisamp", "--config", str(config), "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2)
 
     def test_outputs_do_not_depend_on_workers(self, tmp_path):

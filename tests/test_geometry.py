@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from multispin.geometry import (
     BandSpec,
     Configuration,
+    _log_cos_integral,
     in_band,
     in_multi_band,
     load_configuration,
@@ -308,6 +310,19 @@ def test_log_band_volume_matches_hit_frequency():
     got = log_band_volume(lay, q, delta)
     se = math.sqrt(p_hat * (1 - p_hat) / 20000) / p_hat
     assert got * lay.n == pytest.approx(math.log(p_hat), abs=4 * se)
+
+
+def test_band_log_measure_normalizer_matches_gammaln_form():
+    # the sphere normalizer uses math.lgamma; per spin it agrees with the
+    # scipy gammaln form to rounding
+    for d in (2, 3, 8, 33, 200, 1600, 5000):
+        for q, delta in ((0.1, 0.5), (0.5, 0.01), (0.9, 0.15), (1.0, 0.15)):
+            root = math.sqrt(q)
+            c1, c2 = max((q - delta) / root, -1.0), min((q + delta) / root, 1.0)
+            want = (_log_cos_integral(d, c1, c2) - 0.5 * math.log(math.pi)
+                    - gammaln((d - 1) / 2) + gammaln(d / 2)) / d
+            got = log_band_volume(SpeciesLayout(("a",), (d,)), [q], delta)
+            assert abs(got - want) <= 1e-14
 
 
 def test_log_band_volume_discrete_species():

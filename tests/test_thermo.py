@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.special import logsumexp
 
 from multispin.geometry import (
@@ -23,6 +24,8 @@ from multispin.hamiltonian import (
 from multispin.mixture import Mixture, SpeciesLayout, xi_q
 from multispin.thermo import (
     FreeEnergyEstimate,
+    _logsumexp,
+    _simpson_weights,
     _run_chains,
     _run_group,
     exact_fe_enumeration,
@@ -217,6 +220,30 @@ def test_pt_flags_poor_swap_rate():
 
 
 # --- thermodynamic integration ----------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 11, 12])
+@pytest.mark.parametrize("spacing", ["uniform", "uneven"])
+def test_simpson_weights_match_scipy(n, spacing):
+    grid = (np.linspace(0.0, 1.0, n) if spacing == "uniform"
+            else np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n)))
+    weights = _simpson_weights(tuple(grid.tolist()))
+    for k in range(n):
+        assert abs(weights[k] - simpson(np.eye(n)[k], x=grid)) <= 1e-15
+    y = np.random.default_rng(100 + n).normal(size=n)
+    assert weights @ y == pytest.approx(simpson(y, x=grid), abs=1e-14)
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(3).normal(size=40) * 30.0,
+    [-np.inf, 1.0, 2.0, -np.inf],
+    [2.5, 2.5, -1.0],
+    [7.0],
+    [-np.inf, -np.inf, -np.inf],
+    np.where(np.eye(4, dtype=bool), -np.inf, np.arange(16.0).reshape(4, 4)),
+])
+def test_logsumexp_matches_scipy(values):
+    assert _logsumexp(values) == pytest.approx(float(logsumexp(values)), rel=1e-15, abs=1e-15)
+
 
 def test_ti_beta_zero_grid_is_exactly_zero():
     h = corner_instance()
