@@ -647,7 +647,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
     def check_tap_bookkeeping():
         mix, lay = _suite_fixture_corner()
         cfg = EstimatorConfig(seeds=5, master_seed=derive_seed(seed, "verify", "tap"))
-        rep = tap_evaluate(mix, lay, [0.2, 0.3], cfg, seeds=5)
+        rep = tap_evaluate(mix, lay, [0.2, 0.3], cfg)
         gap = abs(rep.gap - (rep.lhs.value - rep.gs - rep.logvol - rep.fq.value))
         if gap > 1e-12:
             raise AssertionError(f"gap bookkeeping off by {gap:.3e}")

@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import Configuration, sample_on_shell, sign_patterns
 from .hamiltonian import (
     HamiltonianInstance,
-    TENSOR_BACKEND,
     build_instance,
     energy_many,
     group_energies,
@@ -181,8 +180,6 @@ def eigen_oracle_2spin(h: HamiltonianInstance, q) -> float:
     zero), the maximum is sqrt(N) lambda_max(sym A_ss) N_s q_s, by the
     Rayleigh principle; homogeneity makes it linear in q_s.
     """
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError("oracle needs the coefficient-tensor backend")
     terms = h.mixture.terms
     if len(terms) != 1:
         raise ValueError("oracle needs exactly one mixture term")
@@ -215,8 +212,7 @@ def gs_concentration_probe(xi: Mixture, layout: SpeciesLayout, q, seeds: int,
             return ascend(hh, qq, restarts, max_iters, rr).energy_per_spin
     sizes_report, variances, means = [], [], []
     for factor in scale_factors:
-        scaled = SpeciesLayout(layout.species,
-                               tuple(d * factor for d in layout.sizes))
+        scaled = layout.scaled(factor)
         values = []
         for seed in range(seeds):
             h = build_instance(xi, scaled, seed=seed)

@@ -1,12 +1,11 @@
 """Gaussian Hamiltonian realization with covariance N·xi(R(sigma, sigma')).
 
-Two backends share one instance type.  The coefficient-tensor backend holds
-one disorder block per mixture term p, of shape (N_{s_1}, ..., N_{s_k}) with
-its slots in canonical (sorted-species) order, so the energy and its
-Euclidean gradient are evaluable anywhere while only the index tuples of
-the term's species pattern are stored.  The covariance-factor backend never
-materializes coefficients; it samples exact joint values on finite point
-sets from the covariance matrix.
+A HamiltonianInstance holds one disorder block per mixture term p, of shape
+(N_{s_1}, ..., N_{s_k}) with its slots in canonical (sorted-species) order,
+so the energy and its Euclidean gradient are evaluable anywhere while only
+the index tuples of the term's species pattern are stored.  Separately,
+realize_on_points samples exact joint values on a finite point set from the
+covariance matrix, the law reference the instances are checked against.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, _unit_rows, overlap
+from .geometry import Configuration, _unit_rows, species_overlaps
 from .mixture import (
     Mixture,
     SpeciesLayout,
@@ -32,8 +31,6 @@ from .mixture import (
 )
 
 __all__ = [
-    "TENSOR_BACKEND",
-    "COVARIANCE_BACKEND",
     "DEFAULT_MEMORY_BUDGET",
     "ExternalField",
     "HamiltonianInstance",
@@ -57,8 +54,7 @@ __all__ = [
     "load_instance",
 ]
 
-TENSOR_BACKEND = "coefficient-tensor"
-COVARIANCE_BACKEND = "covariance-factor"
+_FORMAT = "coefficient-tensor"  # checkpoint format tag
 DEFAULT_MEMORY_BUDGET = 2**28  # dense disorder entries drawn across all terms
 
 # chunk staged batch contractions so intermediates stay below ~2^24 floats
@@ -148,9 +144,8 @@ class HamiltonianInstance:
 
     mixture: Mixture
     layout: SpeciesLayout
-    backend: str
     seed: int
-    tensors: tuple[np.ndarray, ...] = ()  # canonical blocks, aligned with mixture.terms
+    tensors: tuple[np.ndarray, ...]  # canonical blocks, aligned with mixture.terms
     field: ExternalField | None = None
     # coordinate slice of each block axis, per term; fixed at construction
     slot_slices: tuple[tuple[slice, ...], ...] = dataclasses.field(init=False, repr=False)
@@ -164,8 +159,6 @@ class HamiltonianInstance:
     def raw_disorder(self) -> tuple[np.ndarray, ...]:
         """The dense (N,)*k i.i.d. normals behind each block, redrawn from
         seed on every access."""
-        if self.backend != TENSOR_BACKEND:
-            return ()
         rng = np.random.default_rng(self.seed)
         return tuple(rng.standard_normal((self.layout.n,) * sum(p))
                      for p, _ in self.mixture.terms)
@@ -192,45 +185,31 @@ class HamiltonianInstance:
         return stack_instances([self])
 
 
-def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int,
-                   backend: str = TENSOR_BACKEND,
-                   budget: int = DEFAULT_MEMORY_BUDGET) -> HamiltonianInstance:
+def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int) -> HamiltonianInstance:
     """Draw the disorder for mixture xi on the given layout.
 
-    The tensor backend draws, per mixture term and in the fixed lexicographic
-    term order, a dense (N,)*k array of i.i.d. standard normals indexed by
-    the k coordinates, and keeps only its canonical block: the sum over the
+    Per mixture term and in the fixed lexicographic term order, the draw is
+    a dense (N,)*k array of i.i.d. standard normals indexed by the k
+    coordinates, of which only the canonical block is kept: the sum over the
     term's slot orderings of the matching sub-blocks, scaled by the
     per-pattern coefficient.  The draw is streamed, so it is never held
-    whole.  The covariance backend stores only (xi, layout, seed) and
-    realizes values lazily on point sets.
+    whole.  Models over DEFAULT_MEMORY_BUDGET dense entries are refused.
     """
     if xi.n_species != layout.n_species:
         raise ValueError(f"mixture has {xi.n_species} species, layout {layout.n_species}")
-    if backend == COVARIANCE_BACKEND:
-        return HamiltonianInstance(xi, layout, backend, int(seed))
-    if backend != TENSOR_BACKEND:
-        raise ValueError(f"unknown backend {backend!r}")
     cost = disorder_entries(xi, layout)
-    if cost > budget:
+    if cost > DEFAULT_MEMORY_BUDGET:
         raise ValueError(
-            f"disorder needs {cost} dense entries, over the budget of {budget}")
+            f"disorder needs {cost} dense entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
     rng = np.random.default_rng(int(seed))
     blocks = tuple(_draw_block(rng, layout, p, _tuple_scalar(layout, p, delta_sq))
                    for p, delta_sq in xi.terms)
-    return HamiltonianInstance(xi, layout, backend, int(seed), blocks)
-
-
-def _require_tensor(h: HamiltonianInstance):
-    if h.backend != TENSOR_BACKEND:
-        raise ValueError(
-            "covariance backend has no pointwise form; use realize_on_points")
+    return HamiltonianInstance(xi, layout, int(seed), blocks)
 
 
 def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
     """H(sigma) = sqrt(N) sum over terms of the block contracted with the
     species blocks of sigma, one per slot, plus any field."""
-    _require_tensor(h)
     if sigma.layout != h.layout:
         raise ValueError("configuration layout does not match instance")
     x = sigma.coords
@@ -248,11 +227,11 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InstanceGroup:
-    """Tensor-backend instances of one mixture on one layout, with each
-    term's blocks stacked once on a leading instance axis, so one batched
-    contraction evaluates every instance.  When every instance is the same
-    object the group holds views of its blocks with a leading axis of 1,
-    and the contractions broadcast them over the group's rows."""
+    """Instances of one mixture on one layout, with each term's blocks
+    stacked once on a leading instance axis, so one batched contraction
+    evaluates every instance.  When every instance is the same object the
+    group holds views of its blocks with a leading axis of 1, and the
+    contractions broadcast them over the group's rows."""
 
     size: int
     layout: SpeciesLayout
@@ -268,8 +247,6 @@ def stack_instances(hs) -> InstanceGroup:
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one instance")
-    for h in hs:
-        _require_tensor(h)
     first = hs[0]
     keys = [p for p, _ in first.mixture.terms]
     if any(h.layout != first.layout or [p for p, _ in h.mixture.terms] != keys
@@ -385,14 +362,12 @@ def factor_covariance(cov: np.ndarray) -> np.ndarray:
 def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> np.ndarray:
     """Sample (H(sigma_1)...H(sigma_M)) jointly with covariance N·xi(R),
     from the exact covariance matrix of the point set."""
-    h = build_instance(xi, layout, seed, backend=COVARIANCE_BACKEND)
     pts = list(points)
-    m = len(pts)
-    cov = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            cov[i, j] = cov[j, i] = layout.n * eval_mixture(xi, overlap(pts[i], pts[j]))
-    z = np.random.default_rng(h.seed).standard_normal(m)
+    if any(p.layout != layout for p in pts):
+        raise ValueError("point layout does not match the given layout")
+    x = np.array([p.coords for p in pts]).reshape(len(pts), layout.n)
+    cov = layout.n * eval_mixture(xi, species_overlaps(x[:, None], x[None], layout))
+    z = np.random.default_rng(int(seed)).standard_normal(len(pts))
     return factor_covariance(cov) @ z
 
 
@@ -488,7 +463,6 @@ def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator
     step along the local gradient; the resulting maximum tracks the slope
     bound, which is what stays size-independent.
     """
-    _require_tensor(h)
     layout = h.layout
     best = 0.0
     done = 0
@@ -515,13 +489,13 @@ def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator
 
 
 def save_instance(h: HamiltonianInstance, path) -> None:
-    """Checkpoint header only: mixture, layout, seed, backend, field metadata.
+    """Checkpoint header only: format tag, mixture, layout, seed, field metadata.
 
     Disorder is always regenerated from the seed on load, never serialized.
     """
     header = {
         "schema": 1,
-        "backend": h.backend,
+        "backend": _FORMAT,
         "seed": int(h.seed),
         "mixture": mixture_to_json(h.mixture, h.layout.species),
         "layout": {
@@ -537,14 +511,16 @@ def save_instance(h: HamiltonianInstance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path, budget: int = DEFAULT_MEMORY_BUDGET) -> HamiltonianInstance:
+def load_instance(path) -> HamiltonianInstance:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
+    if header.get("backend") != _FORMAT:
+        raise ValueError(f"unknown checkpoint format {header.get('backend')!r}")
     lay = header["layout"]
     layout = SpeciesLayout(tuple(lay["species"]), tuple(lay["sizes"]),
                            tuple(lay["proportions"]))
     mixture, _ = mixture_from_json(header["mixture"])
-    h = build_instance(mixture, layout, header["seed"], header["backend"], budget)
+    h = build_instance(mixture, layout, header["seed"])
     if "field" in header:
         h = attach_external_field(h, header["field"]["q"], header["field"]["seed"])
     return h

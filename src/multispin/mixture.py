@@ -167,7 +167,6 @@ class Mixture:
 
     terms: tuple[tuple[tuple[int, ...], float], ...]
     n_species: int
-    max_total_degree: int = 0
 
     def __post_init__(self):
         seen = {}
@@ -187,23 +186,17 @@ class Mixture:
             if p in seen:
                 raise ValueError(f"duplicate degree key {p}")
             seen[p] = c
-        ordered = tuple(sorted(seen.items()))
-        degree = max((sum(p) for p, _ in ordered), default=0)
-        max_deg = self.max_total_degree if self.max_total_degree else degree
-        if max_deg < degree:
-            raise ValueError(f"max_total_degree {max_deg} below realized degree {degree}")
-        object.__setattr__(self, "terms", ordered)
-        object.__setattr__(self, "max_total_degree", max_deg)
+        object.__setattr__(self, "terms", tuple(sorted(seen.items())))
 
     @classmethod
-    def from_terms(cls, terms: Mapping[tuple[int, ...], float] | Iterable, n_species: int | None = None,
-                   max_total_degree: int = 0) -> "Mixture":
+    def from_terms(cls, terms: Mapping[tuple[int, ...], float] | Iterable,
+                   n_species: int | None = None) -> "Mixture":
         items = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
         if n_species is None:
             if not items:
                 raise ValueError("n_species required for an empty mixture")
             n_species = len(items[0][0])
-        return cls(tuple((tuple(p), float(c)) for p, c in items), n_species, max_total_degree)
+        return cls(tuple((tuple(p), float(c)) for p, c in items), n_species)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         return dict(self.terms)
@@ -219,17 +212,21 @@ class Mixture:
         return len(self.terms)
 
 
-def eval_mixture(xi: Mixture, x) -> float:
-    """xi(x) = sum_p Delta_p^2 prod_s x(s)^p(s), by repeated multiplication."""
-    vals = as_overlap_array(x, xi.n_species)
-    total = 0.0
+def eval_mixture(xi: Mixture, x):
+    """xi(x) = sum_p Delta_p^2 prod_s x(s)^p(s), by repeated multiplication,
+    over the last axis of x of shape (..., n_species); a float for one
+    overlap vector, an array of the batch shape otherwise."""
+    vals = x.as_array() if isinstance(x, OverlapVector) else np.asarray(x, dtype=float)
+    if vals.shape[-1:] != (xi.n_species,):
+        raise ValueError(f"expected {xi.n_species} per-species values, got shape {vals.shape}")
+    total = np.zeros(vals.shape[:-1])
     for p, c in xi.terms:
         term = c
         for s, d in enumerate(p):
             for _ in range(d):  # integer powers kept exact
-                term *= vals[s]
-        total += term
-    return total
+                term = term * vals[..., s]
+        total = total + term
+    return float(total) if total.ndim == 0 else total
 
 
 def grad_mixture(xi: Mixture, x) -> np.ndarray:
@@ -275,7 +272,7 @@ def shifted_coefficients(xi: Mixture, q) -> Mixture:
                 w *= per_species[s][j]
             key = tuple(int(j) for j in p)
             out[key] = out.get(key, 0.0) + w
-    return Mixture.from_terms(out, n_species=xi.n_species, max_total_degree=xi.max_total_degree)
+    return Mixture.from_terms(out, n_species=xi.n_species)
 
 
 def xi_q(xi: Mixture, q) -> Mixture:
@@ -286,7 +283,7 @@ def xi_q(xi: Mixture, q) -> Mixture:
     """
     tilde = shifted_coefficients(xi, q)
     kept = {p: c for p, c in tilde.terms if sum(p) >= 2}
-    return Mixture.from_terms(kept, n_species=xi.n_species, max_total_degree=xi.max_total_degree)
+    return Mixture.from_terms(kept, n_species=xi.n_species)
 
 
 def nesting_compose(q, q_prime) -> OverlapVector:
@@ -314,8 +311,7 @@ def scale_mixture(xi: Mixture, beta: float) -> Mixture:
     beta = float(beta)
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return Mixture.from_terms({p: beta * beta * c for p, c in xi.terms},
-                              n_species=xi.n_species, max_total_degree=xi.max_total_degree)
+    return Mixture.from_terms({p: beta * beta * c for p, c in xi.terms}, n_species=xi.n_species)
 
 
 def mixture_to_json(xi: Mixture, species: Sequence[str]) -> dict:
@@ -351,4 +347,4 @@ def random_mixture(rng: np.random.Generator, n_species: int, max_total_degree: i
         if not min_total_degree <= sum(p) <= max_total_degree:
             continue
         terms[p] = scale * float(rng.uniform(0.1, 1.0))
-    return Mixture.from_terms(terms, n_species=n_species, max_total_degree=max_total_degree)
+    return Mixture.from_terms(terms, n_species=n_species)

@@ -230,16 +230,17 @@ def _over_seeds(xis, layout: SpeciesLayout, label: str, config: EstimatorConfig,
 
 
 def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfig,
-              seeds: int, rngs) -> list[TapReport]:
-    """The decomposition at every overlap q_grid[k]; rngs[k] spawns 3 * seeds
-    streams, whose thirds drive lhs, gs and fq.  One pass builds each
-    "tap-base" instance once: lhs, which does not depend on q, runs on point
-    0's first third and every report shares it, and gs runs at every
+              rngs) -> list[TapReport]:
+    """The decomposition at every overlap q_grid[k]; rngs[k] spawns 3 *
+    config.seeds streams, whose thirds drive lhs, gs and fq.  One pass builds
+    each "tap-base" instance once: lhs, which does not depend on q, runs on
+    point 0's first third and every report shares it, and gs runs at every
     overlap.  fq is one pass over (overlap, seed) rows.  lhs and gs read the
     same instances, so the gap's SE pairs them per seed (lhs_i - gs_i)."""
     qvs = [require_shell_overlap(q, layout.n_species) for q in q_grid]
     if not qvs:
         return []
+    seeds = config.seeds
     if seeds < 2:
         raise ValueError("need at least 2 disorder seeds")
     streams = [rng.spawn(3 * seeds) for rng in rngs]
@@ -261,7 +262,6 @@ def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfi
 
 
 def tap_evaluate(xi: Mixture, layout: SpeciesLayout, q, config: EstimatorConfig,
-                 seeds: int | None = None,
                  rng: np.random.Generator | None = None) -> TapReport:
     """Evaluate the free-energy decomposition at one overlap, the one-overlap
     case of the pass tap_inequality_scan runs over its grid: lhs averages the
@@ -270,8 +270,7 @@ def tap_evaluate(xi: Mixture, layout: SpeciesLayout, q, config: EstimatorConfig,
     over its own independent disorder."""
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.master_seed, "tap-mc"))
-    return _tap_pass(xi, layout, [q], config, config.seeds if seeds is None else seeds,
-                     [rng])[0]
+    return _tap_pass(xi, layout, [q], config, [rng])[0]
 
 
 def tap_inequality_scan(xi: Mixture, layout: SpeciesLayout, q_grid,
@@ -289,7 +288,7 @@ def tap_inequality_scan(xi: Mixture, layout: SpeciesLayout, q_grid,
             for k in range(len(q_grid))]
     return [dataclasses.replace(r, flags=tuple(sorted({*r.flags, "tap-inequality-violated"})))
             if r.gap < -(3.0 * r.gap_std_error + config.gs_bias_allowance) else r
-            for r in _tap_pass(xi, layout, q_grid, config, config.seeds, rngs)]
+            for r in _tap_pass(xi, layout, q_grid, config, rngs)]
 
 
 def candidate_multisamplable(reports: list[TapReport]) -> TapReport:

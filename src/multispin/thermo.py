@@ -404,8 +404,6 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
                         grid: np.ndarray) -> tuple[float, float]:
     """Simpson integral plus error: propagated node SEs through the Simpson
     weights, plus a grid-resolution term |Simpson - trapezoid|."""
-    if grid.size == 1:
-        return 0.0, 0.0
     weights = _simpson_weights(tuple(grid.tolist()))
     value = float(weights @ means)
     mc_term = math.sqrt(float(np.sum((weights * ses) ** 2)))

@@ -58,44 +58,47 @@ JSON_VALUES = st.recursive(
 # ground_state field values, bounded so that every run they allow stays
 # small; each field is valid about half of the time
 SMALL_NUMBERS = st.integers(-2, 6) | st.floats(-1.0, 1.5)
+SHELL_Q = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2)
 GROUND_STATE_FIELDS = {
-    "q": (st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2)
-          | st.lists(SMALL_NUMBERS, max_size=3)),
+    "q": SHELL_Q | st.lists(SMALL_NUMBERS, max_size=3),
     **{name: st.integers(1, 6) | SMALL_NUMBERS for name in ("restarts", "max_iters", "seeds")},
 }
 
-# tap_scan field values, bounded the same way: at most 3 overlaps, 6 seeds,
-# 4 betas, 6 sweeps, 6 quadrature nodes and 6 ascent iterations per restart
-SMALL_INTS = st.integers(1, 6) | SMALL_NUMBERS
-TAP_SCAN_FIELDS = {
-    "q_grid": st.lists(GROUND_STATE_FIELDS["q"], max_size=3) | SMALL_NUMBERS,
-    "method": st.sampled_from(["auto", "enumeration", "quadrature", "ti", "x"]) | SMALL_NUMBERS,
-    "beta_grid": (st.lists(st.floats(-0.5, 1.5), max_size=4)
-                  | st.sampled_from([[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5]]) | SMALL_NUMBERS),
-    **{name: SMALL_INTS
-       for name in ("sweeps", "quadrature_nodes", "seeds", "restarts", "max_iters")},
-    "gs_bias_allowance": SMALL_NUMBERS,
-}
-
-# free_energy and multisamp field values, bounded the same way: at most
-# 4 betas, 3 eps values, 4 replicas, 6 sweeps, 6 quadrature nodes and 6
-# seeds; each field is valid three times in four, so most runs get past the
-# parser and reach the estimators
+# the remaining sections' field values are bounded the same way: at most
+# 3 overlaps, 4 betas, 3 eps values, 4 replicas, 6 sweeps, 6 quadrature
+# nodes, 6 seeds and 6 ascent iterations per restart; each field is valid
+# three times in four, so most runs get past the parser and reach the
+# estimators
 def mostly(valid, invalid=SMALL_NUMBERS):
     return st.sampled_from([valid, valid, valid, invalid]).flatmap(lambda strategy: strategy)
 
 
+ANY_BETAS = (st.lists(st.floats(-0.5, 1.5), max_size=4)
+             | st.sampled_from([[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5]]) | SMALL_NUMBERS)
 ASCENDING_BETAS = st.lists(st.floats(0.01, 1.5), min_size=1, max_size=3,
                            unique=True).map(lambda b: [0.0] + sorted(b))
+# thermodynamic integration in tap_scan takes gs at beta 1, so its grid ends there
+BETAS_TO_ONE = st.lists(st.floats(0.01, 0.99), max_size=2,
+                        unique=True).map(lambda b: [0.0] + sorted(b) + [1.0])
+TAP_SCAN_FIELDS = {
+    "q_grid": mostly(st.lists(SHELL_Q, min_size=1, max_size=3),
+                     st.lists(GROUND_STATE_FIELDS["q"], max_size=3) | SMALL_NUMBERS),
+    "method": mostly(st.sampled_from(["auto", "enumeration", "quadrature", "ti"]),
+                     st.just("x") | SMALL_NUMBERS),
+    "beta_grid": mostly(BETAS_TO_ONE, ANY_BETAS),
+    "quadrature_nodes": mostly(st.integers(2, 6)),
+    "seeds": mostly(st.integers(2, 6)),
+    **{name: mostly(st.integers(1, 6)) for name in ("sweeps", "restarts", "max_iters")},
+    "gs_bias_allowance": mostly(st.floats(0.0, 1.0)),
+}
 FREE_ENERGY_FIELDS = {
     "method": mostly(st.sampled_from(["auto", "enumeration", "quadrature", "ti"]),
                      st.just("x") | SMALL_NUMBERS),
-    "beta_grid": mostly(ASCENDING_BETAS, TAP_SCAN_FIELDS["beta_grid"]),
+    "beta_grid": mostly(ASCENDING_BETAS, ANY_BETAS),
     **{name: mostly(st.integers(1, 6)) for name in ("sweeps", "quadrature_nodes", "seeds")},
 }
 MULTISAMP_FIELDS = {
-    "q": mostly(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
-                st.lists(SMALL_NUMBERS, max_size=3) | SMALL_NUMBERS),
+    "q": mostly(SHELL_Q, st.lists(SMALL_NUMBERS, max_size=3) | SMALL_NUMBERS),
     "n": mostly(st.integers(2, 4)),
     "eps_grid": mostly(st.lists(st.floats(0.01, 2.5), min_size=1, max_size=3),
                        st.lists(SMALL_NUMBERS, max_size=3) | SMALL_NUMBERS),

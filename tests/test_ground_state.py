@@ -7,7 +7,6 @@ import pytest
 
 from multispin.geometry import Configuration, sample_on_shell
 from multispin.hamiltonian import (
-    COVARIANCE_BACKEND,
     attach_external_field,
     build_instance,
     energy,
@@ -181,10 +180,6 @@ def test_eigen_oracle_rejects_other_shapes():
         h = build_instance(Mixture.from_terms(terms), lay, seed=1)
         with pytest.raises(ValueError):
             eigen_oracle_2spin(h, [0.5, 0.5])
-    hc = build_instance(Mixture.from_terms({(2, 0): 0.5}), lay, seed=1,
-                        backend=COVARIANCE_BACKEND)
-    with pytest.raises(ValueError):
-        eigen_oracle_2spin(hc, [0.5, 0.5])
 
 
 def test_eigen_oracle_large_n_drift_levels_off():
@@ -228,9 +223,6 @@ def test_ascend_validation():
         ascend(h, [0.5], 0, 10, rng)
     with pytest.raises(ValueError):
         ascend(h, [1.0], 2, 10, rng)  # shell parameter must stay below 1
-    hc = build_instance(PURE_2SPIN, lay, seed=5, backend=COVARIANCE_BACKEND)
-    with pytest.raises(ValueError):
-        ascend(hc, [0.5], 2, 10, rng)
 
 
 def test_probe_zero_hamiltonian_has_zero_variance():

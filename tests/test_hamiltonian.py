@@ -1,6 +1,7 @@
 """Hamiltonian realization: coefficients, determinism, covariance, field."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from functools import reduce
@@ -11,7 +12,6 @@ import pytest
 from multispin.geometry import Configuration, overlap, sample_on_shell, sample_uniform
 from multispin.ground_state import ascend, eigen_oracle_2spin
 from multispin.hamiltonian import (
-    COVARIANCE_BACKEND,
     attach_external_field,
     build_instance,
     energy,
@@ -193,19 +193,6 @@ def test_memory_budget_refusal():
     assert small.memory_entries() == 8**3
 
 
-def test_covariance_backend_has_no_pointwise_form():
-    lay = SpeciesLayout(("a",), (4,))
-    mix = Mixture.from_terms({(2,): 1.0})
-    h = build_instance(mix, lay, seed=0, backend=COVARIANCE_BACKEND)
-    sig = sample_uniform(lay, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        energy(h, sig)
-    with pytest.raises(ValueError):
-        gradient(h, sig)
-    with pytest.raises(ValueError):
-        build_instance(mix, lay, seed=0, backend="other")
-
-
 def test_realize_single_point_variance():
     lay = SpeciesLayout(("a",), (5,))
     mix = Mixture.from_terms({(2,): 0.7, (3,): 0.2})
@@ -227,6 +214,8 @@ def test_realize_duplicate_point_identical_values():
     other = sample_uniform(lay, rng)
     vals = realize_on_points(mix, lay, [pt, pt, other], seed=4)
     assert vals[0] == pytest.approx(vals[1], abs=1e-8 * max(1.0, abs(vals[0])))
+    with pytest.raises(ValueError):  # same N, other species split
+        realize_on_points(mix, SpeciesLayout(("a", "b"), (2, 4)), [pt, other], seed=4)
 
 
 def test_factorization_rejects_severely_non_psd():
@@ -244,8 +233,8 @@ def test_factorization_rejects_severely_non_psd():
 
 
 def test_backends_agree_in_law():
-    # empirical covariance of tensor-backend values on 4 fixed points
-    # matches the exact covariance matrix used by the factor backend
+    # empirical covariance of instance energies on 4 fixed points matches
+    # the exact covariance matrix that realize_on_points factors
     lay = SpeciesLayout(("a", "b"), (3, 3))
     mix = Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.4})
     rng = np.random.default_rng(17)
@@ -364,6 +353,18 @@ def test_instance_checkpoint_round_trip(tmp_path):
     back_plain = load_instance(path)
     assert back_plain.field is None
     assert energy(back_plain, pts[0]) == energy(hq, pts[0])
+
+
+def test_checkpoint_refuses_other_formats(tmp_path):
+    lay = SpeciesLayout(("a",), (3,))
+    path = tmp_path / "instance.json"
+    save_instance(build_instance(Mixture.from_terms({(2,): 1.0}), lay, seed=1), path)
+    header = json.loads(path.read_text())
+    assert header["backend"] == "coefficient-tensor"
+    header["backend"] = "covariance-factor"
+    path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="format"):
+        load_instance(path)
 
 
 def test_field_contribution_bound_on_replica_tuples():

@@ -1,11 +1,16 @@
 """Start-up cost: the package and its CLI import numpy but not scipy, and
-scipy loads only on the band paths (band volume, band sampler, overlap tail)."""
+scipy loads only on the band paths (band volume, band sampler, overlap tail).
+Every exported name of the package and its modules resolves."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import multispin
 
@@ -53,3 +58,12 @@ def test_band_volume_loads_scipy():
             "from multispin.mixture import SpeciesLayout\n"
             "log_band_volume(SpeciesLayout(('a',), (8,)), [0.5], 0.1)")
     assert "scipy.integrate" in _scipy_modules_after(code)
+
+
+@pytest.mark.parametrize("name", ["multispin"] + [
+    f"multispin.{m.name}" for m in pkgutil.iter_modules(multispin.__path__)
+    if not m.name.startswith("_")])
+def test_public_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

@@ -54,6 +54,19 @@ def test_eval_examples():
     assert eval_mixture(one, [0.0]) == 0.0
 
 
+def test_eval_batch_matches_one_vector_at_a_time():
+    rng = np.random.default_rng(31)
+    xi = random_mixture(rng, 3)
+    x = rng.uniform(-1.0, 1.0, (4, 5, 3))
+    batch = eval_mixture(xi, x)
+    assert batch.shape == (4, 5)
+    np.testing.assert_array_equal(batch, [[eval_mixture(xi, v) for v in row] for row in x])
+    assert type(eval_mixture(xi, x[0, 0])) is float
+    np.testing.assert_array_equal(eval_mixture(Mixture((), 3), x), np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        eval_mixture(xi, x[..., :2])
+
+
 def test_grad_examples():
     one = Mixture.from_terms({(2,): 1.0})
     assert grad_mixture(one, [0.5])[0] == pytest.approx(1.0, abs=1e-15)

@@ -98,7 +98,7 @@ def test_evaluate_quadrature_path_on_small_blocks():
     xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.5})
     cfg = EstimatorConfig(seeds=8, quadrature_nodes=12, restarts=4,
                           max_iters=150, master_seed=3)
-    rep = tap_evaluate(xi, lay, [0.2, 0.3], cfg, seeds=8)
+    rep = tap_evaluate(xi, lay, [0.2, 0.3], cfg)
     assert rep.lhs.method == "quadrature"
     assert rep.gap >= -(3 * rep.gap_std_error + cfg.gs_bias_allowance)
     assert all(np.isfinite([rep.lhs.value, rep.gs, rep.logvol, rep.fq.value]))
@@ -153,7 +153,7 @@ def test_flags_propagate_from_estimators():
     xi = Mixture.from_terms({(4,): 1.5})
     cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 4.0), sweeps=150,
                           seeds=2, restarts=1, max_iters=20, master_seed=5)
-    rep = tap_evaluate(xi, lay, [0.2], cfg, seeds=2)
+    rep = tap_evaluate(xi, lay, [0.2], cfg)
     assert "swap-acceptance-low" in rep.flags
 
 

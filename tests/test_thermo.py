@@ -15,7 +15,6 @@ from multispin.geometry import (
     sign_patterns,
 )
 from multispin.hamiltonian import (
-    COVARIANCE_BACKEND,
     attach_external_field,
     build_instance,
     energy,
@@ -108,11 +107,6 @@ def test_enumeration_rejects_wrong_shapes():
     h = build_instance(Mixture.from_terms({(2,): 0.5}), lay, seed=1)
     with pytest.raises(ValueError):
         exact_fe_enumeration(h)
-    lay1 = SpeciesLayout(("a",), (1,))
-    hc = build_instance(Mixture.from_terms({(2,): 0.5}), lay1, seed=1,
-                        backend=COVARIANCE_BACKEND)
-    with pytest.raises(ValueError):
-        exact_fe_enumeration(hc)
 
 
 # --- deterministic quadrature -----------------------------------------------
