@@ -3,7 +3,7 @@
 from .geometry import BandSpec, Configuration
 from .hamiltonian import HamiltonianInstance, build_instance
 from .mixture import Mixture, OverlapVector, SpeciesLayout
-from .thermo import FreeEnergyEstimate, GibbsChainState, PTResult
+from .thermo import FreeEnergyEstimate, PTResult
 
 __version__ = "0.1.0"
 
@@ -11,7 +11,6 @@ __all__ = [
     "BandSpec",
     "Configuration",
     "FreeEnergyEstimate",
-    "GibbsChainState",
     "HamiltonianInstance",
     "Mixture",
     "OverlapVector",

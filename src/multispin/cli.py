@@ -37,9 +37,8 @@ from .geometry import (
 )
 from .ground_state import ascend, ascend_many, eigen_oracle_2spin
 from .hamiltonian import (
-    DEFAULT_MEMORY_BUDGET,
+    _check_budget,
     build_instance,
-    disorder_entries,
     energy,
     energy_many,
     gradient,
@@ -168,11 +167,16 @@ def _expect_eps_grid(value, path, layout):
     return grid
 
 
-def _expect_method(value, path, layout):
+def _at(path, check, *args):
+    """check(*args), with the ValueError it may raise as a ConfigError at path."""
     try:
-        resolve_fe_method(value, layout)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+
+
+def _expect_method(value, path, layout):
+    _at(path, resolve_fe_method, value, layout)
     return value
 
 
@@ -289,15 +293,8 @@ def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
             raise ConfigError(f"{path}.p", "duplicate multi-degree")
         terms[p] = coeff
     mixture = Mixture.from_terms(terms, n_species=len(species))
-    _check_budget(mixture, SpeciesLayout(tuple(species), sizes), "model")
+    _at("model", _check_budget, mixture, SpeciesLayout(tuple(species), sizes))
     return tuple(species), sizes, mixture
-
-
-def _check_budget(mixture: Mixture, layout: SpeciesLayout, path: str) -> None:
-    entries = disorder_entries(mixture, layout)
-    if entries > DEFAULT_MEMORY_BUDGET:
-        raise ConfigError(path, f"disorder needs {entries} dense entries, "
-                                f"over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
 def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
@@ -357,7 +354,7 @@ def parse_config(text: str) -> ExperimentConfig:
     # tap-scan also draws the recentered mixtures, whose lower-degree terms
     # can push a model at the edge of the budget over it
     for k, q in enumerate(config.tap_scan.q_grid):
-        _check_budget(xi_q(mixture, q), layout, f"tap_scan.q_grid[{k}]")
+        _at(f"tap_scan.q_grid[{k}]", _check_budget, xi_q(mixture, q), layout)
     return config
 
 

@@ -23,6 +23,7 @@ from .hamiltonian import (
     stack_instances,
 )
 from .mixture import Mixture, SpeciesLayout, require_shell_overlap
+from .thermo import _require_corner
 
 __all__ = [
     "AscentResult",
@@ -165,8 +166,7 @@ def exact_gs_enumeration(h: HamiltonianInstance, q) -> float:
     """Exact per-spin shell maximum when every species has one coordinate:
     the shell S_N(q) is the finite set of sign patterns scaled by sqrt(q_s)."""
     layout = h.layout
-    if any(d != 1 for d in layout.sizes):
-        raise ValueError("enumeration requires every species to have one coordinate")
+    _require_corner(layout)
     qv = require_shell_overlap(q, layout.n_species)
     n = layout.n
     patterns = sign_patterns(n) * np.sqrt(qv)[None, :]

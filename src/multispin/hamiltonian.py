@@ -83,6 +83,14 @@ def disorder_entries(xi: Mixture, layout: SpeciesLayout) -> int:
     return sum(layout.n ** sum(p) for p, _ in xi.terms)
 
 
+def _check_budget(xi: Mixture, layout: SpeciesLayout) -> None:
+    """Refuse a model whose draw visits over DEFAULT_MEMORY_BUDGET dense entries."""
+    cost = disorder_entries(xi, layout)
+    if cost > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(
+            f"disorder needs {cost} dense entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
+
+
 def block_entries(xi: Mixture, layout: SpeciesLayout) -> int:
     """Entries the canonical blocks of one instance hold, prod_s N_s^p(s)
     per term."""
@@ -197,10 +205,7 @@ def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int) -> Hamiltonian
     """
     if xi.n_species != layout.n_species:
         raise ValueError(f"mixture has {xi.n_species} species, layout {layout.n_species}")
-    cost = disorder_entries(xi, layout)
-    if cost > DEFAULT_MEMORY_BUDGET:
-        raise ValueError(
-            f"disorder needs {cost} dense entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
+    _check_budget(xi, layout)
     rng = np.random.default_rng(int(seed))
     blocks = tuple(_draw_block(rng, layout, p, _tuple_scalar(layout, p, delta_sq))
                    for p, delta_sq in xi.terms)

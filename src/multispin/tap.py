@@ -40,6 +40,8 @@ from .seeding import derive_seed
 from .thermo import (
     FreeEnergyEstimate,
     _replica_samples,
+    _require_corner,
+    _require_quadrature,
     exact_fe_enumeration,
     exact_fe_quadrature,
     fe_thermo_integration_many,
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 _FE_METHODS = ("auto", "enumeration", "quadrature", "ti")
+# exact method -> the check that a layout admits it, in the order auto tries them
+_EXACT_CHECKS = {"enumeration": _require_corner, "quadrature": _require_quadrature}
 DEFAULT_BETA_GRID = tuple(float(b) for b in np.linspace(0.0, 1.0, 21))
 
 
@@ -133,16 +137,17 @@ def resolve_fe_method(method: str, layout: SpeciesLayout) -> str:
     unknown method, or an exact one the layout cannot serve, raises ValueError."""
     if method not in _FE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_FE_METHODS)}")
-    corner = all(d == 1 for d in layout.sizes)
-    small = all(d <= 3 for d in layout.sizes) and sum(d - 1 for d in layout.sizes) <= 6
-    if method == "auto":
-        return "enumeration" if corner else "quadrature" if small else "ti"
-    if method == "enumeration" and not corner:
-        raise ValueError("enumeration requires every species to have one coordinate")
-    if method == "quadrature" and not small:
-        raise ValueError("quadrature supports species blocks of size at most 3 "
-                         "and at most 6 angular dimensions")
-    return method
+    if method in _EXACT_CHECKS:
+        _EXACT_CHECKS[method](layout)
+    if method != "auto":
+        return method
+    for name, check in _EXACT_CHECKS.items():
+        try:
+            check(layout)
+            return name
+        except ValueError:
+            pass
+    return "ti"
 
 
 def instance_groups(xis, layout: SpeciesLayout, instance_seeds, *per_seed):
@@ -202,7 +207,7 @@ def _over_seeds(xis, layout: SpeciesLayout, label: str, config: EstimatorConfig,
     ground state (row r on gs_streams[k][r]; exhaustive on single-coordinate
     species blocks, one grouped ascent per group and overlap otherwise)."""
     instance_seeds = [derive_seed(config.master_seed, label, i) for i in range(seeds)]
-    exact = all(d == 1 for d in layout.sizes)
+    exact = resolve_fe_method("auto", layout) == "enumeration"
     estimates, values, flags = [], [[] for _ in qs], [set() for _ in qs]
     for group, group_fe_streams, *group_gs_streams in instance_groups(
             [xi for xi in xis for _ in range(seeds)], layout, instance_seeds * len(xis),

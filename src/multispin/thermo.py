@@ -10,7 +10,6 @@ variable of thermodynamic integration (or explicitly via scale_mixture).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ from .mixture import SpeciesLayout, as_overlap_array
 
 __all__ = [
     "FreeEnergyEstimate",
-    "GibbsChainState",
     "PTResult",
     "exact_fe_enumeration",
     "exact_fe_quadrature",
@@ -48,8 +46,6 @@ __all__ = [
     "fe_thermo_integration_many",
     "restricted_fe",
     "multi_replica_fe",
-    "multisamplability_profile",
-    "multisamplability_record",
     "multisamplability_records",
     "wilson_interval",
 ]
@@ -77,30 +73,6 @@ class FreeEnergyEstimate:
             raise ValueError("std_error must be >= 0")
 
 
-@dataclass(frozen=True)
-class GibbsChainState:
-    """Terminal state of one tempered chain."""
-
-    current: Configuration
-    beta_index: int
-    step_sizes: tuple[float, ...]  # per-species proposal scales
-    accept_rate: float
-    proposals: int
-
-
-@dataclass(frozen=True)
-class PTResult:
-    """Thinned samples and diagnostics from one replica-exchange run."""
-
-    beta_grid: tuple[float, ...]
-    samples: tuple[np.ndarray, ...]  # per chain, shape (kept, N)
-    energies: tuple[np.ndarray, ...]  # per chain, post-burn-in energy series
-    accept_rates: tuple[float, ...]
-    swap_rates: tuple[float, ...]
-    flags: tuple[str, ...]
-    chains: tuple[GibbsChainState, ...]
-
-
 def _check_beta_grid(beta_grid) -> np.ndarray:
     grid = np.asarray(beta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -115,8 +87,9 @@ def _check_beta_grid(beta_grid) -> np.ndarray:
 
 
 @dataclass
-class _ChainRun:
-    """Raw output of the tempered-ensemble engine."""
+class PTResult:
+    """One instance's replica-exchange run over the beta grid, one row per
+    chain: energy series, thinned states and sampler diagnostics."""
 
     beta_grid: np.ndarray
     series: np.ndarray  # (n_chains, kept sweeps): post-burn-in total energy per sweep
@@ -174,7 +147,7 @@ def _group_sampler(rngs, method):
 
 
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
-               band: BandSpec | None = None, keep_snapshots: bool = True) -> list[_ChainRun]:
+               band: BandSpec | None = None, keep_snapshots: bool = True) -> list[PTResult]:
     """Replica-exchange Metropolis over the beta grid, batched over a group
     of instances that share mixture terms and layout, and over chains.
 
@@ -315,7 +288,7 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
             flags.append("move-acceptance-low")
         if n_chains > 1 and np.any(swap_rates[i, : n_chains - 1] < _SWAP_FLAG_RATE):
             flags.append("swap-acceptance-low")
-        runs.append(_ChainRun(
+        runs.append(PTResult(
             beta_grid=beta_grid,
             series=series[chains],
             snapshots=snapshots[chains],
@@ -329,36 +302,10 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
     return runs
 
 
-def _run_chains(h: HamiltonianInstance, beta_grid: np.ndarray, steps: int,
-                rng: np.random.Generator, n_replicas: int = 1,
-                band: BandSpec | None = None) -> _ChainRun:
-    """One instance's tempered run: the group-of-one case of _run_group."""
-    return _run_group([h], beta_grid, steps, [rng], n_replicas, band)[0]
-
-
 def pt_sampler(h: HamiltonianInstance, beta_grid, steps: int,
                rng: np.random.Generator) -> PTResult:
     """Replica-exchange Metropolis sampler for the Gibbs measures e^{beta H}."""
-    grid = _check_beta_grid(beta_grid)
-    run = _run_chains(h, grid, steps, rng)
-    chains = tuple(
-        GibbsChainState(
-            current=Configuration(run.final_coords[c, 0], h.layout),
-            beta_index=c,
-            step_sizes=tuple(float(v) for v in run.step_sizes[c]),
-            accept_rate=float(run.accept_rates[c]),
-            proposals=int(run.proposal_counts[c]),
-        )
-        for c in range(grid.size))
-    return PTResult(
-        beta_grid=tuple(float(b) for b in grid),
-        samples=tuple(snap[:, 0, :] for snap in run.snapshots),
-        energies=tuple(run.series),
-        accept_rates=tuple(float(v) for v in run.accept_rates),
-        swap_rates=tuple(float(v) for v in run.swap_rates),
-        flags=tuple(run.flags),
-        chains=chains,
-    )
+    return _run_group([h], _check_beta_grid(beta_grid), steps, [rng])[0]
 
 
 def _block_std_error(series: np.ndarray) -> float:
@@ -411,7 +358,7 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
     return value, mc_term + grid_term
 
 
-def _ti_tail(run: _ChainRun, offset: float, scale: float, meta: dict) -> tuple[float, float]:
+def _ti_tail(run: PTResult, offset: float, scale: float, meta: dict) -> tuple[float, float]:
     """Simpson integral over the beta grid of the node means
     (mean total energy - offset) / scale, with its error.  Records the
     per-node means and SEs, the sampler rates and the run's flags in meta."""
@@ -547,7 +494,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         return FreeEnergyEstimate(float(log_vol + pair_term), float(pair_term_se),
                                   "thermo-integration", meta)
 
-    run = _run_chains(h, grid, steps, rng, n_replicas=n_rep, band=spec)
+    run = _run_group([h], grid, steps, [rng], n_rep, spec)[0]
     integral, err = _ti_tail(run, n_rep * h_at_m, n * n_rep, meta)
     return FreeEnergyEstimate(float(log_vol + pair_term + integral),
                               float(err + pair_term_se), "thermo-integration", meta)
@@ -566,9 +513,11 @@ def _replica_samples(h: HamiltonianInstance, n: int, beta_grid, steps: int,
 
 def multisamplability_records(h: HamiltonianInstance, q, n: int, eps_grid,
                               beta_grid, steps: int, rng: np.random.Generator) -> list[dict]:
-    """multisamplability_record at every eps of eps_grid, scored on one draw
-    of n replicas, so hits are non-decreasing in eps.  An eps >= 2 is
-    vacuous (every tuple qualifies) and gives value 0 with no samples."""
+    """Empirical (1/N) log G^(x)n-probability that n independent Gibbs samples
+    have all pairwise species overlaps within eps of q, with diagnostics, at
+    every eps of eps_grid.  Every eps is scored on one draw of n replicas, so
+    hits are non-decreasing in eps.  An eps >= 2 is vacuous (every tuple
+    qualifies) and gives value 0 with no samples."""
     if n < 2:
         raise ValueError("need at least two replicas")
     layout = h.layout
@@ -603,26 +552,12 @@ def multisamplability_records(h: HamiltonianInstance, q, n: int, eps_grid,
     return records
 
 
-def multisamplability_record(h: HamiltonianInstance, q, n: int, eps: float,
-                             beta_grid, steps: int, rng: np.random.Generator) -> dict:
-    """Empirical (1/N) log G^(x)n-probability that n independent Gibbs samples
-    have all pairwise species overlaps within eps of q, with diagnostics: the
-    one-eps case of multisamplability_records."""
-    return multisamplability_records(h, q, n, [eps], beta_grid, steps, rng)[0]
-
-
-def multisamplability_profile(h: HamiltonianInstance, q, n: int, eps: float,
-                              beta_grid, steps: int, rng: np.random.Generator) -> float:
-    """Value-only view of multisamplability_record."""
-    return multisamplability_record(h, q, n, eps, beta_grid, steps, rng)["value"]
-
-
 def _logsumexp(a) -> float:
     """log sum exp(a) over every entry, as scipy.special.logsumexp computes
     it: the terms at the maximum are split off and counted, the rest summed
-    through log1p.  -inf entries add nothing; all -inf gives -inf."""
+    through log1p.  -inf entries add nothing; all -inf or none gives -inf."""
     a = np.asarray(a, dtype=float)
-    top = a.max()
+    top = a.max(initial=-np.inf)
     if not np.isfinite(top):
         return float(top)
     at_top = a == top
@@ -631,15 +566,22 @@ def _logsumexp(a) -> float:
     return float(np.log1p(rest) + np.log(count) + top)
 
 
-def _require_corner(h: HamiltonianInstance):
-    if any(d != 1 for d in h.layout.sizes):
+def _require_corner(layout: SpeciesLayout) -> None:
+    if any(d != 1 for d in layout.sizes):
         raise ValueError("enumeration requires every species to have one coordinate")
+
+
+def _require_quadrature(layout: SpeciesLayout) -> None:
+    if any(d > 3 for d in layout.sizes):
+        raise ValueError("quadrature supports species blocks of size at most 3")
+    if sum(d - 1 for d in layout.sizes) > 6:
+        raise ValueError("total angular dimension exceeds 6")
 
 
 def exact_fe_enumeration(h: HamiltonianInstance) -> FreeEnergyEstimate:
     """Exact free energy when each species block is {-1, +1}: the average of
     e^H over all sign patterns."""
-    _require_corner(h)
+    _require_corner(h.layout)
     n = h.layout.n
     energies = energy_many(h, sign_patterns(n))
     value = (_logsumexp(energies) - n * math.log(2.0)) / n
@@ -647,86 +589,56 @@ def exact_fe_enumeration(h: HamiltonianInstance) -> FreeEnergyEstimate:
                               {"n_configurations": int(2**n)})
 
 
-def _enum_band(h: HamiltonianInstance, m: Configuration, delta: float):
-    """Sign patterns inside B(m, delta) with their centered energies."""
-    _require_corner(h)
-    if m.layout != h.layout:
+def _enum_logsums(h: HamiltonianInstance, spec: BandSpec) -> tuple[float, float, int]:
+    """Over the sign patterns s in B(m, delta), at corner scale: the log sum of
+    exp(sum_i H(s^i) - n H(m)) over n-tuples with pairwise overlaps within rho
+    of q(m), taken as one broadcast over n axes, the log sum of exp(H(s) - H(m)),
+    and the pattern count."""
+    layout, m = h.layout, spec.center
+    _require_corner(layout)
+    if m.layout != layout:
         raise ValueError("band center layout does not match instance")
-    n = h.layout.n
-    patterns = sign_patterns(n)
+    patterns = sign_patterns(layout.n)
     q = m.self_overlap().as_array()
-    in_band = np.all(np.abs(patterns * m.coords - q) <= delta, axis=1)
-    centered = energy_many(h, patterns) - energy(h, m)
-    return patterns, centered, in_band, q
-
-
-def exact_restricted_fe_enumeration(h: HamiltonianInstance, m: Configuration,
-                                    delta: float) -> FreeEnergyEstimate:
-    """Exact band free energy at corner scale."""
-    _, centered, in_band, _ = _enum_band(h, m, delta)
-    n = h.layout.n
-    if not np.any(in_band):
-        value = -math.inf
-    else:
-        value = (_logsumexp(centered[in_band]) - n * math.log(2.0)) / n
-    return FreeEnergyEstimate(value, 0.0, "enumeration",
-                              {"n_configurations": int(in_band.sum())})
-
-
-def _enum_pair_allowed(patterns: np.ndarray, idx: np.ndarray, q: np.ndarray,
-                       rho: float) -> np.ndarray:
-    """Boolean matrix over band patterns: pairwise overlaps within rho of q."""
-    sel = patterns[idx]
-    allowed = np.ones((len(idx), len(idx)), dtype=bool)
-    for s in range(patterns.shape[1]):
-        prod = np.outer(sel[:, s], sel[:, s])
-        allowed &= np.abs(prod - q[s]) <= rho
-    return allowed
-
-
-def _enum_constrained_logsum(centered: np.ndarray, allowed: np.ndarray, n_rep: int) -> float:
-    """log sum over allowed replica tuples of exp(sum of centered energies)."""
-    b = len(centered)
-    if n_rep == 2:
-        pair = centered[:, None] + centered[None, :]
-        masked = np.where(allowed, pair, -np.inf)
-        return _logsumexp(masked)
-    total = -math.inf
-    for tup in itertools.product(range(b), repeat=n_rep):
-        ok = all(allowed[tup[i], tup[j]]
-                 for i in range(n_rep) for j in range(i + 1, n_rep))
-        if ok:
-            total = float(np.logaddexp(total, sum(centered[k] for k in tup)))
-    return total
+    in_band = np.all(np.abs(species_overlaps(patterns, m.coords, layout) - q) <= spec.delta,
+                     axis=1)
+    band = patterns[in_band]
+    centered = (energy_many(h, patterns) - energy(h, m))[in_band]
+    allowed = np.all(np.abs(species_overlaps(band[:, None], band[None], layout) - q)
+                     <= spec.rho, axis=-1)
+    # replica i runs along axis i of n; trailing axes of size 1 broadcast
+    b, joint, ok = len(band), 0.0, True
+    for i in range(spec.n):
+        rest = (1,) * (spec.n - 1 - i)
+        joint = joint + centered.reshape((b,) + rest)
+        for j in range(i):
+            ok = ok & allowed.reshape((b,) + (1,) * (i - j - 1) + (b,) + rest)
+    return _logsumexp(np.where(ok, joint, -np.inf)), _logsumexp(centered), b
 
 
 def exact_multi_replica_fe_enumeration(h: HamiltonianInstance,
                                        spec: BandSpec) -> FreeEnergyEstimate:
     """Exact coupled-replica band free energy at corner scale."""
-    patterns, centered, in_band, q = _enum_band(h, spec.center, spec.delta)
+    log_joint, _, count = _enum_logsums(h, spec)
     n = h.layout.n
-    idx = np.flatnonzero(in_band)
-    if idx.size == 0:
-        return FreeEnergyEstimate(-math.inf, 0.0, "enumeration", {"n_configurations": 0})
-    if spec.n == 1:
-        return exact_restricted_fe_enumeration(h, spec.center, spec.delta)
-    allowed = _enum_pair_allowed(patterns, idx, q, spec.rho)
-    log_sum = _enum_constrained_logsum(centered[idx], allowed, spec.n)
-    value = (log_sum - spec.n * n * math.log(2.0)) / (n * spec.n)
+    value = (log_joint - spec.n * n * math.log(2.0)) / (n * spec.n)
     return FreeEnergyEstimate(float(value), 0.0, "enumeration",
-                              {"n_configurations": int(idx.size), "replicas": spec.n})
+                              {"n_configurations": count, "replicas": spec.n})
+
+
+def exact_restricted_fe_enumeration(h: HamiltonianInstance, m: Configuration,
+                                    delta: float) -> FreeEnergyEstimate:
+    """Exact band free energy at corner scale, the one-replica case of
+    exact_multi_replica_fe_enumeration."""
+    return exact_multi_replica_fe_enumeration(h, BandSpec(m, delta))
 
 
 def exact_penalty_enumeration(h: HamiltonianInstance, spec: BandSpec) -> float:
     """(1/(Nn)) log of the conditional Gibbs probability that n band replicas
     satisfy the pairwise constraint, exactly at corner scale."""
-    patterns, centered, in_band, q = _enum_band(h, spec.center, spec.delta)
-    idx = np.flatnonzero(in_band)
-    if idx.size == 0:
+    log_joint, log_single, count = _enum_logsums(h, spec)
+    if count == 0:
         raise ValueError("empty band")
-    allowed = _enum_pair_allowed(patterns, idx, q, spec.rho)
-    log_joint = _enum_constrained_logsum(centered[idx], allowed, spec.n)
-    log_single = _logsumexp(centered[idx])
     return (log_joint - spec.n * log_single) / (h.layout.n * spec.n)
 
 
@@ -782,10 +694,7 @@ def _quadrature_value(h: HamiltonianInstance, nodes_per_angle: int) -> float:
 def exact_fe_quadrature(h: HamiltonianInstance, nodes_per_angle: int) -> FreeEnergyEstimate:
     """Deterministic tensor-product quadrature of the free-energy integral
     for small blocks (each species size <= 3, at most 6 angular dimensions)."""
-    if any(d > 3 for d in h.layout.sizes):
-        raise ValueError("quadrature supports species blocks of size at most 3")
-    if sum(d - 1 for d in h.layout.sizes) > 6:
-        raise ValueError("total angular dimension exceeds 6")
+    _require_quadrature(h.layout)
     if nodes_per_angle < 2:
         raise ValueError("need at least 2 nodes per angle")
     value = _quadrature_value(h, nodes_per_angle)

@@ -107,6 +107,20 @@ MULTISAMP_FIELDS = {
 }
 
 
+@st.composite
+def small_models(draw):
+    """Model sections for verify: 1-3 species of 1-4 coordinates and up to
+    three terms of total degree at most 3 (an empty mixture included)."""
+    k = draw(st.integers(1, 3))
+    degrees = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(
+        lambda p: 1 <= sum(p) <= 3)
+    terms = draw(st.lists(st.tuples(degrees, st.floats(0.05, 2.0)), max_size=3,
+                          unique_by=lambda term: tuple(term[0])))
+    return {"species": [f"s{i}" for i in range(k)],
+            "sizes": draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)),
+            "terms": [{"p": p, "delta_sq": c} for p, c in terms]}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -451,6 +465,16 @@ class TestCommands:
         with tempfile.TemporaryDirectory() as tmp:
             config = write_config(Path(tmp), doc)
             code = main(["multisamp", "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mostly(small_models()), mostly(st.integers(0, 2**32)))
+    def test_mutated_verify_runs_or_exits_with_a_code(self, model, master_seed):
+        # the other sections keep their per-species defaults
+        doc = {"schema": 1, "master_seed": master_seed, "model": model}
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            code = main(["verify", "--config", str(config), "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2)
 
     def test_outputs_do_not_depend_on_workers(self, tmp_path):

@@ -1,5 +1,6 @@
 """Free-energy estimators: exact corner-scale oracles, tempering, integration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from multispin.thermo import (
     FreeEnergyEstimate,
     _logsumexp,
     _simpson_weights,
-    _run_chains,
     _run_group,
     exact_fe_enumeration,
     exact_fe_quadrature,
@@ -34,8 +34,6 @@ from multispin.thermo import (
     exact_restricted_fe_enumeration,
     fe_thermo_integration,
     multi_replica_fe,
-    multisamplability_profile,
-    multisamplability_record,
     multisamplability_records,
     pt_sampler,
     restricted_fe,
@@ -107,6 +105,9 @@ def test_enumeration_rejects_wrong_shapes():
     h = build_instance(Mixture.from_terms({(2,): 0.5}), lay, seed=1)
     with pytest.raises(ValueError):
         exact_fe_enumeration(h)
+    # a negative band width is refused by BandSpec, as in restricted_fe
+    with pytest.raises(ValueError):
+        exact_restricted_fe_enumeration(corner_instance(), corner_center(), -0.1)
 
 
 # --- deterministic quadrature -----------------------------------------------
@@ -172,14 +173,14 @@ def test_pt_sampler_deterministic_and_on_sphere():
     h = build_instance(Mixture.from_terms({(2,): 0.8}), lay, seed=2)
     a = pt_sampler(h, [0.0, 0.5, 1.0], 300, np.random.default_rng(8))
     b = pt_sampler(h, [0.0, 0.5, 1.0], 300, np.random.default_rng(8))
-    for sa, sb in zip(a.samples, b.samples):
+    for sa, sb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(sa, sb)
-    for ea, eb in zip(a.energies, b.energies):
+    for ea, eb in zip(a.series, b.series):
         np.testing.assert_array_equal(ea, eb)
-    for st in a.chains:
-        assert st.current.is_on_sphere(1e-8)
-        assert 0.0 <= st.accept_rate <= 1.0 and st.proposals > 0
-    for s in a.samples:
+    for c, x in enumerate(a.final_coords[:, 0]):
+        assert Configuration(x, lay).is_on_sphere(1e-8)
+        assert 0.0 <= a.accept_rates[c] <= 1.0 and a.proposal_counts[c] > 0
+    for s in a.snapshots[:, :, 0]:
         np.testing.assert_allclose((s**2).sum(axis=1), 12.0, atol=1e-8)
 
 
@@ -189,7 +190,7 @@ def test_pt_beta_zero_chain_is_uniform():
     lay = SpeciesLayout(("s",), (12,))
     h = build_instance(Mixture.from_terms({(2,): 0.8}), lay, seed=2)
     res = pt_sampler(h, [0.0, 0.5, 1.0], 2000, np.random.default_rng(8))
-    x = res.samples[0][:, 0] / math.sqrt(12)
+    x = res.snapshots[0, :, 0, 0] / math.sqrt(12)
     se = x.std(ddof=1) / math.sqrt(len(x))
     assert abs(x.mean()) <= 4 * se
     assert x.var() == pytest.approx(1 / 12, abs=0.015)
@@ -200,8 +201,9 @@ def test_pt_low_beta_cross_run_overlap_small():
     h = build_instance(Mixture.from_terms({(2,): 0.8}), lay, seed=2)
     r1 = pt_sampler(h, [0.0, 0.1], 2000, np.random.default_rng(8))
     r2 = pt_sampler(h, [0.0, 0.1], 2000, np.random.default_rng(9))
-    k = min(len(r1.samples[1]), len(r2.samples[1]))
-    ovs = (r1.samples[1][:k] * r2.samples[1][:k]).sum(axis=1) / 12
+    s1, s2 = r1.snapshots[1, :, 0], r2.snapshots[1, :, 0]
+    k = min(len(s1), len(s2))
+    ovs = (s1[:k] * s2[:k]).sum(axis=1) / 12
     assert abs(ovs.mean()) <= 3 * ovs.std(ddof=1) / math.sqrt(k)
 
 
@@ -234,6 +236,7 @@ def test_simpson_weights_match_scipy(n, spacing):
     [7.0],
     [-np.inf, -np.inf, -np.inf],
     np.where(np.eye(4, dtype=bool), -np.inf, np.arange(16.0).reshape(4, 4)),
+    [],
 ])
 def test_logsumexp_matches_scipy(values):
     assert _logsumexp(values) == pytest.approx(float(logsumexp(values)), rel=1e-15, abs=1e-15)
@@ -370,6 +373,10 @@ def test_multi_replica_enumeration_subadditive_and_empty():
     # rho below the tightest same-sign overlap gap leaves no admissible pair
     empty = exact_multi_replica_fe_enumeration(h, BandSpec(m, 0.8, 2, 0.9))
     assert empty.value == -math.inf
+    # a zero-width band around an interior center holds no sign pattern
+    assert exact_restricted_fe_enumeration(h, m, 0.0).value == -math.inf
+    with pytest.raises(ValueError):
+        exact_penalty_enumeration(h, BandSpec(m, 0.0, 2, 1.5))
 
 
 def test_penalty_identity_exact_at_corner_scale():
@@ -409,7 +416,7 @@ def test_constrained_chains_keep_every_tuple_in_multi_band(case):
         h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=2, rho=1.2)
     else:
         h, spec = continuous_band_spec()
-    run = _run_chains(h, np.linspace(0, 1, 5), 150, np.random.default_rng(14),
+    run, = _run_group([h], np.linspace(0, 1, 5), 150, [np.random.default_rng(14)],
                       n_replicas=2, band=spec)
     tuples = np.concatenate([run.snapshots.reshape(-1, 2, h.layout.n), run.final_coords])
     for tup in tuples:
@@ -441,21 +448,22 @@ def test_multisamplability_vacuous_and_validation():
     lay = SpeciesLayout(("s",), (8,))
     h = build_instance(Mixture.from_terms({(2,): 0.5}), lay, seed=1)
     rng = np.random.default_rng(0)
-    assert multisamplability_profile(h, [0.0], 2, 2.0, [0.0, 0.5], 50, rng) == 0.0
+    rec, = multisamplability_records(h, [0.0], 2, [2.0], [0.0, 0.5], 50, rng)
+    assert rec["value"] == 0.0
     with pytest.raises(ValueError):
-        multisamplability_profile(h, [0.0], 1, 0.5, [0.0, 0.5], 50, rng)
+        multisamplability_records(h, [0.0], 1, [0.5], [0.0, 0.5], 50, rng)
 
 
 def test_multisamplability_monotone_in_eps_and_floor():
     lay = SpeciesLayout(("s",), (8,))
     h = build_instance(Mixture.from_terms({(2,): 0.5}), lay, seed=1)
     grid = [0.0, 0.5]
-    wide = multisamplability_record(h, [0.0], 2, 0.5, grid, 600, np.random.default_rng(4))
-    narrow = multisamplability_record(h, [0.0], 2, 0.2, grid, 600, np.random.default_rng(4))
+    wide, = multisamplability_records(h, [0.0], 2, [0.5], grid, 600, np.random.default_rng(4))
+    narrow, = multisamplability_records(h, [0.0], 2, [0.2], grid, 600, np.random.default_rng(4))
     assert wide["hits"] >= narrow["hits"]
     assert wide["value"] >= narrow["value"]
     assert wide["value"] <= 0.0
-    tiny = multisamplability_record(h, [0.0], 2, 1e-9, grid, 200, np.random.default_rng(4))
+    tiny, = multisamplability_records(h, [0.0], 2, [1e-9], grid, 200, np.random.default_rng(4))
     assert "zero-hit-floor" in tiny["flags"]
     assert tiny["value"] == pytest.approx(math.log(0.5 / tiny["samples"]) / 8)
 
@@ -485,13 +493,13 @@ def test_grouped_replicas_equal_per_replica_samplers(case, n):
     runs = _run_group([h] * n, grid, 150, np.random.default_rng(21).spawn(n))
     refs = [pt_sampler(h, grid, 150, rng) for rng in np.random.default_rng(21).spawn(n)]
     for run, ref in zip(runs, refs):
-        assert np.array_equal(run.snapshots[:, :, 0], np.stack(ref.samples))
-        assert np.array_equal(run.series, np.stack(ref.energies))
-        assert run.flags == list(ref.flags)
+        assert np.array_equal(run.snapshots[:, :, 0], ref.snapshots[:, :, 0])
+        assert np.array_equal(run.series, ref.series)
+        assert run.flags == ref.flags
 
 
 def test_multisamplability_records_score_one_draw_per_eps_grid():
-    # the grid call equals one record call per eps on a same-seeded
+    # the grid call equals one one-eps call per eps on a same-seeded
     # generator, and its hits never decrease as eps grows
     h = REPLICA_CASES["8+8"]()
     eps_grid = [0.1, 0.3, 0.6, 0.9, 2.5]
@@ -499,8 +507,8 @@ def test_multisamplability_records_score_one_draw_per_eps_grid():
     records = multisamplability_records(h, [0.0, 0.0], 3, eps_grid, grid, 300,
                                         np.random.default_rng(4))
     for eps, rec in zip(eps_grid, records):
-        assert rec == multisamplability_record(h, [0.0, 0.0], 3, eps, grid, 300,
-                                               np.random.default_rng(4))
+        assert [rec] == multisamplability_records(h, [0.0, 0.0], 3, [eps], grid, 300,
+                                                  np.random.default_rng(4))
     hits = [rec["hits"] for rec in records[:-1]]
     assert hits == sorted(hits) and hits[0] < hits[-1]
     assert records[-1]["flags"] == ["vacuous"] and records[-1]["value"] == 0.0
@@ -531,6 +539,37 @@ def test_multisamplability_hit_rate_matches_sign_pattern_oracle(case, n):
         hits += rec["hits"]
         samples += rec["samples"]
     assert abs(hits / samples - p) <= 4.0 * math.sqrt(p * (1.0 - p) / samples)
+
+
+@pytest.mark.parametrize("n_rep", [1, 2, 3])
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_enumeration_matches_plain_tuple_loop(case, n_rep):
+    # the joint value, the penalty and the pattern count against a loop over
+    # every n-tuple of band sign patterns, one pair check at a time
+    mix, lay, seed = ORACLE_CASES[case]
+    h = build_instance(mix, lay, seed=seed)
+    m = Configuration(np.linspace(0.5, -0.4, lay.n), lay)
+    q = m.coords**2
+    n = lay.n
+    for delta, rho in ((0.8, 1.5), (0.8, 1.2), (0.6, 1.01), (0.7, 0.95), (0.3, 1.5)):
+        band = [s for s in sign_patterns(n) if np.all(np.abs(s * m.coords - q) <= delta)]
+        single = [energy(h, Configuration(s, lay)) - energy(h, m) for s in band]
+        joint = [sum(single[k] for k in tup)
+                 for tup in itertools.product(range(len(band)), repeat=n_rep)
+                 if all(np.all(np.abs(band[a] * band[b] - q) <= rho)
+                        for a, b in itertools.combinations(tup, 2))]
+        log_joint = float(logsumexp(joint)) if joint else -math.inf
+        spec = BandSpec(m, delta, n_rep, rho)
+        est = exact_multi_replica_fe_enumeration(h, spec)
+        penalty = exact_penalty_enumeration(h, spec)
+        assert est.meta["n_configurations"] == len(band) > 0
+        if not joint:
+            assert est.value == penalty == -math.inf
+            continue
+        expected = (log_joint - n_rep * n * math.log(2.0)) / (n * n_rep)
+        assert abs(est.value - expected) <= 1e-12
+        expected = (log_joint - n_rep * float(logsumexp(single))) / (n * n_rep)
+        assert abs(penalty - expected) <= 1e-12
 
 
 # --- chain of inequalities ------------------------------------------------------
