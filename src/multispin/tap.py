@@ -196,38 +196,42 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), se
 
 
-def _over_seeds(xis, layout: SpeciesLayout, label: str, config: EstimatorConfig, seeds: int,
+def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, seeds: int,
                 fe_streams=None, qs=(), gs_streams=()):
     """One pass over rows r = j * seeds + i, the instance of mixture xis[j]
-    at seed (master_seed, label, i), each built once in the groups of
+    at seed (master_seed, labels[j], i), each built once in the groups of
     instance_groups.  Returns the disorder average of each mixture's free
     energy when fe_streams is given (row r on fe_streams[r]; SE from the
     scatter of per-seed estimates, which carries any MC noise), and for each
     overlap qs[k] the (mean, SE, per-row values, flags) of the per-spin shell
-    ground state (row r on gs_streams[k][r]; exhaustive on single-coordinate
-    species blocks, one grouped ascent per group and overlap otherwise)."""
-    instance_seeds = [derive_seed(config.master_seed, label, i) for i in range(seeds)]
+    ground state of the first len(gs_streams[k]) rows (row r on
+    gs_streams[k][r]; exhaustive on single-coordinate species blocks, one
+    grouped ascent per group and overlap otherwise)."""
+    instance_seeds = [derive_seed(config.master_seed, label, i)
+                      for label in labels for i in range(seeds)]
     exact = resolve_fe_method("auto", layout) == "enumeration"
     estimates, values, flags = [], [[] for _ in qs], [set() for _ in qs]
     for group, group_fe_streams, *group_gs_streams in instance_groups(
-            [xi for xi in xis for _ in range(seeds)], layout, instance_seeds * len(xis),
-            fe_streams or [None] * (len(xis) * seeds), *gs_streams):
+            [xi for xi in xis for _ in range(seeds)], layout, instance_seeds,
+            fe_streams or (), *gs_streams):
         if fe_streams is not None:
             estimates += _fe_group(group, config, group_fe_streams)
         for qv, streams, row_values, row_flags in zip(qs, group_gs_streams, values, flags):
+            hs = group[:len(streams)]  # gs rows lead the pass, so they lead a group
             if exact:
-                row_values += [exact_gs_enumeration(h, qv) for h in group]
-                continue
-            for res in ascend_many(group, qv, config.restarts, config.max_iters, streams):
-                row_values.append(res.energy_per_spin)
-                if res.converged_fraction < 0.5:
-                    row_flags.add("gs-poor-convergence")
+                row_values += [exact_gs_enumeration(h, qv) for h in hs]
+            elif hs:
+                for res in ascend_many(hs, qv, config.restarts, config.max_iters, streams):
+                    row_values.append(res.energy_per_spin)
+                    if res.converged_fraction < 0.5:
+                        row_flags.add("gs-poor-convergence")
     averages = []
-    for chunk in (estimates[lo:lo + seeds] for lo in range(0, len(estimates), seeds)):
+    for lo in range(0, len(estimates), seeds):
+        chunk = estimates[lo:lo + seeds]
         fe_values = [est.value for est in chunk]
         averages.append(FreeEnergyEstimate(*_mean_se(fe_values), chunk[-1].method, {
             "seed_values": fe_values,
-            "instance_seeds": instance_seeds,
+            "instance_seeds": instance_seeds[lo:lo + seeds],
             "mean_mc_std_error": float(np.mean([est.std_error for est in chunk])),
             "flags": sorted({f for est in chunk for f in est.meta.get("flags", [])}),
         }))
@@ -237,11 +241,14 @@ def _over_seeds(xis, layout: SpeciesLayout, label: str, config: EstimatorConfig,
 def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfig,
               rngs) -> list[TapReport]:
     """The decomposition at every overlap q_grid[k]; rngs[k] spawns 3 *
-    config.seeds streams, whose thirds drive lhs, gs and fq.  One pass builds
-    each "tap-base" instance once: lhs, which does not depend on q, runs on
-    point 0's first third and every report shares it, and gs runs at every
-    overlap.  fq is one pass over (overlap, seed) rows.  lhs and gs read the
-    same instances, so the gap's SE pairs them per seed (lhs_i - gs_i)."""
+    config.seeds streams, whose thirds drive lhs, gs and fq.  One pass over
+    the "tap-base" rows and the (overlap, seed) "tap-recentered" rows builds
+    each instance once, and rows whose mixtures share term keys run as one
+    tempering group: lhs, which does not depend on q, runs on point 0's
+    first third and every report shares it, fq runs on each point's last
+    third, and gs runs on the "tap-base" rows only, at every overlap.  lhs
+    and gs read the same instances, so the gap's SE pairs them per seed
+    (lhs_i - gs_i)."""
     qvs = [require_shell_overlap(q, layout.n_species) for q in q_grid]
     if not qvs:
         return []
@@ -249,10 +256,11 @@ def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfi
     if seeds < 2:
         raise ValueError("need at least 2 disorder seeds")
     streams = [rng.spawn(3 * seeds) for rng in rngs]
-    [lhs], gs_passes = _over_seeds([xi], layout, "tap-base", config, seeds, streams[0][:seeds],
-                                   qvs, [s[seeds:2 * seeds] for s in streams])
-    fqs, _ = _over_seeds([xi_q(xi, qv) for qv in qvs], layout, "tap-recentered", config, seeds,
-                         [stream for s in streams for stream in s[2 * seeds:]])
+    [lhs, *fqs], gs_passes = _over_seeds(
+        [xi] + [xi_q(xi, qv) for qv in qvs], layout,
+        ["tap-base"] + ["tap-recentered"] * len(qvs), config, seeds,
+        streams[0][:seeds] + [stream for s in streams for stream in s[2 * seeds:]],
+        qvs, [s[seeds:2 * seeds] for s in streams])
     reports = []
     for qv, (gs, gs_se, gs_values, gs_flags), fq in zip(qvs, gs_passes, fqs):
         logvol = log_volume_term(layout, qv)
@@ -309,7 +317,7 @@ def onsager_check(xi: Mixture, layout: SpeciesLayout, q_star,
     (1/2) xi_{q*}(1); the two agree at a maximal multi-samplable overlap."""
     qv = require_shell_overlap(q_star, layout.n_species)
     rng = np.random.default_rng(derive_seed(config.master_seed, "onsager"))
-    [fq], _ = _over_seeds([xi_q(xi, qv)], layout, "onsager-recentered", config,
+    [fq], _ = _over_seeds([xi_q(xi, qv)], layout, ["onsager-recentered"], config,
                           config.seeds, rng.spawn(config.seeds))
     predicted = onsager_term(xi, qv)
     difference = fq.value - predicted
@@ -370,10 +378,10 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
     streams = np.random.default_rng(derive_seed(config.master_seed, "nesting")).spawn(3 * seeds)
     # gs at q and at q-hat read the same instances of xi, so they share a pass
     _, [(gs_q, se_q, _, fl1), (gs_qhat, se_hat, _, fl3)] = _over_seeds(
-        [xi], layout, "tap-base", config, seeds, qs=[qv, qhat.as_array()],
+        [xi], layout, ["tap-base"], config, seeds, qs=[qv, qhat.as_array()],
         gs_streams=[streams[:seeds], streams[2 * seeds:]])
     _, [(gs_qp, se_qp, _, fl2)] = _over_seeds(
-        [xi_at_q], layout, "tap-base", config, seeds, qs=[qp],
+        [xi_at_q], layout, ["tap-base"], config, seeds, qs=[qp],
         gs_streams=[streams[seeds:2 * seeds]])
     lhs = gs_q + gs_qp
     se = math.sqrt(se_q**2 + se_qp**2 + se_hat**2)

@@ -308,16 +308,6 @@ def pt_sampler(h: HamiltonianInstance, beta_grid, steps: int,
     return _run_group([h], _check_beta_grid(beta_grid), steps, [rng])[0]
 
 
-def _block_std_error(series: np.ndarray) -> float:
-    """Standard error of the series mean from ~20 contiguous block means."""
-    n = len(series)
-    if n < 2:
-        return 0.0
-    n_blocks = min(20, n)
-    means = np.array([b.mean() for b in np.array_split(series, n_blocks)])
-    return float(means.std(ddof=1) / math.sqrt(n_blocks))
-
-
 @functools.lru_cache(maxsize=64)
 def _simpson_weights(grid: tuple) -> np.ndarray:
     """Weights w with w @ y the composite Simpson integral of y over a grid
@@ -360,10 +350,21 @@ def _simpson_with_error(means: np.ndarray, ses: np.ndarray,
 
 def _ti_tail(run: PTResult, offset: float, scale: float, meta: dict) -> tuple[float, float]:
     """Simpson integral over the beta grid of the node means
-    (mean total energy - offset) / scale, with its error.  Records the
-    per-node means and SEs, the sampler rates and the run's flags in meta."""
-    means = np.array([(s.mean() - offset) / scale for s in run.series])
-    ses = np.array([_block_std_error(s) / scale for s in run.series])
+    (mean total energy - offset) / scale, with its error; a node's SE comes
+    from the min(20, n) contiguous block means of np.array_split over its n
+    samples, and is 0 for one sample.  Records the per-node means and SEs,
+    the sampler rates and the run's flags in meta."""
+    rows, n = run.series.shape
+    means = (run.series.mean(axis=1) - offset) / scale
+    ses = np.zeros(rows)
+    if n > 1:
+        n_blocks = min(20, n)
+        size, extra = divmod(n, n_blocks)
+        cut = extra * (size + 1)
+        blocks = np.concatenate([
+            run.series[:, :cut].reshape(rows, extra, size + 1).mean(axis=2),
+            run.series[:, cut:].reshape(rows, n_blocks - extra, size).mean(axis=2)], axis=1)
+        ses = blocks.std(axis=1, ddof=1) / math.sqrt(n_blocks) / scale
     value, err = _simpson_with_error(means, ses, run.beta_grid)
     meta.update({
         "node_means": [float(v) for v in means],

@@ -213,7 +213,7 @@ def test_grouped_gs_pass_matches_one_instance_at_a_time(terms, sizes, split, mon
     monkeypatch.setattr(tap, "ascend_many", spy)
     if split:  # room for two instances per group
         monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP", 2 * block_entries(xi, lay) + 1)
-    _, [(mean, _, _, _)] = tap._over_seeds([xi], lay, "tap-base", cfg, 5, qs=[qv],
+    _, [(mean, _, _, _)] = tap._over_seeds([xi], lay, ["tap-base"], cfg, 5, qs=[qv],
                                            gs_streams=[np.random.default_rng(8).spawn(5)])
     assert groups == ([2, 2, 1] if split else [5])
     streams = np.random.default_rng(8).spawn(5)
@@ -266,6 +266,41 @@ def test_tap_evaluate_stream_layout():
         for seed, stream in zip(base, gs_streams)])
     assert rep.fq.meta["seed_values"] == [
         est.value for est in fe_per_seed(xi_q(xi, qv), lay, cfg, recentered, fq_streams)]
+
+
+@pytest.mark.parametrize("terms, sizes", [
+    ({(2, 0): 0.4, (1, 1): 0.5}, [9]),
+    ({(1, 0): 0.2, (1, 1): 0.8}, [3, 6]),  # xi_q drops the one-spin term
+])
+def test_scan_runs_lhs_and_fq_rows_as_one_ti_group(terms, sizes, monkeypatch):
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    xi = Mixture.from_terms(terms)
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.5, 1.0), sweeps=30, seeds=3,
+                          restarts=1, max_iters=10, master_seed=6)
+    grid = [(0.3, 0.4), (0.5, 0.2)]
+    groups = []
+    grouped_ti = tap.fe_thermo_integration_many
+
+    def spy(hs, *args):
+        groups.append(len(hs))
+        return grouped_ti(hs, *args)
+
+    monkeypatch.setattr(tap, "fe_thermo_integration_many", spy)
+    reports = tap_inequality_scan(xi, lay, grid, cfg)
+    assert groups == sizes
+    # the stream layout of test_tap_evaluate_stream_layout, point k on its own generator
+    for k, (q, rep) in enumerate(zip(grid, reports)):
+        streams = np.random.default_rng(derive_seed(6, "tap-scan", k)).spawn(9)
+        for i in range(cfg.seeds):
+            fq = fe_thermo_integration(
+                build_instance(xi_q(xi, q), lay, seed=derive_seed(6, "tap-recentered", i)),
+                cfg.beta_grid, cfg.sweeps, streams[6 + i])
+            assert rep.fq.meta["seed_values"][i] == fq.value
+            if k == 0:
+                lhs = fe_thermo_integration(
+                    build_instance(xi, lay, seed=derive_seed(6, "tap-base", i)),
+                    cfg.beta_grid, cfg.sweeps, streams[i])
+                assert rep.lhs.meta["seed_values"][i] == lhs.value
 
 
 def test_paired_gap_std_error():

@@ -24,9 +24,11 @@ from multispin.hamiltonian import (
 from multispin.mixture import Mixture, SpeciesLayout, xi_q
 from multispin.thermo import (
     FreeEnergyEstimate,
+    PTResult,
     _logsumexp,
     _simpson_weights,
     _run_group,
+    _ti_tail,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
@@ -240,6 +242,30 @@ def test_simpson_weights_match_scipy(n, spacing):
 ])
 def test_logsumexp_matches_scipy(values):
     assert _logsumexp(values) == pytest.approx(float(logsumexp(values)), rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 19, 20, 21, 267, 1333])
+@pytest.mark.parametrize("rows", [1, 11])
+def test_ti_tail_node_statistics_match_a_loop_over_rows(length, rows):
+    # rows of a wider run, as a group's series are, on an energy-like scale
+    rng = np.random.default_rng(length * rows)
+    series = (40.0 + 3.0 * rng.standard_normal((rows + 2, length)))[1:-1]
+    offset, scale = 2.5, 7.0
+    run = PTResult(beta_grid=np.linspace(0.0, 1.0, rows), series=series, snapshots=None,
+                   accept_rates=np.ones(rows), swap_rates=np.ones(max(rows - 1, 0)),
+                   step_sizes=None, flags=[], final_coords=None, proposal_counts=None)
+    meta = {"flags": []}
+    _ti_tail(run, offset, scale, meta)
+    n_blocks = min(20, length)
+    ses = []
+    for s in series:
+        block_means = np.array([b.mean() for b in np.array_split(s, n_blocks)])
+        se = float(block_means.std(ddof=1) / math.sqrt(n_blocks)) if length > 1 else 0.0
+        ses.append(se / scale)
+    assert meta["node_means"] == [float((s.mean() - offset) / scale) for s in series]
+    assert meta["node_std_errors"] == ses
+    if length == 1:
+        assert meta["node_std_errors"] == [0.0] * rows
 
 
 def test_ti_beta_zero_grid_is_exactly_zero():
