@@ -27,12 +27,14 @@ import numpy as np
 from .geometry import (
     BandSpec,
     Configuration,
-    in_band,
     load_configuration,
     log_band_volume,
+    project_phi,
     sample_on_shell,
     sample_uniform,
+    sample_uniform_batch,
     save_configuration,
+    species_overlaps,
     tilde_transform,
 )
 from .ground_state import ascend, ascend_many, eigen_oracle_2spin
@@ -66,12 +68,14 @@ from .tap import (
     tap_inequality_scan,
 )
 from .thermo import (
+    _check_quadrature_grid,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
     exact_penalty_enumeration,
     exact_restricted_fe_enumeration,
     fe_thermo_integration,
+    fe_thermo_integration_many,
     multisamplability_records,
 )
 
@@ -308,10 +312,12 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
     if name == "tap_scan" and values["seeds"] < 2:
         raise ConfigError("tap_scan.seeds", "must be >= 2 (the decomposition is "
                                             "averaged over disorder seeds)")
-    if (name == "tap_scan" and values["beta_grid"][-1] != 1.0
-            and resolve_fe_method(values["method"], layout) == "ti"):
+    method = resolve_fe_method(values["method"], layout) if "method" in values else None
+    if name == "tap_scan" and values["beta_grid"][-1] != 1.0 and method == "ti":
         raise ConfigError("tap_scan.beta_grid", "must end at 1 for thermodynamic "
                                                 "integration (gs is taken at beta 1)")
+    if method == "quadrature":
+        _at(f"{name}.quadrature_nodes", _check_quadrature_grid, layout, values["quadrature_nodes"])
     return _SECTION_TYPES[name](**values)
 
 
@@ -429,6 +435,11 @@ def _suite_fixture_corner():
 def run_verification_suite(config: ExperimentConfig, mutation: str | None = None) -> dict:
     """Run the cross-module invariant checks; failures never abort the suite.
 
+    The band Monte Carlo, energy-batch and instance-checkpoint checks draw
+    their points with one sample_uniform_batch call (the band check scores
+    them with one species_overlaps call), and the TI oracle runs its three
+    instances as one fe_thermo_integration_many group.
+
     The optional mutation corrupts one internal formula so the suite must
     detect it — a self-test that the checks have teeth.
     """
@@ -450,6 +461,12 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         except Exception as exc:  # noqa: BLE001 - the suite reports, never aborts
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
+    def within(gap, tol, failure, passed=""):
+        """Detail "<passed> <gap>"; AssertionError "<failure> <gap>" when gap > tol."""
+        if gap > tol:
+            raise AssertionError(f"{failure} {gap:.3e}")
+        return f"{passed} {gap:.3e}"
+
     def check_shift_identity():
         rng = np.random.default_rng(derive_seed(seed, "verify", "shift"))
         worst = 0.0
@@ -460,9 +477,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
             lhs = eval_mixture(shifted, x)
             rhs = eval_mixture(mix_xi, q + (1.0 - q) * x) - eval_mixture(mix_xi, q)
             worst = max(worst, abs(lhs - rhs))
-        if worst > 1e-9:
-            raise AssertionError(f"recentering identity off by {worst:.3e}")
-        return f"max deviation {worst:.3e}"
+        return within(worst, 1e-9, "recentering identity off by", "max deviation")
 
     def check_nesting():
         rng = np.random.default_rng(derive_seed(seed, "verify", "nesting"))
@@ -474,13 +489,11 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         keys = {p for p, _ in two.terms} | {p for p, _ in one.terms}
         gap = max((abs(two.coefficient(p) - one.coefficient(p)) for p in keys),
                   default=0.0)
-        if gap > 1e-10:
-            raise AssertionError(f"nesting coefficients differ by {gap:.3e}")
+        detail = within(gap, 1e-10, "nesting coefficients differ by", "coefficient gap")
         vol_gap = abs(log_volume_term(mix_layout, q) + log_volume_term(mix_layout, qp)
                       - log_volume_term(mix_layout, qhat.as_array()))
-        if vol_gap > 1e-12:
-            raise AssertionError(f"entropy additivity off by {vol_gap:.3e}")
-        return f"coefficient gap {gap:.3e}"
+        within(vol_gap, 1e-12, "entropy additivity off by")
+        return detail
 
     def check_recentering_removes_linear():
         q = np.full(mix_layout.n_species, 0.4)
@@ -495,10 +508,10 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         delta = 0.2
         exact = log_band_volume(geom_layout, q, delta)
         m = sample_on_shell(geom_layout, q, rng)
-        hits = 0
         trials = 4000
-        for _ in range(trials):
-            hits += int(in_band(sample_uniform(geom_layout, rng), m, delta))
+        r = species_overlaps(sample_uniform_batch(geom_layout, trials, rng), m.coords,
+                             geom_layout)
+        hits = int(np.all(np.abs(r - m.self_overlap().as_array()) <= delta, axis=1).sum())
         if hits == 0:
             raise AssertionError("no band hits in the Monte Carlo check")
         est = math.log(hits / trials) / geom_layout.n
@@ -511,22 +524,11 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         rng = np.random.default_rng(derive_seed(seed, "verify", "tilde"))
         q = np.full(geom_layout.n_species, 0.25)
         m = sample_on_shell(geom_layout, q, rng)
-        coords = np.empty(geom_layout.n)
-        for s, sl in enumerate(geom_layout.slices):
-            ms = m.coords[sl]
-            g = rng.standard_normal(geom_layout.sizes[s])
-            g = g - (g @ ms) * ms / float(ms @ ms)
-            g *= math.sqrt(geom_layout.sizes[s]) / np.linalg.norm(g)
-            coords[sl] = ms + math.sqrt(1.0 - q[s]) * g
-        sigma = Configuration(coords, geom_layout)
+        sigma = project_phi(sample_uniform(geom_layout, rng), m)
         rho = tilde_transform(sigma, m, q)
-        back = np.array(rho.coords)
-        for s, sl in enumerate(geom_layout.slices):
-            back[sl] = m.coords[sl] + math.sqrt(1.0 - q[s]) * rho.coords[sl]
+        back = m.coords + np.sqrt(1.0 - q)[geom_layout.species_of_coordinate()] * rho.coords
         gap = float(np.max(np.abs(back - sigma.coords)))
-        if gap > 1e-9:
-            raise AssertionError(f"round trip off by {gap:.3e}")
-        return f"max deviation {gap:.3e}"
+        return within(gap, 1e-9, "round trip off by", "max deviation")
 
     def check_configuration_checkpoint():
         rng = np.random.default_rng(derive_seed(seed, "verify", "checkpoint"))
@@ -548,13 +550,11 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
     def check_energy_batch():
         h = _small_instance()
         rng = np.random.default_rng(derive_seed(seed, "verify", "batch"))
-        pts = np.array([sample_uniform(h.layout, rng).coords for _ in range(8)])
+        pts = sample_uniform_batch(h.layout, 8, rng)
         batched = energy_many(h, pts)
         single = np.array([energy(h, Configuration(p, h.layout)) for p in pts])
         gap = float(np.max(np.abs(batched - single)))
-        if gap > 1e-10:
-            raise AssertionError(f"batch energies differ by {gap:.3e}")
-        return f"max deviation {gap:.3e}"
+        return within(gap, 1e-10, "batch energies differ by", "max deviation")
 
     def check_gradient():
         h = _small_instance()
@@ -576,7 +576,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
     def check_instance_checkpoint():
         h = _small_instance()
         rng = np.random.default_rng(derive_seed(seed, "verify", "hchk"))
-        pts = np.array([sample_uniform(h.layout, rng).coords for _ in range(4)])
+        pts = sample_uniform_batch(h.layout, 4, rng)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "instance.json"
             save_instance(h, path)
@@ -596,9 +596,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         mix, lay = _suite_fixture_corner()
         h = build_instance(mix, lay, seed=derive_seed(seed, "verify", "corner"))
         gap = abs(exact_fe_enumeration(h).value - exact_fe_quadrature(h, 8).value)
-        if gap > 1e-9:
-            raise AssertionError(f"enumeration vs quadrature gap {gap:.3e}")
-        return f"gap {gap:.3e}"
+        return within(gap, 1e-9, "enumeration vs quadrature gap", "gap")
 
     def check_penalty_identity():
         mix, lay = _suite_fixture_corner()
@@ -608,19 +606,16 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         joint = exact_multi_replica_fe_enumeration(h, spec).value
         single = exact_restricted_fe_enumeration(h, m, 0.9).value
         penalty = exact_penalty_enumeration(h, spec)
-        gap = abs(joint - single - penalty)
-        if gap > 1e-10:
-            raise AssertionError(f"penalty identity off by {gap:.3e}")
-        return f"gap {gap:.3e}"
+        return within(abs(joint - single - penalty), 1e-10, "penalty identity off by", "gap")
 
     def check_ti_oracle():
         mix, lay = _suite_fixture_corner()
-        for k in range(3):
-            h = build_instance(mix, lay, seed=derive_seed(seed, "verify", "ti", k))
+        hs = [build_instance(mix, lay, seed=derive_seed(seed, "verify", "ti", k))
+              for k in range(3)]
+        tis = fe_thermo_integration_many(hs, np.linspace(0.0, 1.0, 11), 400, [
+            np.random.default_rng(derive_seed(seed, "verify", "ti-mc", k)) for k in range(3)])
+        for k, (h, ti) in enumerate(zip(hs, tis)):
             en = exact_fe_enumeration(h).value
-            ti = fe_thermo_integration(
-                h, np.linspace(0.0, 1.0, 11), 400,
-                np.random.default_rng(derive_seed(seed, "verify", "ti-mc", k)))
             if abs(ti.value - en) > 3 * ti.std_error:
                 raise AssertionError(
                     f"seed {k}: TI {ti.value:.5f} vs exact {en:.5f} "
@@ -646,9 +641,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         cfg = EstimatorConfig(seeds=5, master_seed=derive_seed(seed, "verify", "tap"))
         rep = tap_evaluate(mix, lay, [0.2, 0.3], cfg)
         gap = abs(rep.gap - (rep.lhs.value - rep.gs - rep.logvol - rep.fq.value))
-        if gap > 1e-12:
-            raise AssertionError(f"gap bookkeeping off by {gap:.3e}")
-        return f"reconstruction gap {gap:.3e}"
+        return within(gap, 1e-12, "gap bookkeeping off by", "reconstruction gap")
 
     run_check("mixture-recentering-identity", check_shift_identity)
     run_check("mixture-nesting-composition", check_nesting)
@@ -743,11 +736,9 @@ def cmd_ground_state(config: ExperimentConfig) -> int:
                 oracles.append(None)
     rows = []
     for i, (res, oracle) in enumerate(zip(results, oracles)):
-        rows.append([i, res.energy_per_spin,
-                     "" if oracle is None else float(oracle),
-                     res.converged_fraction,
-                     float(np.mean(res.iteration_counts)),
-                     max(res.iteration_counts)])
+        rec = res.to_record()
+        rows.append([i, rec["energy_per_spin"], "" if oracle is None else float(oracle),
+                     rec["converged_fraction"], rec["iterations_mean"], rec["iterations_max"]])
     out = _out_dir(config)
     _write_csv(out / "ground_state.csv",
                ["seed", "energy_per_spin", "eigen_oracle", "converged_fraction",

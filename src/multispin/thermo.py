@@ -25,6 +25,7 @@ from .geometry import (
     species_overlaps,
 )
 from .hamiltonian import (
+    DEFAULT_MEMORY_BUDGET,
     HamiltonianInstance,
     energy,
     energy_many,
@@ -107,17 +108,16 @@ _INIT_ROUNDS = 100  # rounds before initialization gives up
 
 
 def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
-                   n_replicas: int, rng: np.random.Generator) -> np.ndarray:
-    """Starting tuples, shape (n_chains, n_replicas, N): uniform on S_N, or
+                   rng: np.random.Generator) -> np.ndarray:
+    """Starting tuples, shape (n_chains, 1 or band.n, N): uniform on S_N, or
     uniform on the band with pairwise rejection when the run is constrained."""
     if band is None:
-        return sample_uniform_batch(layout, n_chains * n_replicas, rng).reshape(
-            n_chains, n_replicas, layout.n)
+        return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
     q_center = band.center.self_overlap().as_array()
-    out = np.empty((n_chains, n_replicas, layout.n))
+    out = np.empty((n_chains, band.n, layout.n))
     out[:, 0] = sample_uniform_in_band_batch(band.center, band.delta, n_chains, rng)
     for c in range(n_chains):
-        for r in range(1, n_replicas):
+        for r in range(1, band.n):
             for _ in range(_INIT_ROUNDS):
                 cand = sample_uniform_in_band_batch(band.center, band.delta, _INIT_BATCH, rng)
                 ov = species_overlaps(cand[:, None, :], out[c, :r], layout)
@@ -146,8 +146,8 @@ def _group_sampler(rngs, method):
     return draw
 
 
-def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
-               band: BandSpec | None = None, keep_snapshots: bool = True) -> list[PTResult]:
+def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
+               keep_snapshots: bool = True) -> list[PTResult]:
     """Replica-exchange Metropolis over the beta grid, batched over a group
     of instances that share mixture terms and layout, and over chains.
 
@@ -157,7 +157,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
     kernels are symmetric, so acceptance is min(1, 1_constraints *
     exp(beta dH)).  After each sweep, neighbouring chains (even pairs on even
     sweeps, odd pairs on odd sweeps) swap states when
-    log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  Instance k draws all its
+    log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band run couples band.n
+    replicas; an unconstrained run has one.  Instance k draws all its
     randomness from rngs[k], as whole arrays over the chain axis in a fixed
     order, so its run depends only on its own seed, not on the group.
     Without keep_snapshots no thinned states are kept (snapshots hold zero
@@ -176,11 +177,12 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, n_replicas: int = 1,
     n_rows = k * n_chains
     betas = np.tile(beta_grid, k)
     every_row = np.ones(n_rows, dtype=bool)
+    n_replicas = 1 if band is None else band.n
     q_center = m_coords = None
     if band is not None:
         q_center = band.center.self_overlap().as_array()
         m_coords = band.center.coords
-    coords = np.concatenate([_init_replicas(layout, band, n_chains, n_replicas, rng)
+    coords = np.concatenate([_init_replicas(layout, band, n_chains, rng)
                              for rng in rngs])
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
         n_rows, n_replicas)
@@ -495,7 +497,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         return FreeEnergyEstimate(float(log_vol + pair_term), float(pair_term_se),
                                   "thermo-integration", meta)
 
-    run = _run_group([h], grid, steps, [rng], n_rep, spec)[0]
+    run = _run_group([h], grid, steps, [rng], spec)[0]
     integral, err = _ti_tail(run, n_rep * h_at_m, n * n_rep, meta)
     return FreeEnergyEstimate(float(log_vol + pair_term + integral),
                               float(err + pair_term_se), "thermo-integration", meta)
@@ -670,6 +672,13 @@ def _species_quadrature(d: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError("quadrature supports species blocks of size at most 3")
 
 
+def _check_quadrature_grid(layout: SpeciesLayout, nodes_per_angle: int) -> None:
+    """Refuse a quadrature grid of over DEFAULT_MEMORY_BUDGET (point, coordinate) entries."""
+    points = math.prod(2 if d == 1 else nodes_per_angle ** (d - 1) for d in layout.sizes)
+    if points * layout.n > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"quadrature grid needs {points * layout.n} entries, over the budget")
+
+
 def _quadrature_value(h: HamiltonianInstance, nodes_per_angle: int) -> float:
     layout = h.layout
     grids = [_species_quadrature(d, nodes_per_angle) for d in layout.sizes]
@@ -698,6 +707,7 @@ def exact_fe_quadrature(h: HamiltonianInstance, nodes_per_angle: int) -> FreeEne
     _require_quadrature(h.layout)
     if nodes_per_angle < 2:
         raise ValueError("need at least 2 nodes per angle")
+    _check_quadrature_grid(h.layout, nodes_per_angle)
     value = _quadrature_value(h, nodes_per_angle)
     coarse = _quadrature_value(h, max(2, nodes_per_angle // 2))
     return FreeEnergyEstimate(value, 0.0, "quadrature", {

@@ -259,6 +259,30 @@ class TestConfigParsing:
         doc["tap_scan"]["q_grid"] = [[0.0]]
         assert parse_config(json.dumps(doc)).tap_scan.q_grid == ((0.0,),)
 
+    @pytest.mark.parametrize("sizes, nodes", [([2, 2], 8192), ([1, 3], 5792)])
+    def test_quadrature_grid_over_budget_rejected(self, tmp_path, sizes, nodes):
+        # auto resolves to quadrature on these blocks, whose grids have
+        # nodes^2 and 2 nodes^2 points of 4 coordinates: `nodes` is the largest
+        # count within the budget of 2^28 entries, and parsing refuses one
+        # more without building the grid
+        doc = corner_doc(model={"species": ["a", "b"], "sizes": sizes,
+                                "terms": [{"p": [1, 1], "delta_sq": 1.0}]})
+        for section in ("free_energy", "tap_scan"):
+            bad = json.loads(json.dumps(doc))
+            bad[section]["quadrature_nodes"] = nodes
+            assert getattr(parse_config(json.dumps(bad)), section).quadrature_nodes == nodes
+            bad[section]["quadrature_nodes"] = nodes + 1
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(bad))
+            assert err.value.path == f"{section}.quadrature_nodes"
+            assert "budget" in str(err.value)
+            bad[section]["method"] = "ti"
+            assert getattr(parse_config(json.dumps(bad)), section).quadrature_nodes == nodes + 1
+        doc["free_energy"]["quadrature_nodes"] = 100000
+        config = write_config(tmp_path, doc)
+        assert main(["free-energy", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+
 
 class TestVerificationSuite:
     def test_default_config_passes(self):

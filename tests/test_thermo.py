@@ -148,6 +148,15 @@ def test_quadrature_rejects_unsupported_layouts():
         exact_fe_quadrature(h_ok, 1)
 
 
+def test_quadrature_grid_over_budget_refused():
+    # 100000 nodes per angle on 2+2 blocks make 10^10 points of 4 coordinates;
+    # the budget check runs before any node is built
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}),
+                       SpeciesLayout(("a", "b"), (2, 2)), seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        exact_fe_quadrature(h, 100000)
+
+
 # --- Metropolis acceptance rule (three-state toy) ----------------------------
 
 def test_metropolis_rule_detailed_balance_on_toy_target():
@@ -442,8 +451,7 @@ def test_constrained_chains_keep_every_tuple_in_multi_band(case):
         h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=2, rho=1.2)
     else:
         h, spec = continuous_band_spec()
-    run, = _run_group([h], np.linspace(0, 1, 5), 150, [np.random.default_rng(14)],
-                      n_replicas=2, band=spec)
+    run, = _run_group([h], np.linspace(0, 1, 5), 150, [np.random.default_rng(14)], band=spec)
     tuples = np.concatenate([run.snapshots.reshape(-1, 2, h.layout.n), run.final_coords])
     for tup in tuples:
         assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)

@@ -1,0 +1,211 @@
+"""Compare the CLI outputs of two source trees.
+
+    python tools/compare_cli_outputs.py --ref <reference src dir>
+
+Runs `free-energy`, `ground-state`, `tap-scan` and `multisamp` on four fixed
+configs with the `multispin` package of each tree (the reference and this
+repository's `src/`), and reports the `out_dir` files, stdout and exit codes
+that differ.  Runs `verify` on the same configs
+and on 40 (model, master seed, mutation) combinations, and reports any
+difference in the exit code, the check names, their order or their `passed`
+flags; `detail` strings (Monte Carlo estimates and roundoff-level deviations)
+are only counted, per check.  Uses the standard library only.  Exit code 0
+when nothing but `detail` strings differs, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("verify", "free-energy", "ground-state", "tap-scan", "multisamp")
+VERIFY_SEEDS = (0, 7, 11, 123, 999)
+MUTATIONS = (None, "shifted-coefficients")
+
+
+def _model(sizes, terms):
+    return {"species": ["a", "b"], "sizes": list(sizes),
+            "terms": [{"p": list(p), "delta_sq": c} for p, c in terms]}
+
+
+def _betas(k):
+    return [i / (k - 1) for i in range(k)]
+
+
+# small sections for the configs that do not exercise them
+_SMALL = {
+    "free_energy": {"beta_grid": _betas(6), "sweeps": 60, "seeds": 3},
+    "ground_state": {"q": [0.4, 0.6], "restarts": 2, "max_iters": 50, "seeds": 3},
+    "tap_scan": {"q_grid": [[0.2, 0.3]], "beta_grid": _betas(6), "sweeps": 60,
+                 "seeds": 2, "restarts": 2, "max_iters": 50},
+    "multisamp": {"q": [0.0, 0.0], "eps_grid": [0.6, 0.3], "beta_grid": _betas(4),
+                  "sweeps": 60, "seeds": 2},
+}
+
+CONFIGS = {
+    # the corner model of tests/test_cli.py
+    "corner": {
+        "master_seed": 11,
+        "model": _model((1, 1), [((1, 1), 0.8), ((2, 0), 0.3)]),
+        "free_energy": {"seeds": 5},
+        "ground_state": {"q": [0.4, 0.6], "seeds": 5},
+        "tap_scan": {"q_grid": [[0.0, 0.0], [0.3, 0.3]], "seeds": 5},
+        "multisamp": {"q": [0.0, 0.0], "eps_grid": [0.6], "sweeps": 150, "seeds": 2},
+    },
+    # blocks over size 3: method auto resolves to thermodynamic integration
+    "ti-4+5": {
+        "master_seed": 5,
+        "model": _model((4, 5), [((1, 1), 0.8), ((2, 0), 0.3)]),
+        **_SMALL,
+    },
+    "ground-state-6+6": {
+        "master_seed": 8501,
+        "model": _model((6, 6), [((2, 1), 1.0), ((1, 2), 1.0), ((1, 1), 1.0)]),
+        **_SMALL,
+        "ground_state": {"q": [0.5, 0.5], "restarts": 4, "max_iters": 200, "seeds": 3},
+    },
+    # one full-size unit of the benchmark's tap_scan workload
+    "tap-scan-8+8": {
+        "master_seed": 7601,
+        "model": _model((8, 8), [((1, 1), 1.0)]),
+        **_SMALL,
+        "tap_scan": {"method": "ti", "q_grid": [[0.3, 0.5], [0.45, 0.25]],
+                     "beta_grid": _betas(11), "sweeps": 400, "seeds": 6,
+                     "restarts": 6, "max_iters": 200},
+    },
+}
+
+# runs in a child interpreter with one tree on its path: every verify run
+# listed on stdin, in process, printing a JSON list of {"code", "report"}
+_VERIFY_DRIVER = """
+import contextlib, io, json, sys
+from multispin.cli import main
+runs = json.load(sys.stdin)
+reports = []
+for config, seed, mutation, out in runs:
+    argv = ["verify", "--config", config, "--seed", str(seed), "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + (["--mutate", mutation] if mutation else []))
+    with open(out + "/verify_report.json") as fh:
+        reports.append({"code": code, "report": json.load(fh)})
+json.dump(reports, sys.stdout)
+"""
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return env
+
+
+def _run_command(src: Path, command: str, config: Path, out: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-m", "multispin", command, "--config", str(config),
+         "--out", str(out)],
+        env=_env(src), capture_output=True, text=True, check=False)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return {"code": proc.returncode, "stdout": proc.stdout, "files": files}
+
+
+def _verify_diffs(where: str, a: dict, b: dict, detail_counts: dict) -> list[str]:
+    """Differences between two verify runs ({"code", "report"}) beyond their
+    detail strings, which are counted per check in detail_counts."""
+    if a["report"] is None or b["report"] is None:
+        return [] if a == b else [f"{where}: exit {a['code']} vs {b['code']}, no report"]
+    ca, cb = a["report"]["checks"], b["report"]["checks"]
+    diffs = []
+    if a["code"] != b["code"] or a["report"]["passed"] != b["report"]["passed"]:
+        diffs.append(f"{where}: exit/passed {a['code']} vs {b['code']}")
+    if [c["name"] for c in ca] != [c["name"] for c in cb]:
+        return diffs + [f"{where}: check names or order differ"]
+    for x, y in zip(ca, cb):
+        if x["passed"] != y["passed"]:
+            diffs.append(f"{where}: {x['name']} passed {x['passed']} vs {y['passed']}")
+        if x["detail"] != y["detail"]:
+            detail_counts[x["name"]] = detail_counts.get(x["name"], 0) + 1
+    return diffs
+
+
+def compare_commands(ref: Path, src: Path, tmp: Path, detail_counts: dict) -> list[str]:
+    diffs = []
+    for name, doc in CONFIGS.items():
+        config = tmp / f"{name}.json"
+        config.write_text(json.dumps({"schema": 1, **doc}))
+        for command in COMMANDS:
+            a = _run_command(ref, command, config, tmp / "ref" / name / command)
+            b = _run_command(src, command, config, tmp / "src" / name / command)
+            where = f"{name} {command}"
+            print(f"  {where}: exit {a['code']} / {b['code']}", flush=True)
+            if command == "verify":
+                diffs += _verify_diffs(where, *(
+                    {"code": r["code"],
+                     "report": json.loads(r["files"].get("verify_report.json", b"null"))}
+                    for r in (a, b)), detail_counts)
+                continue
+            if a["code"] != b["code"]:
+                diffs.append(f"{where}: exit code {a['code']} vs {b['code']}")
+            if a["stdout"] != b["stdout"]:
+                diffs.append(f"{where}: stdout differs")
+            for fname in sorted(set(a["files"]) | set(b["files"])):
+                if a["files"].get(fname) != b["files"].get(fname):
+                    diffs.append(f"{where}: {fname} differs")
+    return diffs
+
+
+def _verify_reports(src: Path, runs: list) -> list:
+    proc = subprocess.run([sys.executable, "-c", _VERIFY_DRIVER], input=json.dumps(runs),
+                          env=_env(src), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def compare_verify(ref: Path, src: Path, tmp: Path,
+                   detail_counts: dict) -> tuple[list[str], int]:
+    runs = {"ref": [], "src": []}
+    labels = []
+    for name, doc in CONFIGS.items():
+        config = tmp / f"verify-{name}.json"
+        config.write_text(json.dumps({"schema": 1, "model": doc["model"]}))
+        for seed in VERIFY_SEEDS:
+            for mutation in MUTATIONS:
+                labels.append(f"{name} seed {seed} mutation {mutation}")
+                for side in runs:
+                    out = tmp / f"verify-{side}-{len(labels)}"
+                    runs[side].append([str(config), seed, mutation, str(out)])
+    ref_reports = _verify_reports(ref, runs["ref"])
+    src_reports = _verify_reports(src, runs["src"])
+    diffs = []
+    for label, a, b in zip(labels, ref_reports, src_reports):
+        diffs += _verify_diffs(f"verify {label}", a, b, detail_counts)
+    return diffs, len(labels)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", required=True, type=Path,
+                        help="src directory of the reference tree")
+    args = parser.parse_args(argv)
+    ref, src = args.ref.resolve(), Path(__file__).resolve().parents[1] / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        print(f"commands: {ref} vs {src}", flush=True)
+        detail_counts = {}
+        command_diffs = compare_commands(ref, src, tmp, detail_counts)
+        verify_diffs, n_runs = compare_verify(ref, src, tmp, detail_counts)
+    for line in command_diffs + verify_diffs:
+        print(f"DIFF {line}")
+    print(f"commands: {len(command_diffs)} differences over "
+          f"{len(CONFIGS) * len(COMMANDS)} runs")
+    print(f"verify: {len(verify_diffs)} exit/name/flag differences over {n_runs} runs")
+    for name, count in sorted(detail_counts.items()):
+        print(f"  detail differs: {name} in {count} of {n_runs + len(CONFIGS)} verify runs")
+    return 0 if not command_diffs and not verify_diffs else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
