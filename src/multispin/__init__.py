@@ -2,7 +2,7 @@
 
 from .geometry import BandSpec, Configuration
 from .hamiltonian import HamiltonianInstance, build_instance
-from .mixture import Mixture, OverlapVector, SpeciesLayout
+from .mixture import Mixture, SpeciesLayout
 from .thermo import FreeEnergyEstimate, PTResult
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __all__ = [
     "FreeEnergyEstimate",
     "HamiltonianInstance",
     "Mixture",
-    "OverlapVector",
     "PTResult",
     "SpeciesLayout",
     "build_instance",

@@ -34,10 +34,9 @@ from .geometry import (
     sample_uniform,
     sample_uniform_batch,
     save_configuration,
-    species_overlaps,
     tilde_transform,
 )
-from .ground_state import ascend, ascend_many, eigen_oracle_2spin
+from .ground_state import _check_restart_budget, ascend, ascend_many, eigen_oracle_2spin
 from .hamiltonian import (
     _check_budget,
     build_instance,
@@ -69,6 +68,7 @@ from .tap import (
 )
 from .thermo import (
     _check_quadrature_grid,
+    _check_series_budget,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
@@ -318,6 +318,15 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
                                                 "integration (gs is taken at beta 1)")
     if method == "quadrature":
         _at(f"{name}.quadrature_nodes", _check_quadrature_grid, layout, values["quadrature_nodes"])
+    # tempering chains and ascent rows, as if every seed ran in one group
+    if name == "multisamp" or method == "ti":
+        runs = values["n"] if name == "multisamp" else values["seeds"] * (
+            1 + len(values["q_grid"]) if name == "tap_scan" else 1)
+        _at(f"{name}.sweeps", _check_series_budget, runs * len(values["beta_grid"]),
+            values["sweeps"])
+    if "restarts" in values:
+        _at(f"{name}.restarts", _check_restart_budget, values["seeds"], values["restarts"],
+            layout.n)
     return _SECTION_TYPES[name](**values)
 
 
@@ -437,7 +446,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
 
     The band Monte Carlo, energy-batch and instance-checkpoint checks draw
     their points with one sample_uniform_batch call (the band check scores
-    them with one species_overlaps call), and the TI oracle runs its three
+    them with one BandSpec.contains call), and the TI oracle runs its three
     instances as one fe_thermo_integration_many group.
 
     The optional mutation corrupts one internal formula so the suite must
@@ -485,13 +494,13 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         qp = rng.uniform(0.0, 0.7, mix_layout.n_species)
         qhat = nesting_compose(q, qp)
         two = xi_q(xi_q(mix_xi, q), qp)
-        one = xi_q(mix_xi, qhat.as_array())
+        one = xi_q(mix_xi, qhat)
         keys = {p for p, _ in two.terms} | {p for p, _ in one.terms}
         gap = max((abs(two.coefficient(p) - one.coefficient(p)) for p in keys),
                   default=0.0)
         detail = within(gap, 1e-10, "nesting coefficients differ by", "coefficient gap")
         vol_gap = abs(log_volume_term(mix_layout, q) + log_volume_term(mix_layout, qp)
-                      - log_volume_term(mix_layout, qhat.as_array()))
+                      - log_volume_term(mix_layout, qhat))
         within(vol_gap, 1e-12, "entropy additivity off by")
         return detail
 
@@ -507,11 +516,9 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         q = np.full(geom_layout.n_species, 0.3)
         delta = 0.2
         exact = log_band_volume(geom_layout, q, delta)
-        m = sample_on_shell(geom_layout, q, rng)
+        band = BandSpec(sample_on_shell(geom_layout, q, rng), delta)
         trials = 4000
-        r = species_overlaps(sample_uniform_batch(geom_layout, trials, rng), m.coords,
-                             geom_layout)
-        hits = int(np.all(np.abs(r - m.self_overlap().as_array()) <= delta, axis=1).sum())
+        hits = int(band.contains(sample_uniform_batch(geom_layout, trials, rng)).sum())
         if hits == 0:
             raise AssertionError("no band hits in the Monte Carlo check")
         est = math.log(hits / trials) / geom_layout.n
@@ -632,7 +639,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         rel = abs(res.energy_per_spin - oracle) / abs(oracle)
         if rel > 1e-6:
             raise AssertionError(f"ascent off the eigen oracle by {rel:.3e} relative")
-        if not np.allclose(res.maximizer.self_overlap().as_array(), [0.9], atol=1e-9):
+        if not np.allclose(res.maximizer.self_overlap(), [0.9], atol=1e-9):
             raise AssertionError("maximizer left the shell")
         return f"relative gap {rel:.3e}"
 
@@ -779,7 +786,7 @@ def cmd_tap_scan(config: ExperimentConfig) -> int:
         "violations": violations,
     })
     print(f"tap scan over {len(reports)} overlaps: {violations} violations; "
-          f"closest to equality at q={list(best.q.values)} (gap {best.gap:.5f})")
+          f"closest to equality at q={list(best.q)} (gap {best.gap:.5f})")
     return 0 if violations == 0 else 1
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .mixture import (
-    OverlapVector,
     SpeciesLayout,
     as_overlap_array,
     require_shell_overlap,
@@ -71,13 +70,12 @@ class Configuration:
     def block(self, s: int) -> np.ndarray:
         return self.coords[self.layout.slices[s]]
 
-    def self_overlap(self) -> OverlapVector:
+    def self_overlap(self) -> np.ndarray:
         """R(sigma, sigma): per-species squared norm over N_s."""
-        return OverlapVector(tuple(self._block_sq_norms / np.array(self.layout.sizes)))
+        return self._block_sq_norms / np.array(self.layout.sizes)
 
     def is_on_sphere(self, tol: float = 1e-8) -> bool:
-        r = self.self_overlap().as_array()
-        return bool(np.all(np.abs(r - 1.0) <= tol))
+        return bool(np.all(np.abs(self.self_overlap() - 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,22 @@ class BandSpec:
         if self.n < 1:
             raise ValueError("replica count must be >= 1")
 
+    @cached_property
+    def _center_overlap(self) -> np.ndarray:
+        return self.center.self_overlap()
+
+    def contains(self, coords: np.ndarray) -> np.ndarray:
+        """coords in B(m, delta): every species has |R_s(x, m) - R_s(m, m)| <= delta,
+        over the last axis of coords, broadcast over the leading ones."""
+        r = species_overlaps(coords, self.center.coords, self.center.layout)
+        return (np.abs(r - self._center_overlap) <= self.delta).all(axis=-1)
+
+    def pairs_within(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Every species has |R_s(a, b) - R_s(m, m)| <= rho, over the last axis
+        of a and b, broadcast over the leading ones."""
+        r = species_overlaps(a, b, self.center.layout)
+        return (np.abs(r - self._center_overlap) <= self.rho).all(axis=-1)
+
 
 def _check_same_layout(a: Configuration, b: Configuration):
     if a.layout != b.layout:
@@ -111,11 +125,10 @@ def species_overlaps(a: np.ndarray, b: np.ndarray, layout: SpeciesLayout) -> np.
     return np.add.reduceat(np.multiply(a, b), starts, axis=-1) / np.array(layout.sizes)
 
 
-def overlap(a: Configuration, b: Configuration) -> OverlapVector:
+def overlap(a: Configuration, b: Configuration) -> np.ndarray:
     """Per-species R_s(a,b) = N_s^{-1} sum_{i in I_s} a_i b_i."""
     _check_same_layout(a, b)
-    vals = species_overlaps(a.coords, b.coords, a.layout)
-    return OverlapVector(tuple(float(v) for v in vals))
+    return species_overlaps(a.coords, b.coords, a.layout)
 
 
 def _unit_rows(k: int, d: int, rng: np.random.Generator,
@@ -161,31 +174,24 @@ def sample_on_shell(layout: SpeciesLayout, q, rng: np.random.Generator) -> Confi
     """Uniform on the shell S_N(q): block s on the sphere of radius sqrt(N_s q(s))."""
     qv = require_shell_overlap(q, layout.n_species)
     base = sample_uniform(layout, rng)
-    coords = np.array(base.coords)
-    for s, sl in enumerate(layout.slices):
-        coords[sl] *= math.sqrt(qv[s])
-    return Configuration(coords, layout)
+    return Configuration(base.coords * np.repeat(np.sqrt(qv), layout.sizes), layout)
 
 
 def in_band(sigma: Configuration, m: Configuration, delta: float) -> bool:
     """sigma in B(m, delta): per-species |R_s(sigma,m) - R_s(m,m)| <= delta."""
     _check_same_layout(sigma, m)
-    r = overlap(sigma, m).as_array()
-    rm = m.self_overlap().as_array()
-    return bool(np.all(np.abs(r - rm) <= delta))
+    return bool(BandSpec(m, delta).contains(sigma.coords))
 
 
 def in_multi_band(replicas, spec: BandSpec) -> bool:
     """All replicas in B(m, delta) with pairwise overlaps within rho of R(m,m)."""
     if len(replicas) != spec.n:
         raise ValueError(f"expected {spec.n} replicas, got {len(replicas)}")
-    if not all(in_band(sig, spec.center, spec.delta) for sig in replicas):
-        return False
-    rm = spec.center.self_overlap().as_array()
+    for sig in replicas:
+        _check_same_layout(sig, spec.center)
     coords = np.array([sig.coords for sig in replicas])
     i, j = np.triu_indices(len(replicas), 1)
-    rij = species_overlaps(coords[i], coords[j], spec.center.layout)
-    return bool(np.all(np.abs(rij - rm) <= spec.rho))
+    return bool(spec.contains(coords).all() and spec.pairs_within(coords[i], coords[j]).all())
 
 
 def tilde_transform(sigma: Configuration, m: Configuration, q) -> Configuration:
@@ -196,18 +202,16 @@ def tilde_transform(sigma: Configuration, m: Configuration, q) -> Configuration:
     """
     _check_same_layout(sigma, m)
     qv = require_shell_overlap(q, m.layout.n_species)
-    rm = m.self_overlap().as_array()
+    rm = m.self_overlap()
     if np.any(np.abs(rm - qv) > 1e-8):
         raise ValueError(f"center self-overlap {rm} does not match shell {qv}")
     if not sigma.is_on_sphere(1e-8):
         raise ValueError("sigma is not on S_N")
-    r = overlap(sigma, m).as_array()
+    r = overlap(sigma, m)
     if np.any(np.abs(r - qv) > 1e-8):
         raise ValueError(f"sigma not in B(m, 0): overlaps {r} vs shell {qv}")
-    coords = np.array(sigma.coords - m.coords)
-    for s, sl in enumerate(m.layout.slices):
-        coords[sl] /= math.sqrt(1.0 - qv[s])
-    return Configuration(coords, m.layout)
+    scale = np.repeat(np.sqrt(1.0 - qv), m.layout.sizes)
+    return Configuration((sigma.coords - m.coords) / scale, m.layout)
 
 
 def project_phi(sigma: Configuration, m: Configuration) -> Configuration:
@@ -218,7 +222,7 @@ def project_phi(sigma: Configuration, m: Configuration) -> Configuration:
     Blocks where R_s(m,m) = 0 pass through unchanged.
     """
     _check_same_layout(sigma, m)
-    rm = m.self_overlap().as_array()
+    rm = m.self_overlap()
     coords = np.array(sigma.coords)
     for s, sl in enumerate(m.layout.slices):
         if rm[s] <= _ZERO_NORM:
@@ -237,16 +241,13 @@ def rescale_to_shell(m_prime: Configuration, q) -> Configuration:
     """m* with blocks scaled by sqrt(q(s)/R_s(m',m')), so R(m*,m*) = q."""
     layout = m_prime.layout
     qv = require_shell_overlap(q, layout.n_species)
-    rm = m_prime.self_overlap().as_array()
-    coords = np.array(m_prime.coords)
-    for s, sl in enumerate(layout.slices):
-        if qv[s] == 0.0:
-            coords[sl] = 0.0
-        elif rm[s] <= _ZERO_NORM:
-            raise ValueError(f"zero block for species {layout.species[s]} with q > 0")
-        else:
-            coords[sl] *= math.sqrt(qv[s] / rm[s])
-    return Configuration(coords, layout)
+    rm = m_prime.self_overlap()
+    empty = (qv > 0.0) & (rm <= _ZERO_NORM)
+    if empty.any():
+        raise ValueError(f"zero block for species {layout.species[np.argmax(empty)]} with q > 0")
+    scale = np.repeat(np.sqrt(qv / np.where(qv > 0.0, rm, 1.0)), layout.sizes)
+    # + 0.0 turns the -0.0 of negative coordinates in q = 0 blocks into 0.0
+    return Configuration(m_prime.coords * scale + 0.0, layout)
 
 
 def _log_cos_integral(d: int, c1: float, c2: float) -> float:
@@ -323,7 +324,7 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
     from scipy import special
 
     layout = m.layout
-    rm = m.self_overlap().as_array()
+    rm = m.self_overlap()
     coords = np.empty((k, layout.n))
     for s, sl in enumerate(layout.slices):
         d = layout.sizes[s]

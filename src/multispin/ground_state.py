@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import Configuration, sample_on_shell, sign_patterns
 from .hamiltonian import (
+    DEFAULT_MEMORY_BUDGET,
     HamiltonianInstance,
     build_instance,
     energy_many,
@@ -89,6 +90,12 @@ def _tangent_gradient(g: np.ndarray, coords: np.ndarray, layout: SpeciesLayout,
     return t
 
 
+def _check_restart_budget(rows: int, restarts: int, n: int) -> None:
+    """Refuse an ascent of over DEFAULT_MEMORY_BUDGET (row, restart, coordinate) entries."""
+    if rows * restarts * n > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"{rows * restarts} ascent rows of {n} coordinates exceed the budget")
+
+
 def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult]:
     """Multi-restart projected gradient ascent of H over the shell S_N(q),
     for each instance of a group that shares mixture terms and layout, with
@@ -113,6 +120,7 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     group = stack_instances(hs)
     layout = group.layout
     qv = require_shell_overlap(q, layout.n_species)
+    _check_restart_budget(group.size, restarts, layout.n)
     coords = np.array([[sample_on_shell(layout, qv, stream).coords
                         for stream in rng.spawn(restarts)] for rng in rngs])
     values = group_energies(group, coords)

@@ -430,9 +430,8 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
     delta = np.sqrt((1.0 - qv) * slope)
     rng = np.random.default_rng(int(seed))
     normals = rng.standard_normal(layout.n)
-    vector = np.array(normals)
-    for s, sl in enumerate(layout.slices):
-        vector[sl] *= math.sqrt(layout.n / layout.sizes[s]) * delta[s]
+    vector = normals * np.repeat(np.sqrt(layout.n / np.array(layout.sizes)) * delta,
+                                 layout.sizes)
     normals.setflags(write=False)
     vector.setflags(write=False)
     field = ExternalField(int(seed), tuple(float(v) for v in qv),
@@ -484,7 +483,7 @@ def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator
         if b is None:
             b = sample_in_ball(layout, rng)
         diff = Configuration(a.coords - b.coords, layout)
-        gap = float(np.max(diff.self_overlap().as_array()))
+        gap = float(np.max(diff.self_overlap()))
         if gap <= 0.0:
             continue  # coincident draw carries no ratio information
         ratio = abs(energy(h, a) - energy(h, b)) / (layout.n * math.sqrt(gap))

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SpeciesLayout",
-    "OverlapVector",
     "Mixture",
     "as_overlap_array",
     "require_shell_overlap",
@@ -110,31 +109,9 @@ class SpeciesLayout:
         return SpeciesLayout(self.species, tuple(n * factor for n in self.sizes), self.proportions)
 
 
-@dataclass(frozen=True)
-class OverlapVector:
-    """Per-species real values: shell parameters or measured overlaps."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
 def as_overlap_array(q, n_species: int) -> np.ndarray:
-    """Coerce an OverlapVector / sequence / scalar-per-species array to a float vector."""
-    vals = q.as_array() if isinstance(q, OverlapVector) else np.asarray(q, dtype=float)
+    """Coerce a sequence or array of per-species values to a float vector."""
+    vals = np.asarray(q, dtype=float)
     if vals.shape != (n_species,):
         raise ValueError(f"expected {n_species} per-species values, got shape {vals.shape}")
     return vals
@@ -216,7 +193,7 @@ def eval_mixture(xi: Mixture, x):
     """xi(x) = sum_p Delta_p^2 prod_s x(s)^p(s), by repeated multiplication,
     over the last axis of x of shape (..., n_species); a float for one
     overlap vector, an array of the batch shape otherwise."""
-    vals = x.as_array() if isinstance(x, OverlapVector) else np.asarray(x, dtype=float)
+    vals = np.asarray(x, dtype=float)
     if vals.shape[-1:] != (xi.n_species,):
         raise ValueError(f"expected {xi.n_species} per-species values, got shape {vals.shape}")
     total = np.zeros(vals.shape[:-1])
@@ -286,12 +263,11 @@ def xi_q(xi: Mixture, q) -> Mixture:
     return Mixture.from_terms(kept, n_species=xi.n_species)
 
 
-def nesting_compose(q, q_prime) -> OverlapVector:
+def nesting_compose(q, q_prime) -> np.ndarray:
     """q-hat with q-hat(s) = q(s) + (1-q(s)) q'(s); satisfies 1-q-hat = (1-q)(1-q')."""
-    n = len(q.values) if isinstance(q, OverlapVector) else len(np.atleast_1d(q))
-    qv = require_shell_overlap(q, n)
-    qp = require_shell_overlap(q_prime, n)
-    return OverlapVector(tuple(qv + (1.0 - qv) * qp))
+    qv = require_shell_overlap(q, np.size(q))
+    qp = require_shell_overlap(q_prime, qv.size)
+    return qv + (1.0 - qv) * qp
 
 
 def onsager_term(xi: Mixture, q) -> float:

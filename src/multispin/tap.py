@@ -28,7 +28,6 @@ from .hamiltonian import (
 )
 from .mixture import (
     Mixture,
-    OverlapVector,
     SpeciesLayout,
     log_volume_term,
     nesting_compose,
@@ -104,7 +103,7 @@ class EstimatorConfig:
 class TapReport:
     """One overlap's decomposition with every part and its error."""
 
-    q: OverlapVector
+    q: tuple[float, ...]
     lhs: FreeEnergyEstimate
     gs: float
     gs_std_error: float
@@ -117,7 +116,7 @@ class TapReport:
 
     def to_record(self) -> dict:
         return {
-            "q": list(self.q.values),
+            "q": list(self.q),
             "lhs": self.lhs.value,
             "lhs_std_error": self.lhs.std_error,
             "gs": self.gs,
@@ -206,7 +205,11 @@ def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, see
     overlap qs[k] the (mean, SE, per-row values, flags) of the per-spin shell
     ground state of the first len(gs_streams[k]) rows (row r on
     gs_streams[k][r]; exhaustive on single-coordinate species blocks, one
-    grouped ascent per group and overlap otherwise)."""
+    grouped ascent per group and overlap otherwise).  Free energies by TI
+    must integrate up to beta 1, the temperature of gs and the Onsager term."""
+    if (fe_streams is not None and config.beta_grid[-1] != 1.0
+            and resolve_fe_method(config.method, layout) == "ti"):
+        raise ValueError("thermodynamic integration must end at beta 1, like gs and onsager")
     instance_seeds = [derive_seed(config.master_seed, label, i)
                       for label in labels for i in range(seeds)]
     exact = resolve_fe_method("auto", layout) == "enumeration"
@@ -266,7 +269,7 @@ def _tap_pass(xi: Mixture, layout: SpeciesLayout, q_grid, config: EstimatorConfi
         logvol = log_volume_term(layout, qv)
         paired_se = _mean_se([a - b for a, b in zip(lhs.meta["seed_values"], gs_values)])[1]
         reports.append(TapReport(
-            q=OverlapVector(tuple(qv)), lhs=lhs, gs=gs, gs_std_error=gs_se,
+            q=tuple(float(v) for v in qv), lhs=lhs, gs=gs, gs_std_error=gs_se,
             logvol=logvol, fq=fq, gap=lhs.value - gs - logvol - fq.value,
             gap_std_error=math.sqrt(paired_se**2 + fq.std_error**2),
             onsager=onsager_term(xi, qv),
@@ -308,7 +311,7 @@ def candidate_multisamplable(reports: list[TapReport]) -> TapReport:
     """The scanned overlap whose decomposition is closest to equality."""
     if not reports:
         raise ValueError("empty scan")
-    return min(reports, key=lambda r: (abs(r.gap), tuple(r.q.values)))
+    return min(reports, key=lambda r: (abs(r.gap), r.q))
 
 
 def onsager_check(xi: Mixture, layout: SpeciesLayout, q_star,
@@ -378,7 +381,7 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
     streams = np.random.default_rng(derive_seed(config.master_seed, "nesting")).spawn(3 * seeds)
     # gs at q and at q-hat read the same instances of xi, so they share a pass
     _, [(gs_q, se_q, _, fl1), (gs_qhat, se_hat, _, fl3)] = _over_seeds(
-        [xi], layout, ["tap-base"], config, seeds, qs=[qv, qhat.as_array()],
+        [xi], layout, ["tap-base"], config, seeds, qs=[qv, qhat],
         gs_streams=[streams[:seeds], streams[2 * seeds:]])
     _, [(gs_qp, se_qp, _, fl2)] = _over_seeds(
         [xi_at_q], layout, ["tap-base"], config, seeds, qs=[qp],
@@ -393,7 +396,7 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
     return {
         "q": [float(v) for v in qv],
         "q_prime": [float(v) for v in qp],
-        "q_hat": [float(v) for v in qhat.as_array()],
+        "q_hat": [float(v) for v in qhat],
         "log_additivity_gap": float(log_additivity_gap),
         "mixture_coefficient_gap": float(mixture_gap),
         "gs_q": gs_q,

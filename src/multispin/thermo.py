@@ -103,6 +103,12 @@ class PTResult:
     proposal_counts: np.ndarray  # per chain, post-burn-in
 
 
+def _check_series_budget(rows: int, steps: int) -> None:
+    """Refuse an energy series of over DEFAULT_MEMORY_BUDGET (chain, kept sweep) entries."""
+    if rows * (steps - steps // 3) > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"{rows} chains x {steps} sweeps keep a series over the budget")
+
+
 _INIT_BATCH = 200  # band candidates drawn per rejection round
 _INIT_ROUNDS = 100  # rounds before initialization gives up
 
@@ -113,15 +119,13 @@ def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
     uniform on the band with pairwise rejection when the run is constrained."""
     if band is None:
         return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
-    q_center = band.center.self_overlap().as_array()
     out = np.empty((n_chains, band.n, layout.n))
     out[:, 0] = sample_uniform_in_band_batch(band.center, band.delta, n_chains, rng)
     for c in range(n_chains):
         for r in range(1, band.n):
             for _ in range(_INIT_ROUNDS):
                 cand = sample_uniform_in_band_batch(band.center, band.delta, _INIT_BATCH, rng)
-                ov = species_overlaps(cand[:, None, :], out[c, :r], layout)
-                ok = np.all(np.abs(ov - q_center) <= band.rho, axis=(1, 2))
+                ok = band.pairs_within(cand[:, None, :], out[c, :r]).all(axis=1)
                 if ok.any():
                     out[c, r] = cand[np.argmax(ok)]
                     break
@@ -169,6 +173,7 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_series_budget(len(hs) * beta_grid.size, steps)
     group = stack_instances(hs)
     layout = group.layout
     slices = layout.slices
@@ -178,10 +183,6 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     betas = np.tile(beta_grid, k)
     every_row = np.ones(n_rows, dtype=bool)
     n_replicas = 1 if band is None else band.n
-    q_center = m_coords = None
-    if band is not None:
-        q_center = band.center.self_overlap().as_array()
-        m_coords = band.center.coords
     coords = np.concatenate([_init_replicas(layout, band, n_chains, rng)
                              for rng in rngs])
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
@@ -224,12 +225,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
                 log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
                 ok = moved
                 if band is not None:
-                    rsm = species_overlaps(props, m_coords, layout)[:, s]
-                    ok = ok & (np.abs(rsm - q_center[s]) <= band.delta)
-                    if others:
-                        rss = species_overlaps(props[:, None, :], coords[:, others],
-                                               layout)[..., s]
-                        ok &= np.all(np.abs(rss - q_center[s]) <= band.rho, axis=1)
+                    ok = ok & band.contains(props) & band.pairs_within(
+                        props[:, None, :], coords[:, others]).all(axis=1)
                 accepted = ok & (log_u < betas * (prop_e - energies[:, r]))
                 coords[:, r, sl] = np.where(accepted[:, None], y, x)
                 energies[:, r] = np.where(accepted, prop_e, energies[:, r])
@@ -254,8 +251,7 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
                 log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
                 ok = flip
                 if band is not None:
-                    rsm = species_overlaps(props, m_coords, layout)[..., s]
-                    ok = ok & np.all(np.abs(rsm - q_center[s]) <= band.delta, axis=1)
+                    ok = ok & band.contains(props).all(axis=1)
                 dlt = prop_e.sum(axis=1) - energies.sum(axis=1)
                 accepted = ok & (log_u < betas * dlt)
                 coords[accepted] = props[accepted]
@@ -453,7 +449,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
     m = spec.center
     if m.layout != layout:
         raise ValueError("band center layout does not match instance")
-    q = m.self_overlap().as_array()
+    q = m.self_overlap()
     if np.any(q > 1.0 + 1e-9):
         raise ValueError("band center must lie in the closed ball")
     log_vol = log_band_volume(layout, np.clip(q, 0.0, 1.0), spec.delta)  # raises unless delta > 0
@@ -476,8 +472,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
             trials, n_rep, n)
         i, j = np.triu_indices(n_rep, 1)
-        pair_ov = species_overlaps(tuples[:, i], tuples[:, j], layout)
-        hits = int(np.all(np.abs(pair_ov - q) <= spec.rho, axis=(1, 2)).sum())
+        hits = int(spec.pairs_within(tuples[:, i], tuples[:, j]).all(axis=1).sum())
         if hits == 0:
             pair_log = math.log(0.5 / trials)
             pair_se = abs(pair_log)
@@ -497,7 +492,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         return FreeEnergyEstimate(float(log_vol + pair_term), float(pair_term_se),
                                   "thermo-integration", meta)
 
-    run = _run_group([h], grid, steps, [rng], spec)[0]
+    run = _run_group([h], grid, steps, [rng], spec, keep_snapshots=False)[0]
     integral, err = _ti_tail(run, n_rep * h_at_m, n * n_rep, meta)
     return FreeEnergyEstimate(float(log_vol + pair_term + integral),
                               float(err + pair_term_se), "thermo-integration", meta)
@@ -509,6 +504,7 @@ def _replica_samples(h: HamiltonianInstance, n: int, beta_grid, steps: int,
     h, shape (n, kept, N), and their flags: one group of n rows sharing h's
     blocks, run i equal to pt_sampler on the i-th generator spawned from rng."""
     grid = _check_beta_grid(beta_grid)
+    _check_series_budget(n * grid.size, steps)
     runs = _run_group([h] * n, grid, steps, rng.spawn(n))
     return (np.stack([run.snapshots[-1, :, 0] for run in runs]),
             [f for run in runs for f in run.flags])
@@ -602,13 +598,10 @@ def _enum_logsums(h: HamiltonianInstance, spec: BandSpec) -> tuple[float, float,
     if m.layout != layout:
         raise ValueError("band center layout does not match instance")
     patterns = sign_patterns(layout.n)
-    q = m.self_overlap().as_array()
-    in_band = np.all(np.abs(species_overlaps(patterns, m.coords, layout) - q) <= spec.delta,
-                     axis=1)
+    in_band = spec.contains(patterns)
     band = patterns[in_band]
     centered = (energy_many(h, patterns) - energy(h, m))[in_band]
-    allowed = np.all(np.abs(species_overlaps(band[:, None], band[None], layout) - q)
-                     <= spec.rho, axis=-1)
+    allowed = spec.pairs_within(band[:, None], band[None])
     # replica i runs along axis i of n; trailing axes of size 1 broadcast
     b, joint, ok = len(band), 0.0, True
     for i in range(spec.n):
@@ -659,16 +652,13 @@ def _species_quadrature(d: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         z, wz = np.polynomial.legendre.leggauss(nodes)
         phi = 2.0 * math.pi * np.arange(nodes) / nodes
         rad = np.sqrt(1.0 - z**2)
-        pts = np.empty((nodes * nodes, 3))
-        logw = np.empty(nodes * nodes)
-        k = 0
-        for i in range(nodes):
-            for j in range(nodes):
-                pts[k] = math.sqrt(3.0) * np.array(
-                    [rad[i] * math.cos(phi[j]), rad[i] * math.sin(phi[j]), z[i]])
-                logw[k] = math.log(wz[i] / 2.0) - math.log(nodes)
-                k += 1
-        return pts, logw
+        # row i * nodes + j: polar node i, azimuth j; math's cos, sin and log
+        ring = np.array([[math.cos(p), math.sin(p)] for p in phi])
+        pts = np.empty((nodes, nodes, 3))
+        pts[..., :2] = rad[:, None, None] * ring
+        pts[..., 2] = z[:, None]
+        logw = np.array([math.log(w / 2.0) - math.log(nodes) for w in wz])
+        return math.sqrt(3.0) * pts.reshape(-1, 3), np.repeat(logw, nodes)
     raise ValueError("quadrature supports species blocks of size at most 3")
 
 
@@ -682,23 +672,12 @@ def _check_quadrature_grid(layout: SpeciesLayout, nodes_per_angle: int) -> None:
 def _quadrature_value(h: HamiltonianInstance, nodes_per_angle: int) -> float:
     layout = h.layout
     grids = [_species_quadrature(d, nodes_per_angle) for d in layout.sizes]
-    counts = [len(g[0]) for g in grids]
-    index_mesh = np.stack(
-        np.meshgrid(*[np.arange(c) for c in counts], indexing="ij"),
-        axis=0).reshape(layout.n_species, -1)
-    total = index_mesh.shape[1]
-    coords = np.empty((total, layout.n))
-    logw = np.zeros(total)
-    for s, sl in enumerate(layout.slices):
-        pts, lw = grids[s]
-        coords[:, sl] = pts[index_mesh[s]]
-        logw += lw[index_mesh[s]]
-    log_terms = np.empty(total)
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        log_terms[lo:lo + chunk] = (
-            logw[lo:lo + chunk] + energy_many(h, coords[lo:lo + chunk]))
-    return _logsumexp(log_terms) / layout.n
+    # one row per tuple of per-species nodes, the last species fastest
+    index_mesh = np.stack(np.meshgrid(*[np.arange(len(lw)) for _, lw in grids],
+                                      indexing="ij")).reshape(layout.n_species, -1)
+    coords = np.concatenate([pts[idx] for (pts, _), idx in zip(grids, index_mesh)], axis=1)
+    logw = sum(lw[idx] for (_, lw), idx in zip(grids, index_mesh))
+    return _logsumexp(logw + energy_many(h, coords)) / layout.n
 
 
 def exact_fe_quadrature(h: HamiltonianInstance, nodes_per_angle: int) -> FreeEnergyEstimate:

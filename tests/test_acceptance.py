@@ -63,7 +63,7 @@ def test_criterion_01_mixture_identities():
                             abs(eval_mixture(xi_q(xi, q), x) - (direct - linear)))
         qp = rng.uniform(0.0, 0.95, n_species)
         nested = xi_q(xi_q(xi, q), qp)
-        flat = xi_q(xi, nesting_compose(q, qp).as_array())
+        flat = xi_q(xi, nesting_compose(q, qp))
         keys = {p for p, _ in nested.terms} | {p for p, _ in flat.terms}
         worst_nest = max(worst_nest,
                          max((abs(nested.coefficient(p) - flat.coefficient(p))

@@ -284,6 +284,41 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+    def test_sweeps_and_restarts_over_budget_rejected(self, tmp_path):
+        # auto sends 4+4 blocks to thermodynamic integration.  A run keeps
+        # ceil(2 sweeps / 3) energies on each of its chains and ascends seeds x
+        # restarts rows of N = 8 coordinates; with every seed in one group, the
+        # largest admissible count fills the budget of 2^28 entries and parsing
+        # refuses one more without allocating
+        budget = 2**28
+        doc = corner_doc(model={"species": ["a", "b"], "sizes": [4, 4],
+                                "terms": [{"p": [1, 1], "delta_sq": 1.0}]})
+        cases = [("free_energy", "sweeps", 3 * (budget // (5 * 21)) // 2),
+                 ("tap_scan", "sweeps", 3 * (budget // (3 * 5 * 21)) // 2),
+                 ("multisamp", "sweeps", 3 * (budget // (2 * 21)) // 2),
+                 ("ground_state", "restarts", budget // (5 * 8)),
+                 ("tap_scan", "restarts", budget // (5 * 8))]
+        for section, field, largest in cases:
+            bad = json.loads(json.dumps(doc))
+            bad[section][field] = largest
+            assert getattr(parse_config(json.dumps(bad)), section)._asdict()[field] == largest
+            bad[section][field] = largest + 1
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(bad))
+            assert err.value.path == f"{section}.{field}"
+            assert "budget" in str(err.value)
+        # the corner model's free energy is enumerated, so no sweep count is too many
+        corner = corner_doc()
+        corner["free_energy"]["sweeps"] = 10**9
+        assert parse_config(json.dumps(corner)).free_energy.sweeps == 10**9
+        for command, section, fields in (
+                ("free-energy", "free_energy", {"method": "ti", "sweeps": 10**9}),
+                ("ground-state", "ground_state", {"restarts": 10**9, "seeds": 2})):
+            config = write_config(tmp_path, {**doc, section: fields})
+            assert main([command, "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 2
+
+
 class TestVerificationSuite:
     def test_default_config_passes(self):
         cfg = parse_config(json.dumps(corner_doc()))

@@ -34,12 +34,12 @@ LAY2 = SpeciesLayout(("a", "b"), (6, 10))
 def test_overlap_basics():
     rng = np.random.default_rng(0)
     a = sample_uniform(LAY2, rng)
-    ra = overlap(a, a).as_array()
+    ra = overlap(a, a)
     np.testing.assert_allclose(ra, 1.0, atol=1e-9)
     neg = Configuration(-a.coords, LAY2)
-    np.testing.assert_allclose(overlap(a, neg).as_array(), -1.0, atol=1e-9)
+    np.testing.assert_allclose(overlap(a, neg), -1.0, atol=1e-9)
     m = sample_on_shell(LAY2, [0.3, 0.7], rng)
-    np.testing.assert_allclose(overlap(m, m).as_array(), [0.3, 0.7], atol=1e-9)
+    np.testing.assert_allclose(overlap(m, m), [0.3, 0.7], atol=1e-9)
 
 
 def test_overlap_symmetric_bilinear_cauchy_schwarz():
@@ -49,15 +49,15 @@ def test_overlap_symmetric_bilinear_cauchy_schwarz():
         b = sample_uniform(LAY2, rng)
         c = sample_uniform(LAY2, rng)
         lam = rng.uniform(-2, 2)
-        np.testing.assert_allclose(overlap(a, b).as_array(), overlap(b, a).as_array(), atol=1e-12)
+        np.testing.assert_allclose(overlap(a, b), overlap(b, a), atol=1e-12)
         combo = Configuration(b.coords + lam * c.coords, LAY2)
         np.testing.assert_allclose(
-            overlap(a, combo).as_array(),
-            overlap(a, b).as_array() + lam * overlap(a, c).as_array(),
+            overlap(a, combo),
+            overlap(a, b) + lam * overlap(a, c),
             atol=1e-10,
         )
-        lhs = np.abs(overlap(a, b).as_array())
-        rhs = np.sqrt(overlap(a, a).as_array() * overlap(b, b).as_array())
+        lhs = np.abs(overlap(a, b))
+        rhs = np.sqrt(overlap(a, a) * overlap(b, b))
         assert np.all(lhs <= rhs + 1e-12)
 
 
@@ -67,7 +67,7 @@ def test_sample_uniform_properties():
     x = sample_uniform(big, rng)
     y = sample_uniform(big, rng)
     assert x.is_on_sphere(1e-9)
-    assert abs(overlap(x, y).as_array()[0]) < 5 / math.sqrt(1000)
+    assert abs(overlap(x, y)[0]) < 5 / math.sqrt(1000)
     tiny = SpeciesLayout(("a",), (1,))
     z = sample_uniform(tiny, rng)
     assert z.coords[0] in (1.0, -1.0)
@@ -87,7 +87,7 @@ def test_sample_uniform_marginal_chi_squared():
 def test_sample_on_shell():
     rng = np.random.default_rng(4)
     m = sample_on_shell(LAY2, [0.0, 0.5], rng)
-    np.testing.assert_allclose(m.self_overlap().as_array(), [0.0, 0.5], atol=1e-9)
+    np.testing.assert_allclose(m.self_overlap(), [0.0, 0.5], atol=1e-9)
     assert np.all(m.block(0) == 0.0)
     zero = sample_on_shell(LAY2, [0.0, 0.0], rng)
     assert np.all(zero.coords == 0.0)
@@ -135,7 +135,7 @@ def test_multi_band_orthogonality_consequence():
         found += 1
         diff_a = Configuration(a.coords - m.coords, LAY2)
         diff_b = Configuration(b.coords - m.coords, LAY2)
-        centered = np.abs(overlap(diff_a, diff_b).as_array())
+        centered = np.abs(overlap(diff_a, diff_b))
         assert np.all(centered <= 2 * delta + rho + 1e-12)
 
 
@@ -146,7 +146,7 @@ def test_tilde_transform_round_trip():
     sigma = project_phi(sample_uniform(LAY2, rng), m)
     tilde = tilde_transform(sigma, m, q)
     assert tilde.is_on_sphere(1e-8)
-    np.testing.assert_allclose(overlap(tilde, m).as_array(), 0.0, atol=1e-8)
+    np.testing.assert_allclose(overlap(tilde, m), 0.0, atol=1e-8)
     # inverse affine map
     back = np.array(tilde.coords)
     for s, sl in enumerate(LAY2.slices):
@@ -168,8 +168,8 @@ def test_tilde_transform_identity_and_overlap_map():
     s2 = project_phi(sample_uniform(LAY2, rng), m)
     t1 = tilde_transform(s1, m, q)
     t2 = tilde_transform(s2, m, q)
-    want = (overlap(s1, s2).as_array() - q) / (1 - q)
-    np.testing.assert_allclose(overlap(t1, t2).as_array(), want, atol=1e-9)
+    want = (overlap(s1, s2) - q) / (1 - q)
+    np.testing.assert_allclose(overlap(t1, t2), want, atol=1e-9)
 
 
 def test_tilde_transform_preconditions():
@@ -190,8 +190,8 @@ def test_project_phi_properties():
     for _ in range(10):
         sig = sample_uniform(LAY2, rng)
         pi = project_phi(sig, m)
-        np.testing.assert_allclose(overlap(pi, m).as_array(), q, atol=1e-9)
-        np.testing.assert_allclose(pi.self_overlap().as_array(), 1.0, atol=1e-9)
+        np.testing.assert_allclose(overlap(pi, m), q, atol=1e-9)
+        np.testing.assert_allclose(pi.self_overlap(), 1.0, atol=1e-9)
         again = project_phi(pi, m)
         np.testing.assert_allclose(again.coords, pi.coords, atol=1e-9)
     fixed = project_phi(project_phi(sample_uniform(LAY2, rng), m), m)
@@ -229,7 +229,7 @@ def test_project_phi_distance_bound():
         assert in_band(sig, m, delta)
         pi = project_phi(sig, m)
         diff = Configuration(pi.coords - sig.coords, LAY2)
-        gap = diff.self_overlap().as_array()
+        gap = diff.self_overlap()
         assert np.all(gap <= 2 * delta / np.sqrt(q) + 1e-12)
 
 
@@ -239,6 +239,28 @@ def test_project_phi_degenerate_residual():
     sig = Configuration(np.array([math.sqrt(2.0), 0.0]), lay)  # parallel to m
     with pytest.raises(ValueError):
         project_phi(sig, m)
+
+
+def test_block_scalings_match_a_loop_over_blocks():
+    # each map scales block s by one factor; the broadcast must give the
+    # per-block loop's bits, signed zeros of q = 0 blocks included
+    lay = SpeciesLayout(("a", "b", "c"), (3, 1, 4))
+    q = np.array([0.3, 0.0, 0.6])
+    base = sample_uniform(lay, np.random.default_rng(6))
+    m = sample_on_shell(lay, q, np.random.default_rng(6))
+    sigma = project_phi(sample_uniform(lay, np.random.default_rng(7)), m)
+    prime = Configuration(np.random.default_rng(8).standard_normal(lay.n), lay)
+    shell, tilde, rescaled = np.array(base.coords), sigma.coords - m.coords, np.array(prime.coords)
+    for s, sl in enumerate(lay.slices):
+        shell[sl] *= math.sqrt(q[s])
+        tilde[sl] /= math.sqrt(1.0 - q[s])
+        if q[s] == 0.0:
+            rescaled[sl] = 0.0
+        else:
+            rescaled[sl] *= math.sqrt(q[s] / prime.self_overlap()[s])
+    assert m.coords.tobytes() == shell.tobytes()
+    assert tilde_transform(sigma, m, q).coords.tobytes() == tilde.tobytes()
+    assert rescale_to_shell(prime, q).coords.tobytes() == rescaled.tobytes()
 
 
 def test_rescale_to_shell():
@@ -261,7 +283,7 @@ def test_rescale_identity_bound():
         mp = sample_on_shell(LAY2, r, rng)
         ms = rescale_to_shell(mp, q)
         diff = Configuration(ms.coords - mp.coords, LAY2)
-        got = diff.self_overlap().as_array()
+        got = diff.self_overlap()
         want = (np.sqrt(q) - np.sqrt(r)) ** 2
         np.testing.assert_allclose(got, want, atol=1e-10)
         assert np.all(got <= np.abs(r - q) + 1e-12)
@@ -383,8 +405,8 @@ def test_sample_uniform_in_band_matches_conditional_law():
     while len(direct) < 1500:
         sig = sample_uniform(lay, rng)
         if in_band(sig, m, delta):
-            direct.append(overlap(sig, m).as_array()[0])
-    sampled = [overlap(sample_uniform_in_band(m, delta, rng), m).as_array()[0]
+            direct.append(overlap(sig, m)[0])
+    sampled = [overlap(sample_uniform_in_band(m, delta, rng), m)[0]
                for _ in range(1500)]
     ks = stats.ks_2samp(direct, sampled)
     assert ks.pvalue > 1e-4
@@ -399,7 +421,7 @@ def test_uniform_overlap_tail():
     hits = 0
     trials = 20000
     for _ in range(trials):
-        r = overlap(sample_uniform(lay, rng), sample_uniform(lay, rng)).as_array()[0]
+        r = overlap(sample_uniform(lay, rng), sample_uniform(lay, rng))[0]
         hits += abs(r) >= tau
     want = uniform_overlap_tail(12, tau)
     se = math.sqrt(want * (1 - want) / trials)

@@ -25,12 +25,21 @@ from multispin.thermo import exact_fe_quadrature
 PURE_2SPIN = Mixture.from_terms({(2,): 1.0})
 
 
+def test_restarts_over_budget_refused():
+    # 10^9 restarts of 8 coordinates exceed the budget; the check runs before
+    # the restart streams are spawned
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}),
+                       SpeciesLayout(("a", "b"), (4, 4)), seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        ascend(h, [0.3, 0.3], 10**9, 10, np.random.default_rng(0))
+
+
 def test_ascent_result_invariants():
     lay = SpeciesLayout(("a", "b"), (6, 10))
     xi = Mixture.from_terms({(2, 0): 0.4, (1, 1): 0.6, (0, 3): 0.3})
     h = build_instance(xi, lay, seed=3)
     res = ascend(h, [0.5, 0.8], restarts=4, max_iters=200, rng=np.random.default_rng(2))
-    np.testing.assert_allclose(res.maximizer.self_overlap().as_array(),
+    np.testing.assert_allclose(res.maximizer.self_overlap(),
                                [0.5, 0.8], atol=1e-9)
     assert res.energy_per_spin == pytest.approx(energy(h, res.maximizer) / 16, abs=1e-10)
     assert res.restarts == 4 and len(res.iteration_counts) == 4
@@ -146,7 +155,7 @@ def test_zero_hamiltonian_gives_zero_energy():
     res = ascend(h, [0.7], restarts=2, max_iters=10, rng=np.random.default_rng(0))
     assert res.energy_per_spin == 0.0
     assert res.converged_fraction == 1.0
-    assert res.maximizer.self_overlap().as_array() == pytest.approx([0.7], abs=1e-9)
+    assert res.maximizer.self_overlap() == pytest.approx([0.7], abs=1e-9)
 
 
 def test_zero_shell_is_the_origin():

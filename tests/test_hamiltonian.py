@@ -261,6 +261,17 @@ def test_attach_field_vanishes_at_zero_center():
     assert energy(h, sig) == energy(hq, sig)
 
 
+def test_attached_field_vector_matches_a_loop_over_blocks():
+    lay = SpeciesLayout(("a", "b", "c"), (2, 3, 1))
+    q = [0.3, 0.5, 0.2]
+    base = Mixture.from_terms({(2, 0, 0): 0.5, (1, 1, 0): 0.5, (0, 1, 1): 0.7})
+    field = attach_external_field(build_instance(xi_q(base, q), lay, seed=2), q, seed=3).field
+    want = np.array(field.normals)
+    for s, sl in enumerate(lay.slices):
+        want[sl] *= math.sqrt(lay.n / lay.sizes[s]) * field.delta_coeffs[s]
+    assert field.vector.tobytes() == want.tobytes()
+
+
 def test_attach_field_recovers_one_spin_coefficients():
     # the field coefficients must equal the one-spin coefficients of the
     # recentered mixture, computed independently from the base mixture
@@ -331,7 +342,7 @@ def test_ball_sampling_stays_in_ball():
     rng = np.random.default_rng(23)
     for _ in range(100):
         pt = sample_in_ball(lay, rng)
-        assert np.all(pt.self_overlap().as_array() <= 1.0 + 1e-12)
+        assert np.all(pt.self_overlap() <= 1.0 + 1e-12)
 
 
 def test_instance_checkpoint_round_trip(tmp_path):
@@ -383,7 +394,7 @@ def test_field_contribution_bound_on_replica_tuples():
     while tuples_checked < 50:
         reps = [sample_uniform(lay, rng) for _ in range(n_rep)]
         ok = all(
-            np.all(np.abs(overlap(reps[i], reps[j]).as_array()) <= rho)
+            np.all(np.abs(overlap(reps[i], reps[j])) <= rho)
             for i in range(n_rep) for j in range(i + 1, n_rep))
         if not ok:
             continue

@@ -85,7 +85,7 @@ def test_inequality_scan_has_no_violations_and_flags_best_point():
     tol = CONFIG.gs_bias_allowance
     assert all(r.gap >= -(3 * r.gap_std_error + tol) for r in reports)
     best = candidate_multisamplable(reports)
-    assert best.q.values == (0.0, 0.0)
+    assert best.q == (0.0, 0.0)
 
 
 def test_candidate_requires_nonempty_scan():
@@ -147,11 +147,24 @@ def test_nesting_identity_composition_with_zero():
     assert nest["gs_inequality_holds"]
 
 
+@pytest.mark.parametrize("check", [tap_evaluate, onsager_check])
+def test_ti_grid_must_end_at_beta_one(check):
+    # gs and the Onsager term belong to beta 1, so lhs and fq integrated to
+    # beta 0.5 would mix temperatures
+    lay = SpeciesLayout(("a", "b"), (2, 2))
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 0.25, 0.5), sweeps=20, seeds=2,
+                          restarts=1, max_iters=5)
+    with pytest.raises(ValueError, match="beta 1"):
+        check(Mixture.from_terms({(1, 1): 1.0}), lay, [0.3, 0.3], cfg)
+
+
 def test_flags_propagate_from_estimators():
-    # force the sampler into a poorly-swapping regime and expect the flag
+    # force the sampler into a poorly-swapping regime and expect the flag;
+    # the decomposition is taken at beta 1, so the grid ends there and the
+    # coefficient carries the factor beta^2 = 16 of the old grid end beta 4
     lay = SpeciesLayout(("s",), (20,))
-    xi = Mixture.from_terms({(4,): 1.5})
-    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 4.0), sweeps=150,
+    xi = Mixture.from_terms({(4,): 24.0})
+    cfg = EstimatorConfig(method="ti", beta_grid=(0.0, 1.0), sweeps=150,
                           seeds=2, restarts=1, max_iters=20, master_seed=5)
     rep = tap_evaluate(xi, lay, [0.2], cfg)
     assert "swap-acceptance-low" in rep.flags

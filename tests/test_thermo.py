@@ -27,6 +27,7 @@ from multispin.thermo import (
     PTResult,
     _logsumexp,
     _simpson_weights,
+    _species_quadrature,
     _run_group,
     _ti_tail,
     exact_fe_enumeration,
@@ -155,6 +156,36 @@ def test_quadrature_grid_over_budget_refused():
                        SpeciesLayout(("a", "b"), (2, 2)), seed=1)
     with pytest.raises(ValueError, match="budget"):
         exact_fe_quadrature(h, 100000)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 7, 16, 33])
+def test_size3_quadrature_grid_matches_its_node_formula(nodes):
+    # row i * nodes + j holds polar node i and azimuth j
+    z, wz = np.polynomial.legendre.leggauss(nodes)
+    pts, logw = [], []
+    for i in range(nodes):
+        for j in range(nodes):
+            phi = 2.0 * math.pi * j / nodes
+            rad = math.sqrt(1.0 - z[i] ** 2)
+            pts.append(math.sqrt(3.0) * np.array(
+                [rad * math.cos(phi), rad * math.sin(phi), z[i]]))
+            logw.append(math.log(wz[i] / 2.0) - math.log(nodes))
+    got_pts, got_logw = _species_quadrature(3, nodes)
+    assert np.array_equal(got_pts, np.array(pts))
+    assert np.array_equal(got_logw, np.array(logw))
+
+
+def test_tempering_series_over_budget_refused():
+    # 21 chains keeping 666666667 sweeps each would need 104 GiB, and a
+    # 10^9-replica multisamplability draw would first spawn 10^9 streams; both
+    # refuse before any allocation
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}),
+                       SpeciesLayout(("a", "b"), (4, 4)), seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        fe_thermo_integration(h, np.linspace(0.0, 1.0, 21), 10**9, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="budget"):
+        multisamplability_records(h, [0.0, 0.0], 10**9, [0.5], [0.0, 1.0], 10,
+                                  np.random.default_rng(0))
 
 
 # --- Metropolis acceptance rule (three-state toy) ----------------------------

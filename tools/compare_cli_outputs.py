@@ -9,8 +9,11 @@ that differ.  Runs `verify` on the same configs
 and on 40 (model, master seed, mutation) combinations, and reports any
 difference in the exit code, the check names, their order or their `passed`
 flags; `detail` strings (Monte Carlo estimates and roundoff-level deviations)
-are only counted, per check.  Uses the standard library only.  Exit code 0
-when nothing but `detail` strings differs, else 1.
+are only counted, per check.  Last, it compares the reprs of library values
+that no command reaches: `multi_replica_fe` and `restricted_fe` on the
+benchmark's band_replica shape, the corner enumerations of coupled-replica
+free energies and penalties, and `exact_fe_quadrature`.  Uses the standard
+library only.  Exit code 0 when nothing but `detail` strings differs, else 1.
 """
 
 from __future__ import annotations
@@ -94,6 +97,70 @@ for config, seed, mutation, out in runs:
     with open(out + "/verify_report.json") as fh:
         reports.append({"code": code, "report": json.load(fh)})
 json.dump(reports, sys.stdout)
+"""
+
+
+# runs in a child interpreter with one tree on its path: library values no
+# command reaches, printed as a JSON list of [label, repr of the value]
+_LIBRARY_PROGRAM = """
+import json, sys
+import numpy as np
+from multispin.geometry import BandSpec, Configuration, sample_on_shell
+from multispin.hamiltonian import build_instance
+from multispin.mixture import Mixture, SpeciesLayout
+from multispin.thermo import (exact_fe_quadrature, exact_multi_replica_fe_enumeration,
+                              exact_penalty_enumeration, multi_replica_fe, restricted_fe)
+values = []
+
+def record(label, fn, *args):
+    try:
+        est = fn(*args)
+    except ValueError as exc:
+        values.append([label, repr(exc)])
+        return
+    fields = (est.value, est.std_error, est.meta) if hasattr(est, "meta") else est
+    values.append([label, repr(fields)])
+
+# the band_replica benchmark shape, full and tiny
+band_xi = Mixture.from_terms({(1, 1): 0.7, (2, 0): 0.4})
+for sizes, betas, sweeps in (((8, 8), 11, 600), ((3, 3), 3, 10)):
+    layout = SpeciesLayout(("a", "b"), sizes)
+    grid = np.linspace(0.0, 1.0, betas)
+    for seed in range(8):
+        h = build_instance(band_xi, layout, seed=seed)
+        m = sample_on_shell(layout, (0.3, 0.3), np.random.default_rng([seed, 0]))
+        for n in (1, 2):
+            record(f"multi_replica_fe {sizes} seed {seed} n {n}", multi_replica_fe, h,
+                   BandSpec(m, 0.15, n=n, rho=0.15), grid, sweeps,
+                   np.random.default_rng([seed, n]))
+        record(f"restricted_fe {sizes} seed {seed}", restricted_fe, h, m, 0.15, grid,
+               sweeps, np.random.default_rng([seed, 3]))
+
+# a 3-species corner: every block is {-1, +1}
+corner = SpeciesLayout(("a", "b", "c"), (1, 1, 1))
+corner_xi = Mixture.from_terms({(1, 1, 0): 0.8, (0, 1, 1): 0.5, (2, 0, 1): 0.3,
+                                (1, 1, 1): 0.4})
+for seed in range(4):
+    h = build_instance(corner_xi, corner, seed=seed)
+    center = np.random.default_rng([seed, 4]).uniform(-1.0, 1.0, 3)
+    m = Configuration(center, corner)
+    for delta in (0.3, 0.9, 1.5):
+        for rho in (0.5, 1.3, 2.1):
+            for n in (1, 2, 3):
+                spec = BandSpec(m, delta, n=n, rho=rho)
+                where = f"corner seed {seed} delta {delta} rho {rho} n {n}"
+                record(f"enumeration {where}", exact_multi_replica_fe_enumeration, h, spec)
+                record(f"penalty {where}", exact_penalty_enumeration, h, spec)
+
+quad_xi = Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3, (1, 2): 0.5})
+for sizes, node_counts in (((2, 2), (8, 40, 300)), ((1, 3), (8, 40, 200))):
+    layout = SpeciesLayout(("a", "b"), sizes)
+    for seed in range(3):
+        h = build_instance(quad_xi, layout, seed=seed)
+        for nodes in node_counts:
+            record(f"quadrature {sizes} seed {seed} nodes {nodes}", exact_fe_quadrature,
+                   h, nodes)
+json.dump(values, sys.stdout)
 """
 
 
@@ -185,6 +252,16 @@ def compare_verify(ref: Path, src: Path, tmp: Path,
     return diffs, len(labels)
 
 
+def compare_library(ref: Path, src: Path) -> tuple[list[str], int]:
+    ref_values, src_values = (json.loads(subprocess.run(
+        [sys.executable, "-c", _LIBRARY_PROGRAM], env=_env(tree), capture_output=True,
+        text=True, check=True).stdout) for tree in (ref, src))
+    if [label for label, _ in ref_values] != [label for label, _ in src_values]:
+        return ["library: value labels differ"], len(ref_values)
+    return ([f"library {label}" for (label, a), (_, b) in zip(ref_values, src_values)
+             if a != b], len(ref_values))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", required=True, type=Path,
@@ -197,14 +274,16 @@ def main(argv=None) -> int:
         detail_counts = {}
         command_diffs = compare_commands(ref, src, tmp, detail_counts)
         verify_diffs, n_runs = compare_verify(ref, src, tmp, detail_counts)
-    for line in command_diffs + verify_diffs:
+    library_diffs, n_values = compare_library(ref, src)
+    for line in command_diffs + verify_diffs + library_diffs:
         print(f"DIFF {line}")
     print(f"commands: {len(command_diffs)} differences over "
           f"{len(CONFIGS) * len(COMMANDS)} runs")
     print(f"verify: {len(verify_diffs)} exit/name/flag differences over {n_runs} runs")
     for name, count in sorted(detail_counts.items()):
         print(f"  detail differs: {name} in {count} of {n_runs + len(CONFIGS)} verify runs")
-    return 0 if not command_diffs and not verify_diffs else 1
+    print(f"library: {len(library_diffs)} differences over {n_values} values")
+    return 0 if not command_diffs and not verify_diffs and not library_diffs else 1
 
 
 if __name__ == "__main__":
