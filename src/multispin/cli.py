@@ -309,6 +309,7 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
             raise ConfigError(f"{name}.{key}", "unknown field")
     values = {f: _VALIDATORS[f](section[f], f"{name}.{f}", layout) if f in section
               else _default(name, f, layout.n_species) for f in fields}
+    _at(f"{name}.seeds", lambda seeds: EstimatorConfig(seeds=seeds), values["seeds"])
     if name == "tap_scan" and values["seeds"] < 2:
         raise ConfigError("tap_scan.seeds", "must be >= 2 (the decomposition is "
                                             "averaged over disorder seeds)")

@@ -72,7 +72,7 @@ class Configuration:
 
     def self_overlap(self) -> np.ndarray:
         """R(sigma, sigma): per-species squared norm over N_s."""
-        return self._block_sq_norms / np.array(self.layout.sizes)
+        return self._block_sq_norms / self.layout.size_array
 
     def is_on_sphere(self, tol: float = 1e-8) -> bool:
         return bool(np.all(np.abs(self.self_overlap() - 1.0) <= tol))
@@ -121,8 +121,7 @@ def species_overlaps(a: np.ndarray, b: np.ndarray, layout: SpeciesLayout) -> np.
     a and b are coordinate arrays whose leading axes broadcast, so one call
     covers any batch of pairs; the result has shape (..., n_species).
     """
-    starts = [sl.start for sl in layout.slices]
-    return np.add.reduceat(np.multiply(a, b), starts, axis=-1) / np.array(layout.sizes)
+    return np.add.reduceat(np.multiply(a, b), layout.starts, axis=-1) / layout.size_array
 
 
 def overlap(a: Configuration, b: Configuration) -> np.ndarray:
@@ -250,27 +249,79 @@ def rescale_to_shell(m_prime: Configuration, q) -> Configuration:
     return Configuration(m_prime.coords * scale + 0.0, layout)
 
 
+# One panel table of the truncated cosine law (1-c^2)^((d-3)/2) dc serves the
+# band volume, the in-band sampler and the overlap tail.
+_PANELS, _NEWTON_STEPS, _WINDOW = 128, 4, 50.0
+_ROW_CHUNK = 4096  # rows inverted at once; keeps temporaries near 1 MiB
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """8 Gauss-Legendre nodes and weights, and the map node values @ poly to
+    the monomial coefficients (x^0 .. x^8, in a panel's local x in [-1, 1])
+    of the mass from x = -1 and of the density, for the polynomial through
+    the nodes.  Built on first use, so runs without band code make no LAPACK
+    call for it."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    fit = np.pad(np.linalg.inv(np.vander(x, increasing=True)).T, ((0, 0), (0, 1)))
+    anti = np.roll(fit, 1, axis=1) / np.maximum(np.arange(fit.shape[1]), 1)
+    anti[:, 0] = -anti @ (-1.0) ** np.arange(fit.shape[1])
+    return x, w, np.hstack((anti, fit))
+
+
+def _cos_law_table(d: int, c1: float, c2: float):
+    """Panel table of cos^(d-2) t on [asin c1, asin c2], -1 <= c1 < c2 <= 1,
+    d >= 2: scaled by its peak at tm (the point nearest 0), cut to the window
+    above e^-_WINDOW of it, on _PANELS equal panels in s = t - tm.  Returns
+    tm, the log peak, the panel edges, the cumulative mass at each edge and
+    the density times ds/dx at each node."""
+    sin_m = min(max(0.0, c1), c2)
+    cos_m = math.sqrt((1.0 - sin_m) * (1.0 + sin_m))
+    tm, power = math.asin(sin_m), d - 2
+    tw = math.acos(cos_m * math.exp(-_WINDOW / power)) if power else math.pi / 2
+    t1, t2 = max(math.asin(c1), -tw), min(math.asin(c2), tw)
+    edges = np.linspace(t1 - tm, t2 - tm, _PANELS + 1)
+    x, w, _ = _gauss_legendre()
+    half = 0.5 * np.diff(edges)[:, None]
+    s = edges[:-1, None] + half * (x + 1.0)
+    # (cos(tm + s) / cos tm)^power, accurate where the ratio is near 1
+    vals = half * np.exp(power * np.log1p(-2.0 * np.sin(0.5 * s) ** 2 - sin_m / cos_m * np.sin(s)))
+    cum = np.concatenate(([0.0], np.cumsum(vals @ w)))
+    return tm, power * math.log(cos_m), edges, cum, vals
+
+
 def _log_cos_integral(d: int, c1: float, c2: float) -> float:
     """log of int_{c1}^{c2} (1-c^2)^((d-3)/2) dc for d >= 2, via c = sin t."""
     if c2 <= c1:
         return -np.inf
-    t1, t2 = math.asin(max(c1, -1.0)), math.asin(min(c2, 1.0))
-    # peak of cos^{d-2} is at the t closest to 0 in the interval
-    tm = min(max(0.0, t1), t2)
-    gm = (d - 2) * math.log(math.cos(tm)) if abs(tm) < math.pi / 2 else -np.inf
+    _, log_peak, _, cum, _ = _cos_law_table(d, max(c1, -1.0), min(c2, 1.0))
+    return log_peak + math.log(cum[-1]) if cum[-1] > 0.0 else -np.inf
 
-    def rel(t):
-        ct = math.cos(t)
-        if ct <= 0.0:
-            return 0.0
-        return math.exp((d - 2) * math.log(ct) - gm)
 
-    from scipy import integrate
-
-    val, _ = integrate.quad(rel, t1, t2, limit=200)
-    if val <= 0.0:
-        return -np.inf
-    return gm + math.log(val)
+def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
+    """Cosines in [c1, c2] at truncated-law CDF values u.  Per row: Newton,
+    in the local x of the panel that holds the target mass, on that panel's
+    polynomial mass."""
+    tm, _, edges, cum, vals = _cos_law_table(d, c1, c2)
+    k = vals.shape[1] + 1
+    poly = (vals @ _gauss_legendre()[2]).reshape(-1, 2, k)
+    # start from the CDF of the density linear between the panel's ends,
+    # exact where it vanishes linearly (at c = +-1 when d = 3)
+    ends = poly[:, 1] @ np.vander([-1.0, 1.0], k, increasing=True).T
+    alpha = 2.0 * ends[:, 0] / ends.sum(axis=1)
+    out = np.empty(u.size)
+    for lo in range(0, u.size, _ROW_CHUNK):
+        target = cum[-1] * u[lo:lo + _ROW_CHUNK]
+        j = np.minimum(np.searchsorted(cum, target, side="right") - 1, _PANELS - 1)
+        r, a = (target - cum[j]) / np.maximum(cum[j + 1] - cum[j], 1e-300), alpha[j]
+        x = 4.0 * r / np.maximum(a + np.sqrt(a * a + 4.0 * (1.0 - a) * r), 1e-300) - 1.0
+        rows = poly[j]
+        rows[:, 0, 0] += cum[j] - target
+        for _ in range(_NEWTON_STEPS):
+            excess, dens = np.einsum("rck,rk->cr", rows, np.vander(x, k, increasing=True))
+            x = np.clip(x - excess / dens, -1.0, 1.0)
+        out[lo:lo + _ROW_CHUNK] = np.sin(tm + edges[j] + 0.5 * (x + 1.0) * (edges[1] - edges[0]))
+    return np.clip(out, c1, c2, out=out)
 
 
 def _species_band_log_measure(d: int, q: float, delta: float) -> float:
@@ -316,13 +367,11 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
     """k independent exact uniform draws from B(m, delta) on S_N, as rows of
     a (k, N) array.
 
-    Per species: the cosine against m has a truncated symmetric-Beta law,
-    inverted through the regularized incomplete Beta function; the
-    orthogonal part is an isotropic direction.  Raises if some species band
-    is empty (possible when N_s = 1).
+    Per species: the cosine against m has the truncated law (1-c^2)^((N_s-3)/2)
+    on the band's cosine interval, drawn by inverting its CDF at one uniform
+    per row (_cos_law_inverse); the orthogonal part is an isotropic direction.
+    Raises if some species band is empty (possible when N_s = 1).
     """
-    from scipy import special
-
     layout = m.layout
     rm = m.self_overlap()
     coords = np.empty((k, layout.n))
@@ -345,10 +394,8 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
         c2 = min((q + delta) / root, 1.0)
         if c2 < c1:
             raise ValueError(f"empty band for species {layout.species[s]}")
-        a = (d - 1) / 2.0
-        lo, hi = special.betainc(a, a, (c1 + 1) / 2), special.betainc(a, a, (c2 + 1) / 2)
-        u = lo + (hi - lo) * rng.uniform(size=k)
-        c = np.clip(2.0 * special.betaincinv(a, a, u) - 1.0, c1, c2)
+        u = rng.uniform(size=k)
+        c = _cos_law_inverse(d, c1, c2, u) if c2 > c1 else np.full(k, c1)
         mhat = m.coords[sl] / (root * math.sqrt(d))
         w = _unit_rows(k, d, rng, mhat)
         radial = np.sqrt(np.maximum(1.0 - c * c, 0.0))
@@ -370,10 +417,7 @@ def uniform_overlap_tail(d: int, tau: float) -> float:
         return 0.0
     if d == 1:
         return 1.0  # overlap is +-1
-    from scipy import special
-
-    a = (d - 1) / 2.0
-    return 2.0 * float(special.betaincc(a, a, (tau + 1) / 2))
+    return 2.0 * math.exp(_log_cos_integral(d, tau, 1.0) - _log_cos_integral(d, -1.0, 1.0))
 
 
 def save_configuration(cfg: Configuration, path) -> None:

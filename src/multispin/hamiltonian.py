@@ -430,7 +430,7 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
     delta = np.sqrt((1.0 - qv) * slope)
     rng = np.random.default_rng(int(seed))
     normals = rng.standard_normal(layout.n)
-    vector = normals * np.repeat(np.sqrt(layout.n / np.array(layout.sizes)) * delta,
+    vector = normals * np.repeat(np.sqrt(layout.n / layout.size_array) * delta,
                                  layout.sizes)
     normals.setflags(write=False)
     vector.setflags(write=False)

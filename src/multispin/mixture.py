@@ -73,27 +73,20 @@ class SpeciesLayout:
             raise ValueError(f"proportions must lie in (0, 1], got {props}")
         if abs(sum(props) - 1.0) > 1e-12:
             raise ValueError(f"proportions must sum to 1 within 1e-12, got {sum(props)!r}")
-        object.__setattr__(self, "species", species)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "proportions", props)
-
-    @property
-    def n(self) -> int:
-        """Total number of coordinates N."""
-        return sum(self.sizes)
+        starts, size_array = np.cumsum((0,) + sizes[:-1]), np.array(sizes)
+        starts.setflags(write=False)
+        size_array.setflags(write=False)
+        # the fields, then bookkeeping built once: N, block starts and slices,
+        # and the sizes as a read-only array
+        for name, value in (("species", species), ("sizes", sizes), ("proportions", props),
+                            ("n", total), ("starts", starts), ("size_array", size_array),
+                            ("slices", tuple(slice(a, a + n)
+                                             for a, n in zip(starts.tolist(), sizes)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_species(self) -> int:
         return len(self.species)
-
-    @property
-    def slices(self) -> tuple[slice, ...]:
-        """Coordinate slice of each species block, in species order."""
-        out, start = [], 0
-        for n in self.sizes:
-            out.append(slice(start, start + n))
-            start += n
-        return tuple(out)
 
     def species_of_coordinate(self) -> np.ndarray:
         """Length-N integer array mapping coordinate index -> species index."""

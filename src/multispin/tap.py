@@ -65,6 +65,7 @@ _FE_METHODS = ("auto", "enumeration", "quadrature", "ti")
 # exact method -> the check that a layout admits it, in the order auto tries them
 _EXACT_CHECKS = {"enumeration": _require_corner, "quadrature": _require_quadrature}
 DEFAULT_BETA_GRID = tuple(float(b) for b in np.linspace(0.0, 1.0, 21))
+_MAX_SEEDS = 10_000  # disorder seeds per run; each gets an instance, streams and a row
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class EstimatorConfig:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.gs_bias_allowance < 0.0:
             raise ValueError("gs_bias_allowance must be >= 0")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+        if not 1 <= self.seeds <= _MAX_SEEDS:
+            raise ValueError(f"seeds must lie in [1, {_MAX_SEEDS}], got {self.seeds}")
 
 
 @dataclass(frozen=True)

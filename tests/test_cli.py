@@ -318,6 +318,23 @@ class TestConfigParsing:
             assert main([command, "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("section", list(_SECTIONS))
+    def test_seeds_over_limit_rejected(self, tmp_path, section):
+        # every command builds one instance and one output row per seed;
+        # the corner model has no sweep or restart budget that a huge seed
+        # count would trip first, so only the seed limit names the field
+        doc = corner_doc()
+        doc[section]["seeds"] = 10_000
+        assert getattr(parse_config(json.dumps(doc)), section).seeds == 10_000
+        doc[section]["seeds"] = 10_001
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == f"{section}.seeds"
+        doc[section]["seeds"] = 10**9
+        config = write_config(tmp_path, doc)
+        command = section.replace("_", "-")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
 
 class TestVerificationSuite:
     def test_default_config_passes(self):

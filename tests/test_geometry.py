@@ -2,15 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln
+from scipy.integrate import quad
+from scipy.special import betainc, betaincc, betaincinv, gammaln
 
 from multispin.geometry import (
     BandSpec,
     Configuration,
     _log_cos_integral,
+    species_overlaps,
     in_band,
     in_multi_band,
     load_configuration,
@@ -426,6 +429,97 @@ def test_uniform_overlap_tail():
     want = uniform_overlap_tail(12, tau)
     se = math.sqrt(want * (1 - want) / trials)
     assert hits / trials == pytest.approx(want, abs=4 * se)
+
+
+# the (q, delta) bands of the normalizer test, two more near the cap and the
+# pole, and one around the equator, where scipy's inverse is well conditioned
+# even at the largest block sizes
+ORACLE_BANDS = ((0.1, 0.5), (0.5, 0.01), (0.9, 0.15), (1.0, 0.15), (0.99, 0.001),
+                (0.05, 0.02), (0.0004, 0.0003))
+
+
+def band_cosines(q, delta):
+    root = math.sqrt(q)
+    return max((q - delta) / root, -1.0), min((q + delta) / root, 1.0)
+
+
+def quad_log_cos_integral(d, c1, c2):
+    """Reference band integral: scipy's adaptive quad of the peak-scaled
+    density cos^(d-2)(tm + s) / cos^(d-2)(tm) over s = t - tm, c = sin t."""
+    sin_m = min(max(0.0, c1), c2)
+    cos_m = math.sqrt((1.0 - sin_m) * (1.0 + sin_m))
+    tm = math.asin(sin_m)
+
+    def scaled(s):
+        ratio = -2.0 * math.sin(0.5 * s) ** 2 - sin_m / cos_m * math.sin(s)
+        return math.exp((d - 2) * math.log1p(ratio))
+
+    val, _ = quad(scaled, math.asin(c1) - tm, math.asin(c2) - tm, epsabs=0.0, epsrel=1e-13,
+                  limit=400)
+    return (d - 2) * math.log(cos_m) + math.log(val)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 33, 200, 1600, 5000])
+def test_band_volume_matches_quad(d):
+    # 1e-12 relative on the integral, beyond the rounding of its log, whose
+    # size reaches 1.1e4 at d = 5000 near the cap
+    for q, delta in ORACLE_BANDS[:-1]:
+        c1, c2 = band_cosines(q, delta)
+        want = quad_log_cos_integral(d, c1, c2)
+        assert abs(_log_cos_integral(d, c1, c2) - want) <= 1e-12 + 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 33, 200, 1600, 5000])
+def test_band_sampler_cosines_match_betaincinv(d):
+    # the sampler's first draw per species is its uniform; scipy inverts the
+    # same uniforms through the regularized incomplete Beta function
+    lay = SpeciesLayout(("a",), (d,))
+    a = (d - 1) / 2.0
+    checked = 0
+    for q, delta in ORACLE_BANDS:
+        c1, c2 = band_cosines(q, delta)
+        lo, hi = betainc(a, a, (c1 + 1) / 2), betainc(a, a, (c2 + 1) / 2)
+        if lo < 1e-3 or 1.0 - hi < 1e-3:
+            continue
+        m = sample_on_shell(lay, [q], np.random.default_rng(d))
+        rows = sample_uniform_in_band_batch(m, delta, 500, np.random.default_rng(26))
+        u = np.random.default_rng(26).uniform(size=500)
+        want = np.clip(2.0 * betaincinv(a, a, lo + (hi - lo) * u) - 1.0, c1, c2)
+        got = rows @ m.coords / (d * math.sqrt(q))
+        assert np.abs(got - want).max() <= 1e-12
+        checked += 1
+    assert checked >= 1
+
+
+def test_uniform_overlap_tail_matches_betaincc():
+    for d in (2, 3, 8, 12, 33, 200, 1600):
+        a = (d - 1) / 2.0
+        for tau in (0.05, 0.35, 0.6, 0.9):
+            want = 2.0 * betaincc(a, a, (tau + 1) / 2)
+            assert uniform_overlap_tail(d, tau) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d, q, delta", [(200, 0.5, 0.01), (1600, 0.3, 0.15)])
+def test_upper_tail_band_draws_follow_the_truncated_law(d, q, delta):
+    # bands deep in the upper tail of the cosine law, where both incomplete
+    # Beta values round to 1: every draw must still be its own point of the
+    # band, with the law's CDF (mpmath, 30 digits) uniform over the draws
+    lay = SpeciesLayout(("a",), (d,))
+    m = sample_on_shell(lay, [q], np.random.default_rng(27))
+    rows = sample_uniform_in_band_batch(m, delta, 1000, np.random.default_rng(28))
+    assert BandSpec(m, delta).contains(rows).all()
+    r = species_overlaps(rows, m.coords, lay)[:, 0]
+    assert np.unique(r).size == r.size
+    c1, c2 = band_cosines(q, delta)
+    c = np.sort(r / math.sqrt(q))
+    with mpmath.workdps(30):
+        exponent = mpmath.mpf(d - 3) / 2
+        edges = [mpmath.mpf(c1)] + [mpmath.mpf(float(x)) for x in c] + [mpmath.mpf(c2)]
+        pieces = [mpmath.quad(lambda x: (1 - x * x) ** exponent, [lo, hi])
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+        cum = np.cumsum(pieces)
+        cdf = np.array([float(x / cum[-1]) for x in cum[:-1]])
+    assert stats.kstest(cdf, "uniform").pvalue > 1e-3
 
 
 def test_configuration_checkpoint_round_trip(tmp_path):

@@ -1,5 +1,5 @@
-"""Start-up cost: the package and its CLI import numpy but not scipy, and
-scipy loads only on the band paths (band volume, band sampler, overlap tail).
+"""Start-up cost: the package, its CLI and its band kernels (band volume,
+band sampler, overlap tail) run on numpy alone; no scipy module loads.
 Every exported name of the package and its modules resolves."""
 
 import importlib
@@ -53,11 +53,30 @@ def test_cli_runs_without_scipy(tmp_path):
     assert _scipy_modules_after(code) == []
 
 
-def test_band_volume_loads_scipy():
-    code = ("from multispin.geometry import log_band_volume\n"
-            "from multispin.mixture import SpeciesLayout\n"
-            "log_band_volume(SpeciesLayout(('a',), (8,)), [0.5], 0.1)")
-    assert "scipy.integrate" in _scipy_modules_after(code)
+def test_band_paths_run_without_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CORNER_DOC))
+    code = "\n".join([
+        "import numpy as np",
+        "import multispin.cli",
+        "from multispin.geometry import (BandSpec, log_band_volume, sample_on_shell,",
+        "                                sample_uniform_in_band_batch, uniform_overlap_tail)",
+        "from multispin.hamiltonian import build_instance",
+        "from multispin.mixture import Mixture, SpeciesLayout",
+        "from multispin.thermo import multi_replica_fe",
+        "lay = SpeciesLayout(('a', 'b'), (3, 4))",
+        "rng = np.random.default_rng(0)",
+        "m = sample_on_shell(lay, [0.3, 0.5], rng)",
+        "assert np.isfinite(log_band_volume(lay, [0.3, 0.5], 0.2))",
+        "assert sample_uniform_in_band_batch(m, 0.2, 50, rng).shape == (50, 7)",
+        "assert 0.0 < uniform_overlap_tail(8, 0.35) < 1.0",
+        "h = build_instance(Mixture.from_terms({(1, 1): 1.0}), lay, seed=1)",
+        "est = multi_replica_fe(h, BandSpec(m, 0.3, n=2, rho=0.3), [0.0, 0.5, 1.0], 20, rng)",
+        "assert np.isfinite(est.value)",
+        f"out = {str(tmp_path)!r} + '/verify'",
+        f"assert multispin.cli.main(['verify', '--config', {str(config)!r}, '--out', out]) == 0",
+    ])
+    assert _scipy_modules_after(code) == []
 
 
 @pytest.mark.parametrize("name", ["multispin"] + [
