@@ -67,6 +67,7 @@ from .tap import (
     tap_inequality_scan,
 )
 from .thermo import (
+    _check_pair_budget,
     _check_quadrature_grid,
     _check_series_budget,
     exact_fe_enumeration,
@@ -325,6 +326,8 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
             1 + len(values["q_grid"]) if name == "tap_scan" else 1)
         _at(f"{name}.sweeps", _check_series_budget, runs * len(values["beta_grid"]),
             values["sweeps"])
+    if name == "multisamp":
+        _at("multisamp.n", _check_pair_budget, values["n"], values["sweeps"], layout.n)
     if "restarts" in values:
         _at(f"{name}.restarts", _check_restart_budget, values["seeds"], values["restarts"],
             layout.n)

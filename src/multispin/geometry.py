@@ -305,8 +305,7 @@ def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
     tm, _, edges, cum, vals = _cos_law_table(d, c1, c2)
     k = vals.shape[1] + 1
     poly = (vals @ _gauss_legendre()[2]).reshape(-1, 2, k)
-    # start from the CDF of the density linear between the panel's ends,
-    # exact where it vanishes linearly (at c = +-1 when d = 3)
+    # start from the CDF of the density linear between the panel's ends
     ends = poly[:, 1] @ np.vander([-1.0, 1.0], k, increasing=True).T
     alpha = 2.0 * ends[:, 0] / ends.sum(axis=1)
     out = np.empty(u.size)
@@ -315,6 +314,13 @@ def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
         j = np.minimum(np.searchsorted(cum, target, side="right") - 1, _PANELS - 1)
         r, a = (target - cum[j]) / np.maximum(cum[j + 1] - cum[j], 1e-300), alpha[j]
         x = 4.0 * r / np.maximum(a + np.sqrt(a * a + 4.0 * (1.0 - a) * r), 1e-300) - 1.0
+        # end panels at c = -1 and +1, where the density vanishes like the
+        # power d - 2 of the distance to the end, start from that power's CDF
+        if c1 == -1.0:
+            x = np.where(j == 0, 2.0 * r ** (1.0 / (d - 1)) - 1.0, x)
+        if c2 == 1.0:
+            tail = np.maximum(1.0 - r, 0.0) ** (1.0 / (d - 1))
+            x = np.where(j == _PANELS - 1, 1.0 - 2.0 * tail, x)
         rows = poly[j]
         rows[:, 0, 0] += cum[j] - target
         for _ in range(_NEWTON_STEPS):

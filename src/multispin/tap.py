@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import species_overlaps
 from .ground_state import ascend_many, exact_gs_enumeration
 from .hamiltonian import (
     _BATCH_ELEMENT_CAP,
@@ -38,7 +37,7 @@ from .mixture import (
 from .seeding import derive_seed
 from .thermo import (
     FreeEnergyEstimate,
-    _replica_samples,
+    _replica_overlaps,
     _require_corner,
     _require_quadrature,
     exact_fe_enumeration,
@@ -345,11 +344,9 @@ def replica_symmetry_diagnostic(hq: HamiltonianInstance, n: int, tau: float,
     if tau >= 1.0 + 1e-9:
         return 0.0
     rng = np.random.default_rng(derive_seed(config.master_seed, "rs-diagnostic"))
-    samples, _ = _replica_samples(hq, n, config.beta_grid, config.sweeps, rng)
-    i, j = np.triu_indices(n, 1)
-    overlaps = species_overlaps(samples[i], samples[j], hq.layout)  # (pairs, kept, S)
+    overlaps, _ = _replica_overlaps(hq, n, config.beta_grid, config.sweeps, rng)
     hits = np.count_nonzero(np.abs(overlaps) >= tau, axis=(0, 1))
-    return int(hits.max()) / (len(i) * samples.shape[1])
+    return int(hits.max()) / (overlaps.shape[0] * overlaps.shape[1])
 
 
 def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,

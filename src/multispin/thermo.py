@@ -150,23 +150,41 @@ def _group_sampler(rngs, method):
     return draw
 
 
+def _thinning(steps: int) -> tuple[int, int]:
+    """Thinning stride and thinned states kept per chain for a run of steps
+    sweeps: at most _MAX_KEPT_SAMPLES, evenly spaced after the burn-in third."""
+    n = steps - steps // 3
+    thin = max(1, -(-n // _MAX_KEPT_SAMPLES))
+    return thin, len(range(0, n, thin))
+
+
+def _check_pair_budget(n: int, steps: int, size: int) -> None:
+    """Refuse n replicas whose (pair, kept state, coordinate) products, over
+    the n(n-1)/2 pairs, exceed DEFAULT_MEMORY_BUDGET entries."""
+    pairs, kept = n * (n - 1) // 2, _thinning(steps)[1]
+    if pairs * kept * size > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"{pairs} replica pairs x {kept} kept states x {size} coordinates "
+                         "are over the budget")
+
+
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
                keep_snapshots: bool = True) -> list[PTResult]:
     """Replica-exchange Metropolis over the beta grid, batched over a group
     of instances that share mixture terms and layout, and over chains.
 
-    Proposals update one species block of one replica at a time, on every
-    chain of every instance at once: a tangent Gaussian step re-projected to
-    the block sphere (for single-coordinate blocks, a lazy sign flip).  Both
-    kernels are symmetric, so acceptance is min(1, 1_constraints *
-    exp(beta dH)).  After each sweep, neighbouring chains (even pairs on even
-    sweeps, odd pairs on odd sweeps) swap states when
-    log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band run couples band.n
-    replicas; an unconstrained run has one.  Instance k draws all its
-    randomness from rngs[k], as whole arrays over the chain axis in a fixed
-    order, so its run depends only on its own seed, not on the group.
-    Without keep_snapshots no thinned states are kept (snapshots hold zero
-    per chain), so a large group holds only its energy series.
+    One accept step serves every move, a symmetric proposal for one species
+    block of some replicas on every chain of every instance at once:
+    min(1, 1_constraints * exp(beta dH)), dH summed over those replicas.
+    Block moves take one replica: a tangent Gaussian step re-projected to the
+    block sphere (for single-coordinate blocks, a lazy sign flip).  Coupled
+    replicas also flip single-coordinate blocks together.  After each sweep,
+    neighbouring chains (even pairs on even sweeps, odd pairs on odd sweeps)
+    swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band
+    run couples band.n replicas; an unconstrained run has one.  Instance k
+    draws all its randomness from rngs[k], as whole arrays over the chain
+    axis in a fixed order, so its run depends only on its own seed, not on
+    the group.  Without keep_snapshots no thinned states are kept (snapshots
+    hold zero per chain), so a large group holds only its energy series.
 
     The state arrays have one row per (instance, chain), instance-major, so
     a group of one is laid out exactly as a single run.
@@ -176,12 +194,10 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     _check_series_budget(len(hs) * beta_grid.size, steps)
     group = stack_instances(hs)
     layout = group.layout
-    slices = layout.slices
     k = group.size
     n_chains = beta_grid.size
     n_rows = k * n_chains
     betas = np.tile(beta_grid, k)
-    every_row = np.ones(n_rows, dtype=bool)
     n_replicas = 1 if band is None else band.n
     coords = np.concatenate([_init_replicas(layout, band, n_chains, rng)
                              for rng in rngs])
@@ -189,47 +205,53 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
         n_rows, n_replicas)
     step_sizes = np.full((n_rows, layout.n_species), 0.5)
     burn = steps // 3
-    thin = max(1, -(-(steps - burn) // _MAX_KEPT_SAMPLES))
-    kept = len(range(0, steps - burn, thin)) if keep_snapshots else 0
+    thin, kept = _thinning(steps)
+    kept = kept if keep_snapshots else 0
     series = np.empty((n_rows, steps - burn))
     snapshots = np.empty((n_rows, kept, n_replicas, layout.n))
     prop_count = np.zeros(n_rows, dtype=int)
     acc_count = np.zeros(n_rows, dtype=int)
-    swap_tries = np.zeros((k, max(n_chains - 1, 1)), dtype=int)
-    swap_accepts = np.zeros((k, max(n_chains - 1, 1)), dtype=int)
+    swap_tries, swap_accepts = np.zeros((2, k, n_chains - 1), dtype=int)
     # left chain of each pair tried on even and on odd sweeps, and its rows
     swap_lo = [np.arange(parity, n_chains - 1, 2) for parity in (0, 1)]
     swap_rows = [(lo + n_chains * np.arange(k)[:, None]).reshape(-1) for lo in swap_lo]
 
     uniforms = _group_sampler(rngs, np.random.Generator.random)
     normals = _group_sampler(rngs, np.random.Generator.standard_normal)
+
+    def accept(reps, others, sl, y, moved):
+        """Metropolis step for block sl of replicas reps (a slice) proposed
+        as y where moved, constrained against the replicas others."""
+        props = coords[:, reps].copy()
+        props[:, :, sl] = y
+        prop_e = group_energies(group, props.reshape(k, -1, layout.n)).reshape(n_rows, -1)
+        log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
+        ok = moved
+        if band is not None:
+            ok = ok & band.contains(props).all(axis=1) & band.pairs_within(
+                props[:, :, None], coords[:, None, others]).all(axis=(1, 2))
+        accepted = ok & (log_u < betas * (prop_e.sum(axis=1) - energies[:, reps].sum(axis=1)))
+        np.copyto(coords[:, reps, sl], y, where=accepted[:, None, None])
+        np.copyto(energies[:, reps], prop_e, where=accepted[:, None])
+        return accepted
+
     for t in range(steps):
         adapting = t < burn
         for r in range(n_replicas):
             others = [r2 for r2 in range(n_replicas) if r2 != r]
-            for s, sl in enumerate(slices):
+            for s, sl in enumerate(layout.slices):
                 d = layout.sizes[s]
                 x = coords[:, r, sl]
                 if d == 1:
                     moved = uniforms((n_chains,)) < 0.5
-                    y = np.where(moved[:, None], -x, x)
+                    y = -x
                 else:
                     g = normals((n_chains, d))
                     v = g - (np.einsum("ij,ij->i", g, x) / d)[:, None] * x
                     y = x + step_sizes[:, s, None] * v
                     y *= np.sqrt(d / np.einsum("ij,ij->i", y, y))[:, None]
-                    moved = every_row
-                props = coords[:, r].copy()
-                props[:, sl] = y
-                prop_e = group_energies(group, props.reshape(k, n_chains, -1)).reshape(n_rows)
-                log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
-                ok = moved
-                if band is not None:
-                    ok = ok & band.contains(props) & band.pairs_within(
-                        props[:, None, :], coords[:, others]).all(axis=1)
-                accepted = ok & (log_u < betas * (prop_e - energies[:, r]))
-                coords[:, r, sl] = np.where(accepted[:, None], y, x)
-                energies[:, r] = np.where(accepted, prop_e, energies[:, r])
+                    moved = True
+                accepted = accept(slice(r, r + 1), others, sl, y[:, None], moved)
                 if not adapting:
                     prop_count += moved
                     acc_count += accepted
@@ -240,58 +262,42 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
         if n_replicas > 1:
             # synchronized sign flips keep pairwise overlaps invariant, so
             # they connect components that single-replica flips cannot reach
-            for s, sl in enumerate(slices):
-                if layout.sizes[s] != 1:
-                    continue
-                flip = uniforms((n_chains,)) < 0.5
-                props = coords.copy()
-                props[:, :, sl] = -props[:, :, sl]
-                prop_e = group_energies(group, props.reshape(k, -1, layout.n)).reshape(
-                    n_rows, n_replicas)
-                log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
-                ok = flip
-                if band is not None:
-                    ok = ok & band.contains(props).all(axis=1)
-                dlt = prop_e.sum(axis=1) - energies.sum(axis=1)
-                accepted = ok & (log_u < betas * dlt)
-                coords[accepted] = props[accepted]
-                energies[accepted] = prop_e[accepted]
-        if n_chains > 1:
-            lo, rows = swap_lo[t % 2], swap_rows[t % 2]
-            log_u = np.log(np.maximum(uniforms(lo.shape), 1e-300))
-            totals = energies.sum(axis=1)
-            gain = (betas[rows + 1] - betas[rows]) * (totals[rows] - totals[rows + 1])
-            accepted = log_u < gain
-            a = rows[accepted]
-            pair = np.concatenate([a, a + 1])
-            swapped = np.concatenate([a + 1, a])
-            coords[pair] = coords[swapped]
-            energies[pair] = energies[swapped]
-            if not adapting:
-                swap_tries[:, lo] += 1
-                swap_accepts[:, lo] += accepted.reshape(k, -1)
+            for s, sl in enumerate(layout.slices):
+                if layout.sizes[s] == 1:
+                    accept(slice(None), [], sl, -coords[:, :, sl], uniforms((n_chains,)) < 0.5)
+        lo, rows = swap_lo[t % 2], swap_rows[t % 2]
+        log_u = np.log(np.maximum(uniforms(lo.shape), 1e-300))
+        totals = energies.sum(axis=1)
+        gain = (betas[rows + 1] - betas[rows]) * (totals[rows] - totals[rows + 1])
+        accepted = log_u < gain
+        a = rows[accepted]
+        pair = np.concatenate([a, a + 1])
+        swapped = np.concatenate([a + 1, a])
+        coords[pair] = coords[swapped]
+        energies[pair] = energies[swapped]
         if not adapting:
+            swap_tries[:, lo] += 1
+            swap_accepts[:, lo] += accepted.reshape(k, -1)
             series[:, t - burn] = energies.sum(axis=1)
             if kept and (t - burn) % thin == 0:
                 snapshots[:, (t - burn) // thin] = coords
 
     accept_rates = np.where(prop_count > 0, acc_count / np.maximum(prop_count, 1), 1.0)
-    with np.errstate(invalid="ignore"):
-        swap_rates = np.where(swap_tries > 0, swap_accepts / np.maximum(swap_tries, 1), 1.0)
+    swap_rates = np.where(swap_tries > 0, swap_accepts / np.maximum(swap_tries, 1), 1.0)
     runs = []
     for i in range(k):
         chains = slice(i * n_chains, (i + 1) * n_chains)
         flags = []
         if np.any(accept_rates[chains] < _MOVE_FLAG_RATE):
             flags.append("move-acceptance-low")
-        if n_chains > 1 and np.any(swap_rates[i, : n_chains - 1] < _SWAP_FLAG_RATE):
+        if np.any(swap_rates[i] < _SWAP_FLAG_RATE):
             flags.append("swap-acceptance-low")
         runs.append(PTResult(
             beta_grid=beta_grid,
             series=series[chains],
             snapshots=snapshots[chains],
             accept_rates=accept_rates[chains],
-            swap_rates=swap_rates[i, : max(n_chains - 1, 0)],
+            swap_rates=swap_rates[i],
             step_sizes=step_sizes[chains],
             flags=flags,
             final_coords=coords[chains],
@@ -498,15 +504,19 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
                               float(err + pair_term_se), "thermo-integration", meta)
 
 
-def _replica_samples(h: HamiltonianInstance, n: int, beta_grid, steps: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
-    """Thinned states at the last grid beta of n independent tempered runs on
-    h, shape (n, kept, N), and their flags: one group of n rows sharing h's
-    blocks, run i equal to pt_sampler on the i-th generator spawned from rng."""
+def _replica_overlaps(h: HamiltonianInstance, n: int, beta_grid, steps: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
+    """Species overlaps, shape (pairs i < j, kept, n_species), of the thinned
+    states at the last grid beta of n independent tempered runs on h, and
+    their flags: one group of n rows sharing h's blocks, run i equal to
+    pt_sampler on the i-th generator spawned from rng."""
     grid = _check_beta_grid(beta_grid)
     _check_series_budget(n * grid.size, steps)
+    _check_pair_budget(n, steps, h.layout.n)
     runs = _run_group([h] * n, grid, steps, rng.spawn(n))
-    return (np.stack([run.snapshots[-1, :, 0] for run in runs]),
+    samples = np.stack([run.snapshots[-1, :, 0] for run in runs])
+    i, j = np.triu_indices(n, 1)
+    return (species_overlaps(samples[i], samples[j], h.layout),
             [f for run in runs for f in run.flags])
 
 
@@ -523,11 +533,10 @@ def multisamplability_records(h: HamiltonianInstance, q, n: int, eps_grid,
     qv = as_overlap_array(q, layout.n_species)
     eps_grid = [float(eps) for eps in eps_grid]
     if any(eps < 2.0 for eps in eps_grid):
-        samples, run_flags = _replica_samples(h, n, beta_grid, steps, rng)
-        counts = samples.shape[1]
-        i, j = np.triu_indices(n, 1)
+        overlaps, run_flags = _replica_overlaps(h, n, beta_grid, steps, rng)
+        counts = overlaps.shape[1]
         # worst pairwise species deviation from q, per sample tuple
-        worst = np.abs(species_overlaps(samples[i], samples[j], layout) - qv).max(axis=(0, 2))
+        worst = np.abs(overlaps - qv).max(axis=(0, 2))
     records = []
     for eps in eps_grid:
         if eps >= 2.0:

@@ -318,6 +318,25 @@ class TestConfigParsing:
             assert main([command, "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_replica_pairs_over_budget_rejected(self, tmp_path):
+        # multisamp overlaps every pair of its n replicas at each state they
+        # keep: 30 sweeps keep 20 states of N = 2 coordinates, so n = 3664
+        # (6,710,616 pairs) fills the budget of 2^28 entries, and parsing
+        # refuses n = 3665 before the command writes anything
+        doc = corner_doc()
+        doc["multisamp"].update({"n": 3664, "beta_grid": [0, 1], "sweeps": 30, "seeds": 1})
+        assert parse_config(json.dumps(doc)).multisamp.n == 3664
+        for n in (3665, 20000):
+            doc["multisamp"]["n"] = n
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(doc))
+            assert err.value.path == "multisamp.n"
+            assert "budget" in str(err.value)
+        out = tmp_path / "out"
+        assert main(["multisamp", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("section", list(_SECTIONS))
     def test_seeds_over_limit_rejected(self, tmp_path, section):
         # every command builds one instance and one output row per seed;

@@ -12,6 +12,7 @@ from scipy.special import betainc, betaincc, betaincinv, gammaln
 from multispin.geometry import (
     BandSpec,
     Configuration,
+    _cos_law_inverse,
     _log_cos_integral,
     species_overlaps,
     in_band,
@@ -489,6 +490,26 @@ def test_band_sampler_cosines_match_betaincinv(d):
         assert np.abs(got - want).max() <= 1e-12
         checked += 1
     assert checked >= 1
+
+
+@pytest.mark.parametrize("c1, c2", [(-1.0, 1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_cos_law_inverse_reaches_the_ends_of_the_law(d, c1, c2):
+    # bands reaching c = +-1, where the density vanishes like the power
+    # d - 2 of the distance to the end: the truncated law's CDF (mpmath
+    # betainc, 60 digits) at the inverted cosines is within 1e-15 of u, also
+    # in the far tails
+    u = [1e-12, 1e-9, 1e-6, 0.3, 0.5, 1 - 1e-6, 1 - 1e-9]
+    c = _cos_law_inverse(d, c1, c2, np.array(u))
+    with mpmath.workdps(60):
+        a = mpmath.mpf(d - 1) / 2
+
+        def cdf(x):
+            return mpmath.betainc(a, a, 0, (1 + mpmath.mpf(x)) / 2, regularized=True)
+
+        lo, hi = cdf(c1), cdf(c2)
+        residual = [abs(float((cdf(x) - lo) / (hi - lo) - mpmath.mpf(v))) for x, v in zip(c, u)]
+    assert max(residual) <= 1e-15
 
 
 def test_uniform_overlap_tail_matches_betaincc():

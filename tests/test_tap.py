@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multispin import tap
+from multispin import tap, thermo
 from multispin.geometry import uniform_overlap_tail
 from multispin.ground_state import ascend
 from multispin.hamiltonian import block_entries, build_instance
@@ -129,6 +129,19 @@ def test_replica_symmetry_diagnostic_limits():
     reference = uniform_overlap_tail(10, 0.6)
     assert freq <= 2.0 * reference  # weak disorder stays near the uniform tail
     assert freq >= 0.0
+
+
+def test_replica_symmetry_diagnostic_pairs_over_budget_refused(monkeypatch):
+    # the pair budget of multisamplability_records: 20000 replicas keeping
+    # 20 states of N = 2 coordinates are refused before any chain is tempered
+    def no_tempering(*args, **kwargs):
+        raise AssertionError("tempered")
+
+    monkeypatch.setattr(thermo, "_run_group", no_tempering)
+    h = build_instance(CORNER_MIX, CORNER, seed=1)
+    cfg = EstimatorConfig(sweeps=30, beta_grid=(0.0, 1.0))
+    with pytest.raises(ValueError, match="budget"):
+        replica_symmetry_diagnostic(h, 20000, 0.5, cfg)
 
 
 def test_nesting_identities_exact_and_gs_one_sided():

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import logsumexp
 
+from multispin import thermo
 from multispin.geometry import (
     BandSpec,
     Configuration,
@@ -188,6 +189,25 @@ def test_tempering_series_over_budget_refused():
                                   np.random.default_rng(0))
 
 
+def test_replica_pairs_over_budget_refused(monkeypatch):
+    # 20000 replicas keeping 20 states of N = 2 coordinates would overlap
+    # 2e8 pairs in arrays of 8e9 entries; the refusal comes before any
+    # stream is spawned or any chain is tempered
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}),
+                       SpeciesLayout(("a", "b"), (1, 1)), seed=1)
+
+    class NoStreams:
+        def spawn(self, n):
+            raise AssertionError("spawned streams")
+
+    def no_tempering(*args, **kwargs):
+        raise AssertionError("tempered")
+
+    monkeypatch.setattr(thermo, "_run_group", no_tempering)
+    with pytest.raises(ValueError, match="budget"):
+        multisamplability_records(h, [0.0, 0.0], 20000, [0.5], [0.0, 1.0], 30, NoStreams())
+
+
 # --- Metropolis acceptance rule (three-state toy) ----------------------------
 
 def test_metropolis_rule_detailed_balance_on_toy_target():
@@ -247,6 +267,15 @@ def test_pt_low_beta_cross_run_overlap_small():
     k = min(len(s1), len(s2))
     ovs = (s1[:k] * s2[:k]).sum(axis=1) / 12
     assert abs(ovs.mean()) <= 3 * ovs.std(ddof=1) / math.sqrt(k)
+
+
+def test_pt_one_chain_has_no_swap_pairs():
+    lay = SpeciesLayout(("s",), (12,))
+    h = build_instance(Mixture.from_terms({(2,): 0.8}), lay, seed=2)
+    one = pt_sampler(h, [0.0], 60, np.random.default_rng(8))
+    assert one.swap_rates.shape == (0,)
+    assert "swap-acceptance-low" not in one.flags
+    assert pt_sampler(h, [0.0, 1.0], 60, np.random.default_rng(8)).swap_rates.shape == (1,)
 
 
 def test_pt_flags_poor_swap_rate():

@@ -12,8 +12,11 @@ flags; `detail` strings (Monte Carlo estimates and roundoff-level deviations)
 are only counted, per check.  Last, it compares the reprs of library values
 that no command reaches: `multi_replica_fe` and `restricted_fe` on the
 benchmark's band_replica shape, the corner enumerations of coupled-replica
-free energies and penalties, and `exact_fe_quadrature`.  Uses the standard
-library only.  Exit code 0 when nothing but `detail` strings differs, else 1.
+free energies and penalties, `exact_fe_quadrature`, and every move kind of
+the tempering engine (coupled replicas with synchronized sign flips,
+one- and four-chain `pt_sampler`, `multisamplability_records` and
+`replica_symmetry_diagnostic`).  Uses the standard library only.  Exit code
+0 when nothing but `detail` strings differs, else 1.
 """
 
 from __future__ import annotations
@@ -108,8 +111,10 @@ import numpy as np
 from multispin.geometry import BandSpec, Configuration, sample_on_shell
 from multispin.hamiltonian import build_instance
 from multispin.mixture import Mixture, SpeciesLayout
+from multispin.tap import EstimatorConfig, replica_symmetry_diagnostic
 from multispin.thermo import (exact_fe_quadrature, exact_multi_replica_fe_enumeration,
-                              exact_penalty_enumeration, multi_replica_fe, restricted_fe)
+                              exact_penalty_enumeration, multi_replica_fe,
+                              multisamplability_records, pt_sampler, restricted_fe)
 values = []
 
 def record(label, fn, *args):
@@ -160,6 +165,31 @@ for sizes, node_counts in (((2, 2), (8, 40, 300)), ((1, 3), (8, 40, 200))):
         for nodes in node_counts:
             record(f"quadrature {sizes} seed {seed} nodes {nodes}", exact_fe_quadrature,
                    h, nodes)
+
+# every move kind of the tempering engine: coupled replicas on layouts with
+# single-coordinate blocks also make synchronized sign flips
+pair_xi = Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3})
+for sizes, xi in (((1, 1), pair_xi), ((1, 4), quad_xi), ((1, 1, 1), corner_xi)):
+    layout = SpeciesLayout(("a", "b", "c")[:len(sizes)], sizes)
+    for seed in range(2):
+        h = build_instance(xi, layout, seed=seed)
+        m = sample_on_shell(layout, (0.3,) * len(sizes), np.random.default_rng([seed, 5]))
+        for n in (2, 3):
+            record(f"multi_replica_fe {sizes} seed {seed} n {n}", multi_replica_fe, h,
+                   BandSpec(m, 0.9, n=n, rho=1.3), np.linspace(0.0, 1.0, 6), 60,
+                   np.random.default_rng([seed, n, 5]))
+
+# single-replica moves and chain swaps, on one and on four chains
+h = build_instance(quad_xi, SpeciesLayout(("a", "b"), (1, 3)), seed=4)
+for grid in ([0.0], [0.0, 0.4, 0.7, 1.0]):
+    run = pt_sampler(h, grid, 60, np.random.default_rng(6))
+    values.append([f"pt_sampler {len(grid)} chains", repr((
+        run.series.tolist(), run.snapshots.tolist(), run.accept_rates.tolist(),
+        run.swap_rates.tolist(), run.swap_rates.shape, run.flags))])
+record("multisamplability_records n 3", multisamplability_records, h, (0.0, 0.0), 3,
+       (0.3, 0.8, 2.5), [0.0, 0.5, 1.0], 60, np.random.default_rng(7))
+record("replica_symmetry_diagnostic n 3", replica_symmetry_diagnostic, h, 3, 0.5,
+       EstimatorConfig(beta_grid=(0.0, 0.5, 1.0), sweeps=60, master_seed=8))
 json.dump(values, sys.stdout)
 """
 
