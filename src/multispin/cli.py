@@ -50,8 +50,7 @@ from .mixture import (
     Mixture,
     SpeciesLayout,
     eval_mixture,
-    log_volume_term,
-    nesting_compose,
+    nesting_gaps,
     shifted_coefficients,
     xi_q,
 )
@@ -125,6 +124,12 @@ def _expect_number(value, path):
     if not math.isfinite(x):
         raise ConfigError(path, "expected a finite number")
     return x
+
+
+def _expect_out_dir(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a non-empty string")
+    return value
 
 
 def _expect_list(value, path, min_len=0):
@@ -359,9 +364,7 @@ def parse_config(text: str) -> ExperimentConfig:
     master_seed = _expect_int(doc.get("master_seed", 0), "master_seed", minimum=0)
     species, sizes, mixture = _parse_model(doc)
     layout = SpeciesLayout(species, sizes)
-    out_dir = doc.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("out_dir", "expected a non-empty string")
+    out_dir = _expect_out_dir(doc.get("out_dir", "out"), "out_dir")
     config = ExperimentConfig(
         master_seed=master_seed,
         species=species,
@@ -496,15 +499,8 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         rng = np.random.default_rng(derive_seed(seed, "verify", "nesting"))
         q = rng.uniform(0.0, 0.7, mix_layout.n_species)
         qp = rng.uniform(0.0, 0.7, mix_layout.n_species)
-        qhat = nesting_compose(q, qp)
-        two = xi_q(xi_q(mix_xi, q), qp)
-        one = xi_q(mix_xi, qhat)
-        keys = {p for p, _ in two.terms} | {p for p, _ in one.terms}
-        gap = max((abs(two.coefficient(p) - one.coefficient(p)) for p in keys),
-                  default=0.0)
+        gap, vol_gap = nesting_gaps(mix_xi, mix_layout, q, qp)
         detail = within(gap, 1e-10, "nesting coefficients differ by", "coefficient gap")
-        vol_gap = abs(log_volume_term(mix_layout, q) + log_volume_term(mix_layout, qp)
-                      - log_volume_term(mix_layout, qhat))
         within(vol_gap, 1e-12, "entropy additivity off by")
         return detail
 
@@ -537,7 +533,7 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
         m = sample_on_shell(geom_layout, q, rng)
         sigma = project_phi(sample_uniform(geom_layout, rng), m)
         rho = tilde_transform(sigma, m, q)
-        back = m.coords + np.sqrt(1.0 - q)[geom_layout.species_of_coordinate()] * rho.coords
+        back = m.coords + np.repeat(np.sqrt(1.0 - q), geom_layout.sizes) * rho.coords
         gap = float(np.max(np.abs(back - sigma.coords)))
         return within(gap, 1e-9, "round trip off by", "max deviation")
 
@@ -680,9 +676,15 @@ def run_verification_suite(config: ExperimentConfig, mutation: str | None = None
 # --- batch commands -------------------------------------------------------------
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
+def _out_dir(config: ExperimentConfig, field: str = "out_dir") -> Path:
+    """The output directory, made if missing; a ConfigError naming field when
+    it cannot be made (a file is in the way, or no permission)."""
     path = Path(config.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot make directory {str(path)!r}: "
+                                 f"{exc.strerror or exc}") from exc
     return path
 
 
@@ -867,11 +869,14 @@ def main(argv=None) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
         if args.seed is not None:
-            config = dataclasses.replace(config, master_seed=args.seed)
+            config = dataclasses.replace(
+                config, master_seed=_expect_int(args.seed, "--seed", minimum=0))
         if args.out is not None:
-            config = dataclasses.replace(config, out_dir=args.out)
+            config = dataclasses.replace(config, out_dir=_expect_out_dir(args.out, "--out"))
         if args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
+        # made or refused before any estimate runs
+        _out_dir(config, "out_dir" if args.out is None else "--out")
         if args.command == "verify":
             return cmd_verify(config, mutation=args.mutate)
         if args.command == "free-energy":

@@ -48,7 +48,7 @@ _ZERO_NORM = 1e-28  # squared-norm threshold treating a block as the zero point
 
 @dataclass(frozen=True)
 class Configuration:
-    """Point of R^N with layout bookkeeping and cached per-species squared norms."""
+    """Point of R^N with layout bookkeeping and its cached per-species self-overlap."""
 
     coords: np.ndarray
     layout: SpeciesLayout
@@ -58,21 +58,21 @@ class Configuration:
         if coords.shape != (self.layout.n,):
             raise ValueError(f"expected {self.layout.n} coordinates, got {coords.shape}")
         coords.setflags(write=False)
-        sq = np.array([float(coords[sl] @ coords[sl]) for sl in self.layout.slices])
-        sq.setflags(write=False)
+        r = species_overlaps(coords, coords, self.layout)
+        r.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_block_sq_norms", sq)
+        object.__setattr__(self, "_self_overlap", r)
 
     @property
     def block_sq_norms(self) -> np.ndarray:
-        return self._block_sq_norms
+        return self._self_overlap * self.layout.size_array
 
     def block(self, s: int) -> np.ndarray:
         return self.coords[self.layout.slices[s]]
 
     def self_overlap(self) -> np.ndarray:
         """R(sigma, sigma): per-species squared norm over N_s."""
-        return self._block_sq_norms / self.layout.size_array
+        return self._self_overlap
 
     def is_on_sphere(self, tol: float = 1e-8) -> bool:
         return bool(np.all(np.abs(self.self_overlap() - 1.0) <= tol))
@@ -122,6 +122,23 @@ def species_overlaps(a: np.ndarray, b: np.ndarray, layout: SpeciesLayout) -> np.
     covers any batch of pairs; the result has shape (..., n_species).
     """
     return np.add.reduceat(np.multiply(a, b), layout.starts, axis=-1) / layout.size_array
+
+
+def _to_shell(coords: np.ndarray, layout: SpeciesLayout, q: np.ndarray) -> np.ndarray:
+    """Each block of each row scaled onto its shell, R_s = q_s; +0.0 where q_s = 0."""
+    r = species_overlaps(coords, coords, layout)
+    scale = np.sqrt(q / np.where(q > 0.0, r, 1.0))
+    # + 0.0 turns the -0.0 of negative coordinates in q_s = 0 blocks into 0.0
+    return coords * np.repeat(scale, layout.sizes, axis=-1) + 0.0
+
+
+def _tangent(v: np.ndarray, x: np.ndarray, layout: SpeciesLayout, q: np.ndarray) -> np.ndarray:
+    """v minus, block by block, its component along x, for x with R_s(x, x)
+    = q_s; 0 in q_s = 0 blocks, which carry no directions."""
+    live = q > 0.0
+    along = species_overlaps(v, x, layout) / np.where(live, q, 1.0)
+    return np.where(np.repeat(live, layout.sizes, axis=-1),
+                    v - np.repeat(along, layout.sizes, axis=-1) * x, 0.0)
 
 
 def overlap(a: Configuration, b: Configuration) -> np.ndarray:
@@ -221,32 +238,26 @@ def project_phi(sigma: Configuration, m: Configuration) -> Configuration:
     Blocks where R_s(m,m) = 0 pass through unchanged.
     """
     _check_same_layout(sigma, m)
-    rm = m.self_overlap()
-    coords = np.array(sigma.coords)
-    for s, sl in enumerate(m.layout.slices):
-        if rm[s] <= _ZERO_NORM:
-            continue
-        ns = m.layout.sizes[s]
-        rsm = float(sigma.coords[sl] @ m.coords[sl]) / ns
-        tau = sigma.coords[sl] - (rsm / rm[s]) * m.coords[sl]
-        rtt = float(tau @ tau) / ns
-        if rtt <= _ZERO_NORM:
-            raise ValueError(f"degenerate residual in species {m.layout.species[s]}")
-        coords[sl] = m.coords[sl] + math.sqrt((1.0 - rm[s]) / rtt) * tau
-    return Configuration(coords, m.layout)
+    layout, rm = m.layout, m.self_overlap()
+    live = rm > _ZERO_NORM
+    if np.any(live & (rm > 1.0)):
+        raise ValueError(f"center outside the unit ball: self-overlaps {rm}")
+    tau = _tangent(sigma.coords, m.coords, layout, np.where(live, rm, 0.0))
+    degenerate = live & (species_overlaps(tau, tau, layout) <= _ZERO_NORM)
+    if degenerate.any():
+        raise ValueError(f"degenerate residual in species {layout.species[np.argmax(degenerate)]}")
+    pi = m.coords + _to_shell(tau, layout, np.where(live, 1.0 - rm, 0.0))
+    return Configuration(np.where(np.repeat(live, layout.sizes), pi, sigma.coords), layout)
 
 
 def rescale_to_shell(m_prime: Configuration, q) -> Configuration:
     """m* with blocks scaled by sqrt(q(s)/R_s(m',m')), so R(m*,m*) = q."""
     layout = m_prime.layout
     qv = require_shell_overlap(q, layout.n_species)
-    rm = m_prime.self_overlap()
-    empty = (qv > 0.0) & (rm <= _ZERO_NORM)
+    empty = (qv > 0.0) & (m_prime.self_overlap() <= _ZERO_NORM)
     if empty.any():
         raise ValueError(f"zero block for species {layout.species[np.argmax(empty)]} with q > 0")
-    scale = np.repeat(np.sqrt(qv / np.where(qv > 0.0, rm, 1.0)), layout.sizes)
-    # + 0.0 turns the -0.0 of negative coordinates in q = 0 blocks into 0.0
-    return Configuration(m_prime.coords * scale + 0.0, layout)
+    return Configuration(_to_shell(m_prime.coords, layout, qv), layout)
 
 
 # One panel table of the truncated cosine law (1-c^2)^((d-3)/2) dc serves the
@@ -299,9 +310,11 @@ def _log_cos_integral(d: int, c1: float, c2: float) -> float:
 
 
 def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
-    """Cosines in [c1, c2] at truncated-law CDF values u.  Per row: Newton,
-    in the local x of the panel that holds the target mass, on that panel's
-    polynomial mass."""
+    """Angles t in [asin c1, asin c2] whose cosines c = sin t sit at
+    truncated-law CDF values u.  Per row: Newton, in the local x of the panel
+    that holds the target mass, on that panel's polynomial mass.  Angles, not
+    cosines, since near c = +-1 the law's far tails lie below the float
+    spacing of c but not of t."""
     tm, _, edges, cum, vals = _cos_law_table(d, c1, c2)
     k = vals.shape[1] + 1
     poly = (vals @ _gauss_legendre()[2]).reshape(-1, 2, k)
@@ -326,8 +339,18 @@ def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
         for _ in range(_NEWTON_STEPS):
             excess, dens = np.einsum("rck,rk->cr", rows, np.vander(x, k, increasing=True))
             x = np.clip(x - excess / dens, -1.0, 1.0)
-        out[lo:lo + _ROW_CHUNK] = np.sin(tm + edges[j] + 0.5 * (x + 1.0) * (edges[1] - edges[0]))
-    return np.clip(out, c1, c2, out=out)
+        out[lo:lo + _ROW_CHUNK] = tm + edges[j] + 0.5 * (x + 1.0) * (edges[1] - edges[0])
+    return np.clip(out, math.asin(c1), math.asin(c2), out=out)
+
+
+def _band_cosines(d: int, q: float, delta: float):
+    """Admissible cosines against the center of one species band |R - q| <=
+    delta, q > 0: the signs in (+1, -1) that qualify when d = 1, else the
+    interval (c1, c2), empty when c2 < c1."""
+    root = math.sqrt(q)
+    if d == 1:
+        return tuple(t for t in (1.0, -1.0) if abs(t * root - q) <= delta)
+    return max((q - delta) / root, -1.0), min((q + delta) / root, 1.0)
 
 
 def _species_band_log_measure(d: int, q: float, delta: float) -> float:
@@ -338,13 +361,10 @@ def _species_band_log_measure(d: int, q: float, delta: float) -> float:
     """
     if q <= 0.0:
         return 0.0  # zero center: every sphere point has R_s(sigma, 0) = 0
-    root = math.sqrt(q)
+    cosines = _band_cosines(d, q, delta)
     if d == 1:
-        hits = int(abs(root - q) <= delta) + int(abs(root + q) <= delta)
-        return math.log(hits / 2.0) if hits else -np.inf
-    c1 = max((q - delta) / root, -1.0)
-    c2 = min((q + delta) / root, 1.0)
-    log_num = _log_cos_integral(d, c1, c2)
+        return math.log(len(cosines) / 2.0) if cosines else -np.inf
+    log_num = _log_cos_integral(d, *cosines)
     log_den = 0.5 * math.log(math.pi) + math.lgamma((d - 1) / 2) - math.lgamma(d / 2)
     return log_num - log_den
 
@@ -374,8 +394,9 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
     a (k, N) array.
 
     Per species: the cosine against m has the truncated law (1-c^2)^((N_s-3)/2)
-    on the band's cosine interval, drawn by inverting its CDF at one uniform
-    per row (_cos_law_inverse); the orthogonal part is an isotropic direction.
+    on the band's cosine interval, drawn as an angle t = asin c by inverting
+    its CDF at one uniform per row (_cos_law_inverse); the orthogonal part is
+    an isotropic direction of length cos t.
     Raises if some species band is empty (possible when N_s = 1).
     """
     layout = m.layout
@@ -387,25 +408,23 @@ def sample_uniform_in_band_batch(m: Configuration, delta: float, k: int,
         if q <= 0.0:
             coords[:, sl] = math.sqrt(d) * _unit_rows(k, d, rng)
             continue
-        root = math.sqrt(q)
+        cosines = _band_cosines(d, q, delta)
         if d == 1:
             mhat = 1.0 if m.coords[sl][0] > 0 else -1.0
-            signs = [t for t in (1.0, -1.0) if abs(t * root - q) <= delta]
-            if not signs:
+            if not cosines:
                 raise ValueError(f"empty band for species {layout.species[s]}")
-            pick = rng.integers(0, 2, size=k) if len(signs) == 2 else np.zeros(k, dtype=int)
-            coords[:, sl.start] = np.array(signs)[pick] * mhat
+            pick = rng.integers(0, 2, size=k) if len(cosines) == 2 else np.zeros(k, dtype=int)
+            coords[:, sl.start] = np.array(cosines)[pick] * mhat
             continue
-        c1 = max((q - delta) / root, -1.0)
-        c2 = min((q + delta) / root, 1.0)
+        c1, c2 = cosines
         if c2 < c1:
             raise ValueError(f"empty band for species {layout.species[s]}")
         u = rng.uniform(size=k)
-        c = _cos_law_inverse(d, c1, c2, u) if c2 > c1 else np.full(k, c1)
-        mhat = m.coords[sl] / (root * math.sqrt(d))
+        t = _cos_law_inverse(d, c1, c2, u) if c2 > c1 else np.full(k, math.asin(c1))
+        c = np.clip(np.sin(t), c1, c2)
+        mhat = m.coords[sl] / (math.sqrt(q) * math.sqrt(d))
         w = _unit_rows(k, d, rng, mhat)
-        radial = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        coords[:, sl] = math.sqrt(d) * (c[:, None] * mhat + radial[:, None] * w)
+        coords[:, sl] = math.sqrt(d) * (c[:, None] * mhat + np.cos(t)[:, None] * w)
     return coords
 
 

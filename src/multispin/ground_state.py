@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, sample_on_shell, sign_patterns
+from .geometry import Configuration, _tangent, _to_shell, sample_on_shell, sign_patterns
 from .hamiltonian import (
     DEFAULT_MEMORY_BUDGET,
     HamiltonianInstance,
@@ -63,33 +63,6 @@ class AscentResult:
         }
 
 
-def _project_to_shell(coords: np.ndarray, layout: SpeciesLayout, qv: np.ndarray) -> np.ndarray:
-    """Rescale each species block of each row onto its shell sphere."""
-    out = np.array(coords)
-    for s, sl in enumerate(layout.slices):
-        if qv[s] == 0.0:
-            out[..., sl] = 0.0
-        else:
-            target = math.sqrt(layout.sizes[s] * qv[s])
-            out[..., sl] *= target / np.linalg.norm(out[..., sl], axis=-1, keepdims=True)
-    return out
-
-
-def _tangent_gradient(g: np.ndarray, coords: np.ndarray, layout: SpeciesLayout,
-                      qv: np.ndarray) -> np.ndarray:
-    """Remove each block's radial component, row by row; zero-shell blocks
-    carry no directions."""
-    t = np.array(g)
-    for s, sl in enumerate(layout.slices):
-        if qv[s] == 0.0:
-            t[..., sl] = 0.0
-        else:
-            x = coords[..., sl]
-            radial = np.einsum("...j,...j->...", g[..., sl], x)
-            t[..., sl] -= radial[..., None] * x / (layout.sizes[s] * qv[s])
-    return t
-
-
 def _check_restart_budget(rows: int, restarts: int, n: int) -> None:
     """Refuse an ascent of over DEFAULT_MEMORY_BUDGET (row, restart, coordinate) entries."""
     if rows * restarts * n > DEFAULT_MEMORY_BUDGET:
@@ -131,7 +104,7 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     for it in range(1, max_iters + 1):
         if not active.any():
             break
-        t = _tangent_gradient(group_gradients(group, coords), coords, layout, qv)
+        t = _tangent(group_gradients(group, coords), coords, layout, qv)
         t_norm_sq = np.einsum("...j,...j->...", t, t)
         flat = active & (np.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN)
         counts[flat] = it - 1
@@ -141,7 +114,7 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
         for _ in range(_MAX_BACKTRACKS):
             if not searching.any():
                 break
-            cand = _project_to_shell(coords + trial[..., None] * t, layout, qv)
+            cand = _to_shell(coords + trial[..., None] * t, layout, qv)
             cand_values = group_energies(group, cand)
             ok = searching & (cand_values >= values + _ARMIJO_SLOPE * trial * t_norm_sq)
             coords[ok] = cand[ok]

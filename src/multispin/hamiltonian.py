@@ -451,12 +451,8 @@ def sample_in_ball(layout: SpeciesLayout, rng: np.random.Generator) -> Configura
 
 
 def _clip_to_ball(coords: np.ndarray, layout: SpeciesLayout) -> np.ndarray:
-    out = np.array(coords)
-    for s, sl in enumerate(layout.slices):
-        r = float(out[sl] @ out[sl]) / layout.sizes[s]
-        if r > 1.0:
-            out[sl] /= math.sqrt(r)
-    return out
+    r = species_overlaps(coords, coords, layout)
+    return coords / np.repeat(np.sqrt(np.maximum(r, 1.0)), layout.sizes)
 
 
 def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator) -> float:

@@ -30,6 +30,7 @@ __all__ = [
     "shifted_coefficients",
     "xi_q",
     "nesting_compose",
+    "nesting_gaps",
     "onsager_term",
     "log_volume_term",
     "scale_mixture",
@@ -273,6 +274,20 @@ def log_volume_term(layout: SpeciesLayout, q) -> float:
     """(1/2) sum_s lambda_s log(1 - q(s)); the shell entropy term, <= 0."""
     qv = require_shell_overlap(q, layout.n_species)
     return 0.5 * float(np.dot(layout.proportions, np.log1p(-qv)))
+
+
+def nesting_gaps(xi: Mixture, layout: SpeciesLayout, q, q_prime) -> tuple[float, float]:
+    """The two exact nesting identities at q then q', as absolute gaps: the
+    largest coefficient difference between xi_q(xi_q(xi, q), q') and
+    xi_q(xi, q-hat), and the log-volume additivity gap."""
+    qhat = nesting_compose(q, q_prime)
+    two_stage, one_stage = xi_q(xi_q(xi, q), q_prime), xi_q(xi, qhat)
+    keys = {p for p, _ in two_stage.terms} | {p for p, _ in one_stage.terms}
+    coefficient_gap = max(
+        (abs(two_stage.coefficient(p) - one_stage.coefficient(p)) for p in keys), default=0.0)
+    log_gap = abs(log_volume_term(layout, q) + log_volume_term(layout, q_prime)
+                  - log_volume_term(layout, qhat))
+    return coefficient_gap, log_gap
 
 
 def scale_mixture(xi: Mixture, beta: float) -> Mixture:

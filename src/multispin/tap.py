@@ -30,6 +30,7 @@ from .mixture import (
     SpeciesLayout,
     log_volume_term,
     nesting_compose,
+    nesting_gaps,
     onsager_term,
     require_shell_overlap,
     xi_q,
@@ -362,19 +363,8 @@ def nesting_experiment(xi: Mixture, layout: SpeciesLayout, q, q_prime,
     qv = require_shell_overlap(q, layout.n_species)
     qp = require_shell_overlap(q_prime, layout.n_species)
     qhat = nesting_compose(qv, qp)
-    log_q = log_volume_term(layout, qv)
+    mixture_gap, log_additivity_gap = nesting_gaps(xi, layout, qv, qp)
     xi_at_q = xi_q(xi, qv)
-    log_qp = log_volume_term(layout, qp)
-    log_qhat = log_volume_term(layout, qhat)
-    log_additivity_gap = abs(log_q + log_qp - log_qhat)
-
-    two_stage = xi_q(xi_at_q, qp)
-    one_stage = xi_q(xi, qhat)
-    keys = {p for p, _ in two_stage.terms} | {p for p, _ in one_stage.terms}
-    mixture_gap = max(
-        (abs(two_stage.coefficient(p) - one_stage.coefficient(p)) for p in keys),
-        default=0.0)
-
     seeds = config.seeds
     streams = np.random.default_rng(derive_seed(config.master_seed, "nesting")).spawn(3 * seeds)
     # gs at q and at q-hat read the same instances of xi, so they share a pass

@@ -583,6 +583,36 @@ class TestCommands:
                 runs.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("flags, path", [
+        (["--seed", "-5"], "--seed"),
+        (["--out", ""], "--out"),
+    ])
+    def test_overrides_follow_the_config_rules(self, tmp_path, capsys, flags, path):
+        # the doc's master_seed -5 and out_dir "" exit 2; so do the flags
+        config = write_config(tmp_path, corner_doc())
+        argv = ["free-energy", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unmakeable_out_dir_exits_before_any_estimate(self, tmp_path, capsys,
+                                                          monkeypatch, under):
+        # a file where the output directory, or one of its parents, should be
+        def estimator(*args, **kwargs):
+            raise AssertionError("estimator called")
+
+        monkeypatch.setattr("multispin.cli.fe_per_seed", estimator)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        for doc, flags, path in ((corner_doc(), ["--out", str(out)], "--out"),
+                                 ({**corner_doc(), "out_dir": str(out)}, [], "out_dir")):
+            config = write_config(tmp_path, doc)
+            assert main(["free-energy", "--config", str(config)] + flags) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {path}: " in err and "Traceback" not in err
+
     def test_seed_override_changes_results(self, tmp_path):
         config = write_config(tmp_path, corner_doc())
         out_a = tmp_path / "a"

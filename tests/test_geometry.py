@@ -14,6 +14,8 @@ from multispin.geometry import (
     Configuration,
     _cos_law_inverse,
     _log_cos_integral,
+    _tangent,
+    _to_shell,
     species_overlaps,
     in_band,
     in_multi_band,
@@ -243,6 +245,10 @@ def test_project_phi_degenerate_residual():
     sig = Configuration(np.array([math.sqrt(2.0), 0.0]), lay)  # parallel to m
     with pytest.raises(ValueError):
         project_phi(sig, m)
+    # a center outside the unit ball has no B(m, 0) on the sphere
+    outside = Configuration(np.array([1.5, 0.0]), lay)  # self-overlap 1.125
+    with pytest.raises(ValueError):
+        project_phi(Configuration(np.array([0.0, math.sqrt(2.0)]), lay), outside)
 
 
 def test_block_scalings_match_a_loop_over_blocks():
@@ -265,6 +271,58 @@ def test_block_scalings_match_a_loop_over_blocks():
     assert m.coords.tobytes() == shell.tobytes()
     assert tilde_transform(sigma, m, q).coords.tobytes() == tilde.tobytes()
     assert rescale_to_shell(prime, q).coords.tobytes() == rescaled.tobytes()
+
+
+KERNEL_LAYOUT = SpeciesLayout(("a", "b", "c"), (1, 3, 24))
+KERNEL_Q = np.array([0.7, 0.0, 0.3])
+
+
+def _loop_to_shell(coords, q):
+    out = np.array(coords)
+    for s, sl in enumerate(KERNEL_LAYOUT.slices):
+        norm = np.linalg.norm(out[..., sl], axis=-1, keepdims=True)
+        out[..., sl] *= math.sqrt(KERNEL_LAYOUT.sizes[s] * q[s]) / norm
+    return out
+
+
+def _loop_tangent(v, x, q):
+    out = np.zeros_like(v)
+    for s, sl in enumerate(KERNEL_LAYOUT.slices):
+        if q[s] > 0.0:
+            along = np.sum(v[..., sl] * x[..., sl], axis=-1, keepdims=True)
+            out[..., sl] = v[..., sl] - along / (KERNEL_LAYOUT.sizes[s] * q[s]) * x[..., sl]
+    return out
+
+
+def test_to_shell_kernel():
+    # a (3, 4, N) batch: every block of every row lands on its shell, q = 0
+    # blocks are +0.0, a second pass is the identity up to rounding, and a
+    # loop over blocks agrees
+    raw = np.random.default_rng(30).standard_normal((3, 4, KERNEL_LAYOUT.n))
+    out = _to_shell(raw, KERNEL_LAYOUT, KERNEL_Q)
+    r = species_overlaps(out, out, KERNEL_LAYOUT)
+    live = KERNEL_Q > 0.0
+    np.testing.assert_allclose(r[..., live], np.broadcast_to(KERNEL_Q[live], r[..., live].shape),
+                               rtol=1e-15, atol=0.0)
+    dead = out[..., KERNEL_LAYOUT.slices[1]]
+    assert np.all(dead == 0.0) and not np.signbit(dead).any()
+    np.testing.assert_allclose(_to_shell(out, KERNEL_LAYOUT, KERNEL_Q), out, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(out, _loop_to_shell(raw, KERNEL_Q), rtol=1e-14, atol=0.0)
+
+
+def test_tangent_kernel():
+    # R_s(t, x) = 0 for every block, t = 0 on q = 0 blocks, and a loop over
+    # blocks agrees
+    rng = np.random.default_rng(31)
+    x = _to_shell(rng.standard_normal((3, 4, KERNEL_LAYOUT.n)), KERNEL_LAYOUT, KERNEL_Q)
+    v = rng.standard_normal(x.shape)
+    t = _tangent(v, x, KERNEL_LAYOUT, KERNEL_Q)
+    np.testing.assert_allclose(species_overlaps(t, x, KERNEL_LAYOUT), 0.0, rtol=0.0, atol=1e-14)
+    assert np.all(t[..., KERNEL_LAYOUT.slices[1]] == 0.0)
+    # relative to the scale of v: entries of t near 0, the whole of the
+    # single-coordinate block among them, have no relative accuracy
+    np.testing.assert_allclose(t, _loop_tangent(v, x, KERNEL_Q), rtol=0.0,
+                               atol=1e-14 * np.abs(v).max())
 
 
 def test_rescale_to_shell():
@@ -500,7 +558,7 @@ def test_cos_law_inverse_reaches_the_ends_of_the_law(d, c1, c2):
     # betainc, 60 digits) at the inverted cosines is within 1e-15 of u, also
     # in the far tails
     u = [1e-12, 1e-9, 1e-6, 0.3, 0.5, 1 - 1e-6, 1 - 1e-9]
-    c = _cos_law_inverse(d, c1, c2, np.array(u))
+    c = np.sin(_cos_law_inverse(d, c1, c2, np.array(u)))
     with mpmath.workdps(60):
         a = mpmath.mpf(d - 1) / 2
 
@@ -510,6 +568,22 @@ def test_cos_law_inverse_reaches_the_ends_of_the_law(d, c1, c2):
         lo, hi = cdf(c1), cdf(c2)
         residual = [abs(float((cdf(x) - lo) / (hi - lo) - mpmath.mpf(v))) for x, v in zip(c, u)]
     assert max(residual) <= 1e-15
+
+
+@pytest.mark.parametrize("c1, c2", [(-1.0, 1.0), (-1.0, -0.2), (0.0, 1.0)])
+def test_cos_law_inverse_resolves_the_far_tails_at_d2(c1, c2):
+    # at d = 2 the law is uniform in t = asin c and puts mass 1e-9 within
+    # 5e-18 of c = -1, below the float spacing of c there: the angles must
+    # still sit at their CDF values (mpmath, 50 digits), with the radial
+    # part cos t of a band draw positive
+    u = [1e-12, 1e-9, 1 - 1e-9]
+    t = _cos_law_inverse(2, c1, c2, np.array(u))
+    with mpmath.workdps(50):
+        lo, hi = mpmath.asin(c1), mpmath.asin(c2)
+        residual = [abs(float((mpmath.mpf(x) - lo) / (hi - lo) - mpmath.mpf(v)))
+                    for x, v in zip(t, u)]
+    assert max(residual) <= 1e-15
+    assert np.all(np.cos(t) > 0.0)
 
 
 def test_uniform_overlap_tail_matches_betaincc():

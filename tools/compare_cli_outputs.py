@@ -15,15 +15,20 @@ benchmark's band_replica shape, the corner enumerations of coupled-replica
 free energies and penalties, `exact_fe_quadrature`, and every move kind of
 the tempering engine (coupled replicas with synchronized sign flips,
 one- and four-chain `pt_sampler`, `multisamplability_records` and
-`replica_symmetry_diagnostic`).  Uses the standard library only.  Exit code
-0 when nothing but `detail` strings differs, else 1.
+`replica_symmetry_diagnostic`).  For each differing output file, stdout or
+library value it prints how many numbers differ and the largest relative
+difference between corresponding numbers, with its line and both values, or
+that the texts differ in more than their numbers.  Uses the standard library
+only.  Exit code 0 when nothing but `detail` strings differs, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -194,6 +199,36 @@ json.dump(values, sys.stdout)
 """
 
 
+# a decimal number, or a non-finite float as json and repr write them
+_NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan)")
+
+
+def _deviation(a: str, b: str) -> str:
+    """How two differing texts differ: when only their numbers do, the count
+    of differing numbers and the largest relative difference, with its line
+    and both values; else that the difference is not numeric."""
+    pa, pb = _NUMBER.split(a), _NUMBER.split(b)
+    if len(pa) != len(pb) or pa[::2] != pb[::2]:
+        return "not numeric (the texts differ outside their numbers)"
+    count, worst, where, line = 0, -1.0, "", 1
+    for k in range(1, len(pa), 2):
+        line += pa[k - 1].count("\n")
+        if pa[k] == pb[k]:
+            continue
+        count += 1
+        x, y = float(pa[k]), float(pb[k])
+        if x == y:  # the same value written two ways, such as 0.0 and -0.0
+            rel = 0.0
+        elif math.isfinite(x) and math.isfinite(y):
+            rel = abs(x - y) / max(abs(x), abs(y))
+        else:
+            rel = math.inf
+        if rel > worst:
+            worst, where = rel, f"line {line}: {pa[k]} vs {pb[k]}"
+    return (f"{count} of {len(pa) // 2} numbers, largest relative difference "
+            f"{worst:.1e} at {where}")
+
+
 def _env(src: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
@@ -248,10 +283,14 @@ def compare_commands(ref: Path, src: Path, tmp: Path, detail_counts: dict) -> li
             if a["code"] != b["code"]:
                 diffs.append(f"{where}: exit code {a['code']} vs {b['code']}")
             if a["stdout"] != b["stdout"]:
-                diffs.append(f"{where}: stdout differs")
+                diffs.append(f"{where}: stdout differs: {_deviation(a['stdout'], b['stdout'])}")
             for fname in sorted(set(a["files"]) | set(b["files"])):
-                if a["files"].get(fname) != b["files"].get(fname):
-                    diffs.append(f"{where}: {fname} differs")
+                fa, fb = (r["files"].get(fname) for r in (a, b))
+                if fa is None or fb is None:
+                    diffs.append(f"{where}: {fname} is written by one tree only")
+                elif fa != fb:
+                    diffs.append(f"{where}: {fname} differs: "
+                                 f"{_deviation(fa.decode(), fb.decode())}")
     return diffs
 
 
@@ -288,8 +327,9 @@ def compare_library(ref: Path, src: Path) -> tuple[list[str], int]:
         text=True, check=True).stdout) for tree in (ref, src))
     if [label for label, _ in ref_values] != [label for label, _ in src_values]:
         return ["library: value labels differ"], len(ref_values)
-    return ([f"library {label}" for (label, a), (_, b) in zip(ref_values, src_values)
-             if a != b], len(ref_values))
+    return ([f"library {label}: {_deviation(a, b)}"
+             for (label, a), (_, b) in zip(ref_values, src_values) if a != b],
+            len(ref_values))
 
 
 def main(argv=None) -> int:
