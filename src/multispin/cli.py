@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import (
     BandSpec,
     Configuration,
+    _check_pattern_budget,
     load_configuration,
     log_band_volume,
     project_phi,
@@ -66,7 +67,7 @@ from .tap import (
     tap_inequality_scan,
 )
 from .thermo import (
-    _check_pair_budget,
+    _check_kept_budget,
     _check_quadrature_grid,
     _check_series_budget,
     exact_fe_enumeration,
@@ -332,10 +333,15 @@ def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
         _at(f"{name}.sweeps", _check_series_budget, runs * len(values["beta_grid"]),
             values["sweeps"])
     if name == "multisamp":
-        _at("multisamp.n", _check_pair_budget, values["n"], values["sweeps"], layout.n)
+        n = values["n"]
+        for rows, what in ((n * (n - 1) // 2, "replica pairs"),
+                           (n * len(values["beta_grid"]), "chains")):
+            _at("multisamp.n", _check_kept_budget, rows, values["sweeps"], layout.n, what)
     if "restarts" in values:
         _at(f"{name}.restarts", _check_restart_budget, values["seeds"], values["restarts"],
             layout.n)
+    if name == "ground_state" and layout.n == layout.n_species:  # the shell is enumerated
+        _at(name, _check_pattern_budget, layout.n)
     return _SECTION_TYPES[name](**values)
 
 

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _ZERO_NORM = 1e-28  # squared-norm threshold treating a block as the zero point
+DEFAULT_MEMORY_BUDGET = 2**28  # entries of a disorder draw or of any one working array
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,17 @@ def _unit_rows(k: int, d: int, rng: np.random.Generator,
     return g / norm[:, None]
 
 
+def _check_pattern_budget(n: int) -> None:
+    """Refuse the 2^n sign patterns of n coordinates when their 2^n x n
+    entries exceed DEFAULT_MEMORY_BUDGET (n >= 24)."""
+    if 2**n * n > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"2^{n} sign patterns of {n} coordinates are over the budget")
+
+
 @lru_cache(maxsize=8)
 def sign_patterns(n: int) -> np.ndarray:
     """All 2^n sign vectors as rows, fixed order (coordinate 0 fastest)."""
+    _check_pattern_budget(n)
     codes = np.arange(2**n, dtype=np.int64)[:, None]
     patterns = 2.0 * ((codes >> np.arange(n)) & 1) - 1.0
     patterns.setflags(write=False)

@@ -24,19 +24,18 @@ from .hamiltonian import (
     stack_instances,
 )
 from .mixture import Mixture, SpeciesLayout, require_shell_overlap
-from .thermo import _require_corner
 
 __all__ = [
     "AscentResult",
     "ascend",
     "ascend_many",
     "eigen_oracle_2spin",
-    "exact_gs_enumeration",
     "gs_concentration_probe",
 ]
 
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_SLOPE = 1e-4
+_GAIN_ULPS = 32  # a step must also gain this many ulps of |energy|
 _GRAD_TOL_PER_SPIN = 1e-8
 _MAX_BACKTRACKS = 40
 
@@ -69,6 +68,14 @@ def _check_restart_budget(rows: int, restarts: int, n: int) -> None:
         raise ValueError(f"{rows * restarts} ascent rows of {n} coordinates exceed the budget")
 
 
+def _shell_maximum(h: HamiltonianInstance, patterns: np.ndarray, restarts: int) -> AscentResult:
+    """The best row of a finite shell, reached by every restart with no iteration."""
+    values = energy_many(h, patterns)
+    best = int(np.argmax(values))
+    return AscentResult(Configuration(patterns[best], h.layout), float(values[best]) / h.layout.n,
+                        restarts, 1.0, (0,) * restarts, 0)
+
+
 def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult]:
     """Multi-restart projected gradient ascent of H over the shell S_N(q),
     for each instance of a group that shares mixture terms and layout, with
@@ -77,13 +84,19 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     Each restart starts uniformly on the shell, from its own stream, and
     follows the per-species tangent gradient with Armijo backtracking
     (shrink 0.5, slope 1e-4, initial step 1/sqrt(N)), re-projecting every
-    block after each step.  The (instance, restart) rows advance together
-    as one fixed-shape batch, and a row that has stopped is masked, not
-    dropped, so each result equals the one its instance gets on its own.
-    A restart stops when its tangent gradient falls below tolerance or no
-    step passes the Armijo test (both count as converged).  The best
-    restart is the lowest index whose final energy is within 4 ulps of the
-    maximum, so rounding-level ties do not decide it.
+    block after each step.  A step must also gain 32 ulps of |energy|, so
+    roundoff does not decide when a restart stops, and backtracking ends
+    once a step's first-order gain falls under that floor.  The (instance,
+    restart) rows advance together as one fixed-shape batch, and a row that
+    has stopped is masked, not dropped, so each result equals the one its
+    instance gets on its own.  A restart stops when its tangent gradient
+    falls below tolerance or no step passes the test (both count as
+    converged).  The best restart is the lowest index whose final energy is
+    within 64 ulps (two such gains) of the best, so restarts that reach the
+    same maximum tie.
+
+    On single-coordinate blocks the shell is its 2^N sign patterns scaled by
+    sqrt(q_s): each instance gets the exact maximum, and rngs are not drawn.
     """
     hs, rngs = list(hs), list(rngs)
     if len(hs) != len(rngs):
@@ -94,6 +107,9 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     layout = group.layout
     qv = require_shell_overlap(q, layout.n_species)
     _check_restart_budget(group.size, restarts, layout.n)
+    if layout.n == layout.n_species:  # no block can move: enumerate the shell
+        patterns = sign_patterns(layout.n) * np.sqrt(qv)[None, :]
+        return [_shell_maximum(h, patterns, restarts) for h in hs]
     coords = np.array([[sample_on_shell(layout, qv, stream).coords
                         for stream in rng.spawn(restarts)] for rng in rngs])
     values = group_energies(group, coords)
@@ -110,23 +126,28 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
         counts[flat] = it - 1
         active &= ~flat
         trial = np.minimum(steps * 2.0, step0)
-        searching = active.copy()
+        searching, moved = active.copy(), np.zeros_like(active)
         for _ in range(_MAX_BACKTRACKS):
             if not searching.any():
                 break
             cand = _to_shell(coords + trial[..., None] * t, layout, qv)
             cand_values = group_energies(group, cand)
-            ok = searching & (cand_values >= values + _ARMIJO_SLOPE * trial * t_norm_sq)
+            floor = _GAIN_ULPS * np.spacing(np.abs(values))
+            ok = searching & (cand_values >= values + np.maximum(
+                _ARMIJO_SLOPE * trial * t_norm_sq, floor))
             coords[ok] = cand[ok]
             values[ok] = cand_values[ok]
             steps[ok] = trial[ok]
-            searching &= ~ok
-            trial[searching] *= _ARMIJO_SHRINK
+            moved |= ok
+            trial *= _ARMIJO_SHRINK
+            # near a maximum a step gains at most trial * t_norm_sq, so a step
+            # whose first-order gain is under the floor cannot pass
+            searching &= ~ok & (trial * t_norm_sq >= floor)
         # no admissible step: numerically stationary, count as converged
-        counts[searching] = it
-        active &= ~searching
+        counts[active & ~moved] = it
+        active &= moved
     top = values.max(axis=1, keepdims=True)
-    best = np.argmax(values >= top - 4 * np.spacing(np.abs(top)), axis=1)
+    best = np.argmax(values >= top - 2 * _GAIN_ULPS * np.spacing(np.abs(top)), axis=1)
     return [AscentResult(
         maximizer=Configuration(coords[k, b], layout),
         energy_per_spin=float(values[k, b]) / layout.n,
@@ -143,37 +164,32 @@ def ascend(h: HamiltonianInstance, q, restarts: int, max_iters: int,
     return ascend_many([h], q, restarts, max_iters, [rng])[0]
 
 
-def exact_gs_enumeration(h: HamiltonianInstance, q) -> float:
-    """Exact per-spin shell maximum when every species has one coordinate:
-    the shell S_N(q) is the finite set of sign patterns scaled by sqrt(q_s)."""
-    layout = h.layout
-    _require_corner(layout)
-    qv = require_shell_overlap(q, layout.n_species)
-    n = layout.n
-    patterns = sign_patterns(n) * np.sqrt(qv)[None, :]
-    return float(energy_many(h, patterns).max()) / n
-
-
 def eigen_oracle_2spin(h: HamiltonianInstance, q) -> float:
-    """Exact per-spin shell maximum for a single pure quadratic species term.
+    """Exact per-spin shell maximum for a single quadratic term.
 
-    For H = sqrt(N) x^T A x restricted to ||x_s||^2 = N_s q_s (other blocks
-    zero), the maximum is sqrt(N) lambda_max(sym A_ss) N_s q_s, by the
-    Rayleigh principle; homogeneity makes it linear in q_s.
+    For H = sqrt(N) x_s^T A x_s inside species s, restricted to
+    ||x_s||^2 = N_s q_s, the maximum is sqrt(N) lambda_max(sym A) N_s q_s by
+    the Rayleigh principle; for the bilinear H = sqrt(N) x_a^T B x_b of two
+    species it is sqrt(N) sigma_max(B) sqrt(N_a q_a N_b q_b).  Both are
+    homogeneous in q; blocks outside the term do not enter.
     """
     terms = h.mixture.terms
     if len(terms) != 1:
         raise ValueError("oracle needs exactly one mixture term")
     p = terms[0][0]
-    if sum(p) != 2 or max(p) != 2:
-        raise ValueError("oracle needs one pure quadratic term inside one species")
-    s = p.index(2)
+    if sum(p) != 2:
+        raise ValueError("oracle needs one quadratic term")
     layout = h.layout
     qv = require_shell_overlap(q, layout.n_species)
     block = h.tensors[0]
-    sym = 0.5 * (block + block.T)
-    lam = float(np.linalg.eigvalsh(sym)[-1])
-    return math.sqrt(layout.n) * lam * layout.sizes[s] * qv[s] / layout.n
+    if 2 in p:
+        s = p.index(2)
+        lam = float(np.linalg.eigvalsh(0.5 * (block + block.T))[-1])
+        return math.sqrt(layout.n) * lam * layout.sizes[s] * qv[s] / layout.n
+    a, b = (s for s, c in enumerate(p) if c)
+    sigma = float(np.linalg.svd(block, compute_uv=False)[0])
+    radius = math.sqrt(layout.sizes[a] * qv[a] * layout.sizes[b] * qv[b])
+    return math.sqrt(layout.n) * sigma * radius / layout.n
 
 
 def gs_concentration_probe(xi: Mixture, layout: SpeciesLayout, q, seeds: int,

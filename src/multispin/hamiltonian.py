@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, _unit_rows, species_overlaps
+from .geometry import DEFAULT_MEMORY_BUDGET, Configuration, _unit_rows, species_overlaps
 from .mixture import (
     Mixture,
     SpeciesLayout,
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _FORMAT = "coefficient-tensor"  # checkpoint format tag
-DEFAULT_MEMORY_BUDGET = 2**28  # dense disorder entries drawn across all terms
 
 # chunk staged batch contractions so intermediates stay below ~2^24 floats
 _BATCH_ELEMENT_CAP = 2**24

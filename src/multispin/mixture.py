@@ -89,10 +89,6 @@ class SpeciesLayout:
     def n_species(self) -> int:
         return len(self.species)
 
-    def species_of_coordinate(self) -> np.ndarray:
-        """Length-N integer array mapping coordinate index -> species index."""
-        return np.repeat(np.arange(self.n_species), self.sizes)
-
     def index(self, label: str) -> int:
         return self.species.index(label)
 

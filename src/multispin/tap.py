@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ground_state import ascend_many, exact_gs_enumeration
+from .ground_state import ascend_many
 from .hamiltonian import (
     _BATCH_ELEMENT_CAP,
     HamiltonianInstance,
@@ -74,7 +74,8 @@ class EstimatorConfig:
 
     method "auto" picks enumeration when all species have one coordinate,
     deterministic quadrature when blocks are small enough, and
-    thermodynamic integration otherwise.
+    thermodynamic integration otherwise; an exact method whose points
+    exceed the memory budget is passed over.
     """
 
     method: str = "auto"
@@ -205,15 +206,14 @@ def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, see
     scatter of per-seed estimates, which carries any MC noise), and for each
     overlap qs[k] the (mean, SE, per-row values, flags) of the per-spin shell
     ground state of the first len(gs_streams[k]) rows (row r on
-    gs_streams[k][r]; exhaustive on single-coordinate species blocks, one
-    grouped ascent per group and overlap otherwise).  Free energies by TI
-    must integrate up to beta 1, the temperature of gs and the Onsager term."""
+    gs_streams[k][r]; one ascend_many per group and overlap).  Free energies
+    by TI must integrate up to beta 1, the temperature of gs and the Onsager
+    term."""
     if (fe_streams is not None and config.beta_grid[-1] != 1.0
             and resolve_fe_method(config.method, layout) == "ti"):
         raise ValueError("thermodynamic integration must end at beta 1, like gs and onsager")
     instance_seeds = [derive_seed(config.master_seed, label, i)
                       for label in labels for i in range(seeds)]
-    exact = resolve_fe_method("auto", layout) == "enumeration"
     estimates, values, flags = [], [[] for _ in qs], [set() for _ in qs]
     for group, group_fe_streams, *group_gs_streams in instance_groups(
             [xi for xi in xis for _ in range(seeds)], layout, instance_seeds,
@@ -222,9 +222,7 @@ def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, see
             estimates += _fe_group(group, config, group_fe_streams)
         for qv, streams, row_values, row_flags in zip(qs, group_gs_streams, values, flags):
             hs = group[:len(streams)]  # gs rows lead the pass, so they lead a group
-            if exact:
-                row_values += [exact_gs_enumeration(h, qv) for h in hs]
-            elif hs:
+            if hs:
                 for res in ascend_many(hs, qv, config.restarts, config.max_iters, streams):
                     row_values.append(res.energy_per_spin)
                     if res.converged_fraction < 0.5:

@@ -18,6 +18,7 @@ import numpy as np
 from .geometry import (
     BandSpec,
     Configuration,
+    _check_pattern_budget,
     log_band_volume,
     sample_uniform_batch,
     sample_uniform_in_band_batch,
@@ -158,12 +159,13 @@ def _thinning(steps: int) -> tuple[int, int]:
     return thin, len(range(0, n, thin))
 
 
-def _check_pair_budget(n: int, steps: int, size: int) -> None:
-    """Refuse n replicas whose (pair, kept state, coordinate) products, over
-    the n(n-1)/2 pairs, exceed DEFAULT_MEMORY_BUDGET entries."""
-    pairs, kept = n * (n - 1) // 2, _thinning(steps)[1]
-    if pairs * kept * size > DEFAULT_MEMORY_BUDGET:
-        raise ValueError(f"{pairs} replica pairs x {kept} kept states x {size} coordinates "
+def _check_kept_budget(rows: int, steps: int, size: int, what: str) -> None:
+    """Refuse arrays of over DEFAULT_MEMORY_BUDGET (row, kept state, entry)
+    entries, with the thinned states a run of steps sweeps keeps per chain:
+    the states of every chain, or the overlaps of every replica pair."""
+    kept = _thinning(steps)[1]
+    if rows * kept * size > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(f"{rows} {what} x {kept} kept states x {size} entries "
                          "are over the budget")
 
 
@@ -185,6 +187,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     axis in a fixed order, so its run depends only on its own seed, not on
     the group.  Without keep_snapshots no thinned states are kept (snapshots
     hold zero per chain), so a large group holds only its energy series.
+    A series or set of kept states over the memory budget is refused before
+    anything is allocated.
 
     The state arrays have one row per (instance, chain), instance-major, so
     a group of one is laid out exactly as a single run.
@@ -199,6 +203,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     n_rows = k * n_chains
     betas = np.tile(beta_grid, k)
     n_replicas = 1 if band is None else band.n
+    if keep_snapshots:
+        _check_kept_budget(n_rows, steps, n_replicas * layout.n, "chains")
     coords = np.concatenate([_init_replicas(layout, band, n_chains, rng)
                              for rng in rngs])
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
@@ -512,7 +518,7 @@ def _replica_overlaps(h: HamiltonianInstance, n: int, beta_grid, steps: int,
     pt_sampler on the i-th generator spawned from rng."""
     grid = _check_beta_grid(beta_grid)
     _check_series_budget(n * grid.size, steps)
-    _check_pair_budget(n, steps, h.layout.n)
+    _check_kept_budget(n * (n - 1) // 2, steps, h.layout.n, "replica pairs")
     runs = _run_group([h] * n, grid, steps, rng.spawn(n))
     samples = np.stack([run.snapshots[-1, :, 0] for run in runs])
     i, j = np.triu_indices(n, 1)
@@ -577,6 +583,7 @@ def _logsumexp(a) -> float:
 def _require_corner(layout: SpeciesLayout) -> None:
     if any(d != 1 for d in layout.sizes):
         raise ValueError("enumeration requires every species to have one coordinate")
+    _check_pattern_budget(layout.n)
 
 
 def _require_quadrature(layout: SpeciesLayout) -> None:
@@ -584,6 +591,7 @@ def _require_quadrature(layout: SpeciesLayout) -> None:
         raise ValueError("quadrature supports species blocks of size at most 3")
     if sum(d - 1 for d in layout.sizes) > 6:
         raise ValueError("total angular dimension exceeds 6")
+    _check_quadrature_grid(layout, 2)  # each one-coordinate block doubles even this grid
 
 
 def exact_fe_enumeration(h: HamiltonianInstance) -> FreeEnergyEstimate:

@@ -20,6 +20,10 @@ from multispin.cli import (
     parse_config,
     run_verification_suite,
 )
+from multispin.geometry import sign_patterns
+from multispin.hamiltonian import build_instance, energy_many
+from multispin.mixture import Mixture, SpeciesLayout
+from multispin.seeding import derive_seed
 
 
 def corner_doc(**overrides):
@@ -337,6 +341,45 @@ class TestConfigParsing:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_corner_shell_over_pattern_budget_rejected(self, tmp_path, capsys):
+        # ground-state enumerates a shell of single-coordinate blocks: 2^23
+        # sign patterns of 23 coordinates fit the budget of 2^28 entries and
+        # 2^24 of 24 do not, so parsing refuses the model for every command;
+        # free_energy's auto method passes over enumeration and quadrature
+        def corner(n):
+            return {"model": {"species": [f"s{k}" for k in range(n)], "sizes": [1] * n,
+                              "terms": [{"p": [1, 1] + [0] * (n - 2), "delta_sq": 1.0}]}}
+        assert parse_config(json.dumps(corner(23))).layout.n == 23
+        for n in (24, 30):
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(corner(n)))
+            assert err.value.path == "ground_state"
+            assert "budget" in str(err.value)
+        config = write_config(tmp_path, corner(30))
+        for command in ("free-energy", "ground-state"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ground_state: ") and "Traceback" not in err
+            assert not out.exists()
+
+    def test_replica_snapshots_over_budget_rejected(self, tmp_path, capsys):
+        # each of n x len(beta_grid) chains keeps its thinned states: 20 x 21
+        # chains keeping 512 states of 2000 coordinates exceed the budget,
+        # while the 190 replica pairs fit it
+        doc = {"model": {"species": ["a", "b"], "sizes": [1000, 1000],
+                         "terms": [{"p": [1, 1], "delta_sq": 1.0}]},
+               "multisamp": {"n": 20, "sweeps": 768, "seeds": 1}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.path == "multisamp.n"
+        assert "kept states" in str(err.value)
+        out = tmp_path / "out"
+        assert main(["multisamp", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: multisamp.n: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("section", list(_SECTIONS))
     def test_seeds_over_limit_rejected(self, tmp_path, section):
         # every command builds one instance and one output row per seed;
@@ -480,6 +523,31 @@ class TestCommands:
         payload = json.loads((out / "ground_state.json").read_text())
         assert payload["eigen_oracle_mean"] == pytest.approx(payload["mean"],
                                                              rel=1e-6)
+
+    def test_ground_state_enumerates_a_corner_shell(self, tmp_path):
+        # six single-coordinate species: the shell holds 64 sign patterns,
+        # more than the 2 restarts, and each seed's row is their maximum
+        species = list("abcdef")
+        terms = {(1, 1, 0, 0, 0, 0): 0.8, (0, 1, 1, 0, 0, 0): 0.6, (0, 0, 1, 1, 0, 0): 0.7,
+                 (0, 0, 0, 1, 1, 0): 0.5, (0, 0, 0, 0, 1, 1): 0.9, (1, 0, 0, 0, 0, 1): 0.4,
+                 (1, 0, 1, 0, 1, 0): 0.3}
+        doc = {"master_seed": 3,
+               "model": {"species": species, "sizes": [1] * 6,
+                         "terms": [{"p": list(p), "delta_sq": c} for p, c in terms.items()]},
+               "ground_state": {"q": [0.5] * 6, "restarts": 2, "seeds": 4}}
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        layout = SpeciesLayout(tuple(species), (1,) * 6)
+        patterns = sign_patterns(6) * math.sqrt(0.5)
+        rows = (out / "ground_state.csv").read_text().splitlines()[1:]
+        for i, row in enumerate(rows):
+            h = build_instance(Mixture.from_terms(terms), layout,
+                               seed=derive_seed(3, "ground-state", "instance", i))
+            seed, value, _, converged, iterations, _ = row.split(",")
+            assert float(value) == energy_many(h, patterns).max() / 6
+            assert int(seed) == i and float(converged) == 1.0 and float(iterations) == 0.0
+        assert len(rows) == 4
 
     def test_tap_scan_outputs(self, tmp_path):
         config = write_config(tmp_path, corner_doc())

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from multispin.geometry import Configuration, sample_on_shell
+from multispin import ground_state
+from multispin.geometry import Configuration, sample_on_shell, sign_patterns, species_overlaps
 from multispin.hamiltonian import (
     attach_external_field,
     build_instance,
@@ -20,6 +21,7 @@ from multispin.ground_state import (
     gs_concentration_probe,
 )
 from multispin.mixture import Mixture, SpeciesLayout
+from multispin.seeding import derive_seed
 from multispin.thermo import exact_fe_quadrature
 
 PURE_2SPIN = Mixture.from_terms({(2,): 1.0})
@@ -74,10 +76,13 @@ def _ascend_one_restart(h, qv, max_iters, rng):
         for _ in range(40):
             cand = on_shell(x + trial * t)
             cand_value = energy(h, Configuration(cand, lay))
-            if cand_value >= value + 1e-4 * trial * t_norm_sq:
+            floor = 32 * np.spacing(abs(value))
+            if cand_value >= value + max(1e-4 * trial * t_norm_sq, floor):
                 x, value, step = cand, cand_value, trial
                 break
             trial *= 0.5
+            if trial * t_norm_sq < floor:
+                return value, it
         else:
             return value, it
     return value, max_iters
@@ -128,7 +133,7 @@ def test_grouped_ascent_matches_each_instance_alone(terms, sizes, q, field):
 
 def test_tied_restarts_pick_the_lowest_index():
     # H(x) = H(-x) for a pure even-degree model, so restarts reaching v and
-    # -v tie up to rounding; the pick is the first restart within 4 ulps of
+    # -v tie up to rounding; the pick is the first restart within 64 ulps of
     # the best, whatever group the instance runs in
     lay = SpeciesLayout(("s",), (8,))
     other = build_instance(PURE_2SPIN, lay, seed=99)
@@ -185,10 +190,102 @@ def test_eigen_oracle_is_linear_in_q():
 
 def test_eigen_oracle_rejects_other_shapes():
     lay = SpeciesLayout(("a", "b"), (4, 4))
-    for terms in ({(2, 0): 0.5, (0, 2): 0.5}, {(3, 0): 0.5}, {(1, 1): 0.5}):
+    for terms in ({(2, 0): 0.5, (0, 2): 0.5}, {(3, 0): 0.5}):
         h = build_instance(Mixture.from_terms(terms), lay, seed=1)
         with pytest.raises(ValueError):
             eigen_oracle_2spin(h, [0.5, 0.5])
+
+
+def test_bilinear_eigen_oracle_matches_ascent():
+    # sqrt(N) x_a^T B x_b on ||x_a||^2 = N_a q_a, ||x_b||^2 = N_b q_b peaks at
+    # sqrt(N) sigma_max(B) sqrt(N_a q_a N_b q_b): criterion 10's 8+8 model,
+    # with a third species outside the term
+    for lay, term in ((SpeciesLayout(("a", "b"), (8, 8)), (1, 1)),
+                      (SpeciesLayout(("a", "b", "c"), (5, 3, 4)), (1, 0, 1))):
+        xi = Mixture.from_terms({term: 1.0})
+        q = [0.3, 0.5, 0.7][:lay.n_species]
+        for seed in range(3):
+            h = build_instance(xi, lay, seed=seed)
+            res = ascend(h, q, 6, 300, np.random.default_rng(seed))
+            oracle = eigen_oracle_2spin(h, q)
+            assert res.energy_per_spin == pytest.approx(oracle, rel=1e-9)
+            assert oracle > 0.0
+
+
+def test_bilinear_eigen_oracle_is_zero_on_an_empty_block():
+    lay = SpeciesLayout(("a", "b"), (4, 6))
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}), lay, seed=2)
+    for q in ([0.0, 0.5], [0.5, 0.0], [0.0, 0.0]):
+        assert eigen_oracle_2spin(h, q) == 0.0
+        assert ascend(h, q, 2, 20, np.random.default_rng(0)).energy_per_spin == 0.0
+
+
+CORNER_6 = Mixture.from_terms({(1, 1, 0, 0, 0, 0): 0.8, (0, 1, 1, 0, 0, 0): 0.6,
+                               (0, 0, 1, 1, 0, 0): 0.7, (0, 0, 0, 1, 1, 0): 0.5,
+                               (0, 0, 0, 0, 1, 1): 0.9, (1, 0, 1, 0, 1, 0): 0.3,
+                               (2, 0, 0, 0, 0, 1): 0.4})
+
+
+def test_corner_shell_is_enumerated():
+    # single-coordinate blocks have no tangent directions: the shell is the
+    # 64 sign patterns scaled by sqrt(q), and every instance gets the exact
+    # maximum, whatever its group and without drawing from its generator
+    lay = SpeciesLayout(tuple("abcdef"), (1,) * 6)
+    q = [0.5, 0.2, 0.0, 0.7, 0.4, 0.9]
+    hs = [build_instance(CORNER_6, lay, seed=seed) for seed in range(4)]
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    states = [rng.bit_generator.state for rng in rngs]
+    patterns = sign_patterns(6) * np.sqrt(q)
+    for h, res in zip(hs, ascend_many(hs, q, 2, 50, rngs)):
+        values = energy_many(h, patterns)
+        assert res.energy_per_spin == values.max() / 6
+        assert energy(h, res.maximizer) == pytest.approx(values.max(), rel=1e-12)
+        assert res.restarts == 2 and res.iteration_counts == (0, 0)
+        assert res.converged_fraction == 1.0 and res.best_restart == 0
+        alone = ascend(h, q, 2, 50, np.random.default_rng(9))
+        assert alone.energy_per_spin == res.energy_per_spin
+        assert np.array_equal(alone.maximizer.coords, res.maximizer.coords)
+    assert [rng.bit_generator.state for rng in rngs] == states
+    # each restart still reports its iteration count, so restarts stay bounded
+    with pytest.raises(ValueError, match="budget"):
+        ascend(hs[0], q, 10**9, 50, np.random.default_rng(0))
+
+
+def test_corner_shell_over_pattern_budget_refused():
+    # 2^24 sign patterns of 24 coordinates would hold 4e8 entries; the refusal
+    # comes before the patterns are built
+    lay = SpeciesLayout(tuple(f"s{k}" for k in range(24)), (1,) * 24)
+    h = build_instance(Mixture.from_terms({(1, 1) + (0,) * 22: 1.0}), lay, seed=0)
+    with pytest.raises(ValueError, match="budget"):
+        ascend(h, [0.5] * 24, 2, 10, np.random.default_rng(0))
+
+
+def _shell_scale_by_root_ratio(coords, layout, q):
+    """geometry._to_shell with its scale written as sqrt(q) / sqrt(r)."""
+    r = species_overlaps(coords, coords, layout)
+    scale = np.sqrt(q) / np.sqrt(np.where(q > 0.0, r, 1.0))
+    return coords * np.repeat(scale, layout.sizes, axis=-1) + 0.0
+
+
+def test_roundoff_in_the_shell_scale_does_not_decide_convergence(monkeypatch):
+    # the 6+6 ground-state config of tools/compare_cli_outputs.py: writing
+    # the shell scale another way changes only roundoff, so it must leave the
+    # converged fractions alone and move each stop by at most one iteration
+    xi = Mixture.from_terms({(2, 1): 1.0, (1, 2): 1.0, (1, 1): 1.0})
+    lay = SpeciesLayout(("a", "b"), (6, 6))
+    hs = [build_instance(xi, lay, seed=derive_seed(8501, "ground-state", "instance", i))
+          for i in range(3)]
+
+    def run():
+        return ascend_many(hs, [0.5, 0.5], 4, 200, [
+            np.random.default_rng(derive_seed(8501, "ground-state", "mc", i))
+            for i in range(3)])
+    base = run()
+    monkeypatch.setattr(ground_state, "_to_shell", _shell_scale_by_root_ratio)
+    for a, b in zip(base, run()):
+        assert a.converged_fraction == b.converged_fraction == 1.0
+        assert max(abs(x - y) for x, y in zip(a.iteration_counts, b.iteration_counts)) <= 1
+        assert a.energy_per_spin == pytest.approx(b.energy_per_spin, rel=1e-12)
 
 
 def test_eigen_oracle_large_n_drift_levels_off():

@@ -225,7 +225,6 @@ def test_layout_validation():
     assert lay.n == 8
     assert lay.proportions == (0.375, 0.625)
     assert lay.slices == (slice(0, 3), slice(3, 8))
-    assert list(lay.species_of_coordinate()) == [0, 0, 0, 1, 1, 1, 1, 1]
     with pytest.raises(ValueError):
         SpeciesLayout(("a", "a"), (2, 2))
     with pytest.raises(ValueError):

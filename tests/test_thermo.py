@@ -12,6 +12,7 @@ from multispin import thermo
 from multispin.geometry import (
     BandSpec,
     Configuration,
+    _check_pattern_budget,
     in_multi_band,
     sample_on_shell,
     sign_patterns,
@@ -23,6 +24,7 @@ from multispin.hamiltonian import (
     energy_many,
 )
 from multispin.mixture import Mixture, SpeciesLayout, xi_q
+from multispin.tap import EstimatorConfig, replica_symmetry_diagnostic, resolve_fe_method
 from multispin.thermo import (
     FreeEnergyEstimate,
     PTResult,
@@ -206,6 +208,51 @@ def test_replica_pairs_over_budget_refused(monkeypatch):
     monkeypatch.setattr(thermo, "_run_group", no_tempering)
     with pytest.raises(ValueError, match="budget"):
         multisamplability_records(h, [0.0, 0.0], 20000, [0.5], [0.0, 1.0], 30, NoStreams())
+
+
+def test_tempering_snapshots_over_budget_refused(monkeypatch):
+    # every chain keeps its thinned states: 30000 chains or 20 replicas x 2000
+    # chains keeping 512 states of N = 20 coordinates exceed the budget of
+    # 2^28 entries, while the series and the replica pairs fit it; the
+    # refusal comes before any state is drawn
+    h = build_instance(Mixture.from_terms({(1, 1): 1.0}),
+                       SpeciesLayout(("a", "b"), (10, 10)), seed=1)
+
+    def no_states(*args, **kwargs):
+        raise AssertionError("drew states")
+
+    monkeypatch.setattr(thermo, "_init_replicas", no_states)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="kept states"):
+        pt_sampler(h, np.linspace(0.0, 1.0, 30000), 768, rng)
+    grid = np.linspace(0.0, 1.0, 2000)
+    with pytest.raises(ValueError, match="kept states"):
+        multisamplability_records(h, [0.0, 0.0], 20, [0.5], grid, 768, rng)
+    with pytest.raises(ValueError, match="kept states"):
+        replica_symmetry_diagnostic(h, 20, 0.5, EstimatorConfig(
+            beta_grid=tuple(grid), sweeps=768))
+
+
+def test_sign_patterns_over_budget_refused():
+    # 2^23 patterns of 23 coordinates (1.9e8 entries) fit the budget of 2^28
+    # entries and 2^24 of 24 (4.0e8) do not; every enumeration refuses before
+    # it builds a pattern, and auto passes over the exact methods
+    _check_pattern_budget(23)
+    with pytest.raises(ValueError, match="budget"):
+        sign_patterns(24)
+    for n, method in ((23, "enumeration"), (24, "ti")):
+        corner = SpeciesLayout(tuple(f"s{k}" for k in range(n)), (1,) * n)
+        assert resolve_fe_method("auto", corner) == method
+    for exact in ("enumeration", "quadrature"):
+        with pytest.raises(ValueError, match="budget"):
+            resolve_fe_method(exact, corner)
+    h = build_instance(Mixture.from_terms({(1, 1) + (0,) * 22: 1.0}), corner, seed=0)
+    m = Configuration(np.full(24, 0.5), corner)
+    for enumerate_ in (exact_fe_enumeration,
+                       lambda h: exact_restricted_fe_enumeration(h, m, 0.5),
+                       lambda h: exact_penalty_enumeration(h, BandSpec(m, 0.5, n=2))):
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_(h)
 
 
 # --- Metropolis acceptance rule (three-state toy) ----------------------------

@@ -2,11 +2,13 @@
 
     python tools/compare_cli_outputs.py --ref <reference src dir>
 
-Runs `free-energy`, `ground-state`, `tap-scan` and `multisamp` on four fixed
+Runs `free-energy`, `ground-state`, `tap-scan` and `multisamp` on five fixed
 configs with the `multispin` package of each tree (the reference and this
 repository's `src/`), and reports the `out_dir` files, stdout and exit codes
-that differ.  Runs `verify` on the same configs
-and on 40 (model, master seed, mutation) combinations, and reports any
+that differ.  One config is a corner model of six one-coordinate species
+with fewer restarts than sign patterns, where the shell ground state must
+be enumerated.  Runs `verify` on the same configs
+and on 50 (model, master seed, mutation) combinations, and reports any
 difference in the exit code, the check names, their order or their `passed`
 flags; `detail` strings (Monte Carlo estimates and roundoff-level deviations)
 are only counted, per check.  Last, it compares the reprs of library values
@@ -40,7 +42,7 @@ MUTATIONS = (None, "shifted-coefficients")
 
 
 def _model(sizes, terms):
-    return {"species": ["a", "b"], "sizes": list(sizes),
+    return {"species": list("abcdef"[:len(sizes)]), "sizes": list(sizes),
             "terms": [{"p": list(p), "delta_sq": c} for p, c in terms]}
 
 
@@ -79,6 +81,20 @@ CONFIGS = {
         "model": _model((6, 6), [((2, 1), 1.0), ((1, 2), 1.0), ((1, 1), 1.0)]),
         **_SMALL,
         "ground_state": {"q": [0.5, 0.5], "restarts": 4, "max_iters": 200, "seeds": 3},
+    },
+    # six one-coordinate species: the 64 sign patterns of each shell outnumber
+    # the 2 restarts, so ground-state and tap-scan must enumerate them
+    "corner-6": {
+        "master_seed": 3,
+        "model": _model((1,) * 6, [((1, 1, 0, 0, 0, 0), 0.8), ((0, 1, 1, 0, 0, 0), 0.6),
+                                   ((0, 0, 1, 1, 0, 0), 0.7), ((0, 0, 0, 1, 1, 0), 0.5),
+                                   ((0, 0, 0, 0, 1, 1), 0.9), ((1, 0, 0, 0, 0, 1), 0.4),
+                                   ((1, 0, 1, 0, 1, 0), 0.3)]),
+        "free_energy": {"seeds": 3},
+        "ground_state": {"q": [0.5] * 6, "restarts": 2, "seeds": 4},
+        "tap_scan": {"q_grid": [[0.0] * 6, [0.5] * 6], "seeds": 3, "restarts": 2},
+        "multisamp": {"q": [0.0] * 6, "eps_grid": [0.6], "beta_grid": _betas(4),
+                      "sweeps": 60, "seeds": 2},
     },
     # one full-size unit of the benchmark's tap_scan workload
     "tap-scan-8+8": {
