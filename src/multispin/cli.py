@@ -48,9 +48,20 @@ from .hamiltonian import (
     save_instance,
 )
 from .mixture import (
+    ConfigError,
     Mixture,
     SpeciesLayout,
+    _at,
+    _expect_int,
+    _expect_keys,
+    _expect_list,
+    _expect_name,
+    _expect_number,
+    _expect_schema,
+    _required,
     eval_mixture,
+    model_from_json,
+    model_to_json,
     nesting_gaps,
     shifted_coefficients,
     xi_q,
@@ -70,6 +81,7 @@ from .thermo import (
     _check_kept_budget,
     _check_quadrature_grid,
     _check_series_budget,
+    _log_hit_rate,
     exact_fe_enumeration,
     exact_fe_quadrature,
     exact_multi_replica_fe_enumeration,
@@ -91,54 +103,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 MUTATIONS = ("shifted-coefficients",)
-
-
-class ConfigError(ValueError):
-    """Config validation failure with the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _expect_mapping(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(path, "expected a JSON object")
-    return value
-
-
-def _expect_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}")
-    return value
-
-
-def _expect_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "expected a number")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(path, "expected a finite number")
-    return x
-
-
-def _expect_out_dir(value, path):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(path, "expected a non-empty string")
-    return value
-
-
-def _expect_list(value, path, min_len=0):
-    if not isinstance(value, list):
-        raise ConfigError(path, "expected a list")
-    if len(value) < min_len:
-        raise ConfigError(path, f"needs at least {min_len} entries")
-    return value
 
 
 def _expect_shell_vector(value, path, layout):
@@ -176,14 +140,6 @@ def _expect_eps_grid(value, path, layout):
     if any(e <= 0.0 for e in grid):
         raise ConfigError(path, "epsilons must be > 0")
     return grid
-
-
-def _at(path, check, *args):
-    """check(*args), with the ValueError it may raise as a ConfigError at path."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
 
 
 def _expect_method(value, path, layout):
@@ -248,8 +204,7 @@ class ExperimentConfig:
     """Fully materialized experiment description; serializes losslessly."""
 
     master_seed: int
-    species: tuple[str, ...]
-    sizes: tuple[int, ...]
+    layout: SpeciesLayout
     mixture: Mixture
     # each section is a named tuple of the fields _SECTIONS lists for it
     free_energy: tuple
@@ -258,62 +213,10 @@ class ExperimentConfig:
     multisamp: tuple
     out_dir: str = "out"
 
-    @property
-    def layout(self) -> SpeciesLayout:
-        return SpeciesLayout(self.species, self.sizes)
-
-
-def _required(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(path, "missing required field")
-    return mapping[key]
-
-
-def _parse_model(doc: dict) -> tuple[tuple[str, ...], tuple[int, ...], Mixture]:
-    model = _expect_mapping(_required(doc, "model", "model"), "model")
-    species_raw = _expect_list(_required(model, "species", "model.species"), "model.species",
-                               min_len=1)
-    species = []
-    for k, name in enumerate(species_raw):
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"model.species[{k}]", "expected a non-empty string")
-        species.append(name)
-    if len(set(species)) != len(species):
-        raise ConfigError("model.species", "species names must be unique")
-    sizes_raw = _expect_list(_required(model, "sizes", "model.sizes"), "model.sizes", min_len=1)
-    if len(sizes_raw) != len(species):
-        raise ConfigError("model.sizes", "must match the number of species")
-    sizes = tuple(_expect_int(v, f"model.sizes[{k}]", minimum=1)
-                  for k, v in enumerate(sizes_raw))
-    terms = {}
-    for k, item in enumerate(_expect_list(_required(model, "terms", "model.terms"),
-                                          "model.terms")):
-        entry = _expect_mapping(item, f"model.terms[{k}]")
-        path = f"model.terms[{k}]"
-        p_raw = _expect_list(_required(entry, "p", f"{path}.p"), f"{path}.p", min_len=1)
-        if len(p_raw) != len(species):
-            raise ConfigError(f"{path}.p", f"expected {len(species)} per-species degrees")
-        p = tuple(_expect_int(v, f"{path}.p[{j}]", minimum=0) for j, v in enumerate(p_raw))
-        if sum(p) < 1:
-            raise ConfigError(f"{path}.p", "total degree must be >= 1")
-        coeff = _expect_number(_required(entry, "delta_sq", f"{path}.delta_sq"),
-                               f"{path}.delta_sq")
-        if coeff <= 0.0:
-            raise ConfigError(f"{path}.delta_sq", "must be > 0")
-        if p in terms:
-            raise ConfigError(f"{path}.p", "duplicate multi-degree")
-        terms[p] = coeff
-    mixture = Mixture.from_terms(terms, n_species=len(species))
-    _at("model", _check_budget, mixture, SpeciesLayout(tuple(species), sizes))
-    return tuple(species), sizes, mixture
-
 
 def _parse_section(doc: dict, name: str, layout: SpeciesLayout):
-    section = _expect_mapping(doc.get(name, {}), name)
     fields = _SECTIONS[name][0]
-    for key in section:
-        if key not in fields:
-            raise ConfigError(f"{name}.{key}", "unknown field")
+    section = _expect_keys(doc.get(name, {}), name, fields)
     values = {f: _VALIDATORS[f](section[f], f"{name}.{f}", layout) if f in section
               else _default(name, f, layout.n_species) for f in fields}
     _at(f"{name}.seeds", lambda seeds: EstimatorConfig(seeds=seeds), values["seeds"])
@@ -358,23 +261,15 @@ def parse_config(text: str) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
-    _expect_mapping(doc, "<document>")
-    known = {"schema", "master_seed", "model", "free_energy", "ground_state",
-             "tap_scan", "multisamp", "out_dir"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-    schema = _expect_int(doc.get("schema", SCHEMA_VERSION), "schema")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError("schema", f"unsupported schema version {schema}")
+    _expect_keys(doc, "", ("schema", "master_seed", "model", "out_dir") + tuple(_SECTIONS))
+    _expect_schema(doc.get("schema", SCHEMA_VERSION), SCHEMA_VERSION)
     master_seed = _expect_int(doc.get("master_seed", 0), "master_seed", minimum=0)
-    species, sizes, mixture = _parse_model(doc)
-    layout = SpeciesLayout(species, sizes)
-    out_dir = _expect_out_dir(doc.get("out_dir", "out"), "out_dir")
+    layout, mixture = model_from_json(_required(doc, "model", "model"))
+    _at("model", _check_budget, mixture, layout)
+    out_dir = _expect_name(doc.get("out_dir", "out"), "out_dir")
     config = ExperimentConfig(
         master_seed=master_seed,
-        species=species,
-        sizes=sizes,
+        layout=layout,
         mixture=mixture,
         out_dir=out_dir,
         **{name: _parse_section(doc, name, layout) for name in _SECTIONS},
@@ -391,11 +286,7 @@ def dump_config(config: ExperimentConfig) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "master_seed": config.master_seed,
-        "model": {
-            "species": list(config.species),
-            "sizes": list(config.sizes),
-            "terms": [{"p": list(p), "delta_sq": c} for p, c in config.mixture.terms],
-        },
+        "model": model_to_json(config.layout, config.mixture),
         "out_dir": config.out_dir,
         **{name: getattr(config, name)._asdict() for name in _SECTIONS},
     }
@@ -785,7 +676,7 @@ def cmd_tap_scan(config: ExperimentConfig) -> int:
                                   _estimator_config(params, config.master_seed))
     records = [rep.to_record() for rep in reports]
     fields = [name for name in records[0] if name not in ("q", "flags")]
-    header = [f"q_{name}" for name in config.species] + fields + ["flags"]
+    header = [f"q_{name}" for name in config.layout.species] + fields + ["flags"]
     rows = [rec["q"] + [rec[name] for name in fields] + [";".join(rec["flags"])]
             for rec in records]
     out = _out_dir(config)
@@ -822,10 +713,8 @@ def cmd_multisamp(config: ExperimentConfig) -> int:
         # a vacuous eps (no samples) admits every tuple: probability 1
         probs = [1.0 if rec["samples"] is None else rec["hits"] / rec["samples"]
                  for rec in chunk]
-        if sum(probs) > 0:
-            log_of_mean = math.log(float(np.mean(probs))) / layout.n
-        else:
-            log_of_mean = math.log(0.5 / sum(rec["samples"] for rec in chunk)) / layout.n
+        log_of_mean = (math.log(float(np.mean(probs))) if sum(probs) > 0 else
+                       _log_hit_rate(0, sum(rec["samples"] for rec in chunk))) / layout.n
         by_eps.append({
             "eps": eps,
             "mean_of_log": float(np.mean([rec["value"] for rec in chunk])),
@@ -878,7 +767,7 @@ def main(argv=None) -> int:
             config = dataclasses.replace(
                 config, master_seed=_expect_int(args.seed, "--seed", minimum=0))
         if args.out is not None:
-            config = dataclasses.replace(config, out_dir=_expect_out_dir(args.out, "--out"))
+            config = dataclasses.replace(config, out_dir=_expect_name(args.out, "--out"))
         if args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
         # made or refused before any estimate runs

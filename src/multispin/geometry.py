@@ -17,7 +17,11 @@ import numpy as np
 
 from .mixture import (
     SpeciesLayout,
+    _at,
+    _expect_schema,
     as_overlap_array,
+    layout_from_json,
+    layout_to_json,
     require_shell_overlap,
 )
 
@@ -455,13 +459,8 @@ def uniform_overlap_tail(d: int, tau: float) -> float:
 
 
 def save_configuration(cfg: Configuration, path) -> None:
-    """Checkpoint: one JSON header line (layout) + raw little-endian float64 coords."""
-    header = {
-        "schema": 1,
-        "species": list(cfg.layout.species),
-        "sizes": list(cfg.layout.sizes),
-        "proportions": list(cfg.layout.proportions),
-    }
+    """Checkpoint: a JSON header line {"schema", "species", "sizes"}, then float64 coords."""
+    header = {"schema": 1, **layout_to_json(cfg.layout)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -469,9 +468,10 @@ def save_configuration(cfg: Configuration, path) -> None:
 
 
 def load_configuration(path) -> Configuration:
+    """Read a save_configuration checkpoint; a bad header raises ConfigError at its field."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        layout = SpeciesLayout(tuple(header["species"]), tuple(header["sizes"]),
-                               tuple(header["proportions"]))
         coords = np.frombuffer(fh.read(), dtype="<f8")
-    return Configuration(coords, layout)
+    layout = layout_from_json(header, extra=("schema",))
+    _expect_schema(header.get("schema"))
+    return _at("sizes", Configuration, coords, layout)

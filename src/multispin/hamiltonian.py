@@ -21,12 +21,20 @@ import numpy as np
 
 from .geometry import DEFAULT_MEMORY_BUDGET, Configuration, _unit_rows, species_overlaps
 from .mixture import (
+    ConfigError,
     Mixture,
     SpeciesLayout,
+    _at,
+    _expect_int,
+    _expect_keys,
+    _expect_list,
+    _expect_number,
+    _expect_schema,
+    _required,
     eval_mixture,
     grad_mixture,
-    mixture_from_json,
-    mixture_to_json,
+    model_from_json,
+    model_to_json,
     require_shell_overlap,
 )
 
@@ -488,21 +496,10 @@ def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator
 
 
 def save_instance(h: HamiltonianInstance, path) -> None:
-    """Checkpoint header only: format tag, mixture, layout, seed, field metadata.
-
-    Disorder is always regenerated from the seed on load, never serialized.
-    """
-    header = {
-        "schema": 1,
-        "backend": _FORMAT,
-        "seed": int(h.seed),
-        "mixture": mixture_to_json(h.mixture, h.layout.species),
-        "layout": {
-            "species": list(h.layout.species),
-            "sizes": list(h.layout.sizes),
-            "proportions": list(h.layout.proportions),
-        },
-    }
+    """Checkpoint header only, {"schema", "backend", "seed", "model", "field"?}: the
+    disorder is always redrawn from the seed on load, never serialized."""
+    header = {"schema": 1, "backend": _FORMAT, "seed": int(h.seed),
+              "model": model_to_json(h.layout, h.mixture)}
     if h.field is not None:
         header["field"] = {"seed": int(h.field.seed), "q": list(h.field.q)}
     with open(path, "w", encoding="utf-8") as fh:
@@ -511,15 +508,19 @@ def save_instance(h: HamiltonianInstance, path) -> None:
 
 
 def load_instance(path) -> HamiltonianInstance:
+    """Read a save_instance checkpoint; a bad header raises ConfigError at its field."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+        header = _expect_keys(json.load(fh), "", ("schema", "backend", "seed", "model", "field"))
+    _expect_schema(header.get("schema"))
     if header.get("backend") != _FORMAT:
-        raise ValueError(f"unknown checkpoint format {header.get('backend')!r}")
-    lay = header["layout"]
-    layout = SpeciesLayout(tuple(lay["species"]), tuple(lay["sizes"]),
-                           tuple(lay["proportions"]))
-    mixture, _ = mixture_from_json(header["mixture"])
-    h = build_instance(mixture, layout, header["seed"])
+        raise ConfigError("backend", f"unknown checkpoint format {header.get('backend')!r}")
+    layout, mixture = model_from_json(_required(header, "model", "model"))
+    seed = _expect_int(_required(header, "seed", "seed"), "seed", minimum=0)
     if "field" in header:
-        h = attach_external_field(h, header["field"]["q"], header["field"]["seed"])
-    return h
+        field = _expect_keys(header["field"], "field", ("seed", "q"))
+        field_seed = _expect_int(_required(field, "seed", "field.seed"), "field.seed", minimum=0)
+        q = [_expect_number(v, f"field.q[{k}]")
+             for k, v in enumerate(_expect_list(_required(field, "q", "field.q"), "field.q"))]
+    _at("model", _check_budget, mixture, layout)
+    h = build_instance(mixture, layout, seed)
+    return _at("field.q", attach_external_field, h, q, field_seed) if "field" in header else h

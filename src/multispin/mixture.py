@@ -1,7 +1,7 @@
 """Mixture-polynomial algebra for multi-species spherical spin models.
 
-A model is a species layout (block sizes N_s with limiting proportions
-lambda_s) together with a mixture polynomial
+A model is a species layout (block sizes N_s, proportions lambda_s = N_s / N)
+together with a mixture polynomial
 
     xi(x) = sum_p Delta_p^2 * prod_s x(s)^p(s),
 
@@ -9,17 +9,21 @@ where p runs over nonzero multi-degrees and x is a per-species overlap
 vector.  Coefficients are stored as the variances Delta_p^2.  Everything
 here is exact floating-point algebra: evaluation, gradients, the shifted
 mixtures around an overlap q, and the scalar Onsager / log-volume terms.
+The one model codec (model_to_json / model_from_json, and the layout-only
+pair) reads and writes a model as JSON for the config and both checkpoints,
+refusing bad input with a ConfigError at the path of the bad field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "SpeciesLayout",
     "Mixture",
     "as_overlap_array",
@@ -34,23 +38,20 @@ __all__ = [
     "onsager_term",
     "log_volume_term",
     "scale_mixture",
-    "mixture_to_json",
-    "mixture_from_json",
+    "layout_to_json",
+    "layout_from_json",
+    "model_to_json",
+    "model_from_json",
     "random_mixture",
 ]
 
 
 @dataclass(frozen=True)
 class SpeciesLayout:
-    """Block structure of coordinate space: labels, sizes N_s, proportions lambda_s.
-
-    proportions defaults to N_s / N.  A single-species layout carries
-    proportion 1.0.
-    """
+    """Block structure of coordinate space: labels, sizes N_s, lambda_s = N_s / N."""
 
     species: tuple[str, ...]
     sizes: tuple[int, ...]
-    proportions: tuple[float, ...] | None = None
 
     def __post_init__(self):
         species = tuple(str(s) for s in self.species)
@@ -64,23 +65,13 @@ class SpeciesLayout:
         if any(n < 1 for n in sizes):
             raise ValueError(f"all block sizes must be >= 1, got {sizes}")
         total = sum(sizes)
-        if self.proportions is None:
-            props = tuple(n / total for n in sizes)
-        else:
-            props = tuple(float(x) for x in self.proportions)
-            if len(props) != len(species):
-                raise ValueError("proportions and species length mismatch")
-        if any(not (0.0 < lam <= 1.0) for lam in props):
-            raise ValueError(f"proportions must lie in (0, 1], got {props}")
-        if abs(sum(props) - 1.0) > 1e-12:
-            raise ValueError(f"proportions must sum to 1 within 1e-12, got {sum(props)!r}")
         starts, size_array = np.cumsum((0,) + sizes[:-1]), np.array(sizes)
         starts.setflags(write=False)
         size_array.setflags(write=False)
-        # the fields, then bookkeeping built once: N, block starts and slices,
-        # and the sizes as a read-only array
-        for name, value in (("species", species), ("sizes", sizes), ("proportions", props),
-                            ("n", total), ("starts", starts), ("size_array", size_array),
+        # the fields, then N, lambda_s, block starts and slices, sizes as an array
+        for name, value in (("species", species), ("sizes", sizes), ("n", total),
+                            ("proportions", tuple(n / total for n in sizes)),
+                            ("starts", starts), ("size_array", size_array),
                             ("slices", tuple(slice(a, a + n)
                                              for a, n in zip(starts.tolist(), sizes)))):
             object.__setattr__(self, name, value)
@@ -89,14 +80,11 @@ class SpeciesLayout:
     def n_species(self) -> int:
         return len(self.species)
 
-    def index(self, label: str) -> int:
-        return self.species.index(label)
-
     def scaled(self, factor: int) -> "SpeciesLayout":
-        """Same species and proportions with every block size multiplied."""
+        """Same species with every block size multiplied."""
         if factor < 1:
             raise ValueError("factor must be >= 1")
-        return SpeciesLayout(self.species, tuple(n * factor for n in self.sizes), self.proportions)
+        return SpeciesLayout(self.species, tuple(n * factor for n in self.sizes))
 
 
 def as_overlap_array(q, n_species: int) -> np.ndarray:
@@ -146,8 +134,8 @@ class Mixture:
                 raise ValueError(f"negative degree in {p}")
             if sum(p) < 1:
                 raise ValueError("every mixture term needs total degree |p| >= 1")
-            if c < 0.0:
-                raise ValueError(f"coefficient for {p} must be >= 0, got {c}")
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ValueError(f"coefficient for {p} must be finite and >= 0, got {c}")
             if c == 0.0:
                 continue  # prune exact zeros only
             if p in seen:
@@ -294,25 +282,124 @@ def scale_mixture(xi: Mixture, beta: float) -> Mixture:
     return Mixture.from_terms({p: beta * beta * c for p, c in xi.terms}, n_species=xi.n_species)
 
 
-def mixture_to_json(xi: Mixture, species: Sequence[str]) -> dict:
-    """JSON-ready dict {"species": [...], "terms": [{"p": [...], "delta_sq": ...}]}."""
-    species = list(species)
-    if len(species) != xi.n_species:
-        raise ValueError("species labels do not match mixture arity")
-    return {
-        "species": species,
-        "terms": [{"p": list(p), "delta_sq": c} for p, c in xi.terms],
-    }
+class ConfigError(ValueError):
+    """Validation failure of a JSON document, with the offending field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
-def mixture_from_json(obj: Mapping) -> tuple[Mixture, tuple[str, ...]]:
-    """Inverse of mixture_to_json; returns the mixture and its species labels."""
-    species = tuple(str(s) for s in obj["species"])
+def _expect_keys(value, path: str, known):
+    """value as a JSON object with no key outside known; path "" is the document."""
+    if not isinstance(value, dict):
+        raise ConfigError(path or "<document>", "expected a JSON object")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    return value
+
+
+def _expect_int(value, path, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, "expected an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return value
+
+
+def _expect_number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "expected a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, "expected a finite number")
+    return x
+
+
+def _expect_list(value, path, min_len=0):
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list")
+    if len(value) < min_len:
+        raise ConfigError(path, f"needs at least {min_len} entries")
+    return value
+
+
+def _expect_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a non-empty string")
+    return value
+
+
+def _expect_schema(value, version: int = 1):
+    if _expect_int(value, "schema") != version:
+        raise ConfigError("schema", f"unsupported schema version {value}")
+
+
+def _required(mapping: dict, key: str, path: str):
+    if key not in mapping:
+        raise ConfigError(path, "missing required field")
+    return mapping[key]
+
+
+def _at(path, check, *args):
+    """check(*args), with the ValueError it may raise as a ConfigError at path."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def layout_to_json(layout: SpeciesLayout) -> dict:
+    return {"species": list(layout.species), "sizes": list(layout.sizes)}
+
+
+def layout_from_json(doc, path: str = "", extra: tuple[str, ...] = ()) -> SpeciesLayout:
+    """The layout at path; keys beyond species, sizes and extra are refused."""
+    at = f"{path}." if path else ""
+    doc = _expect_keys(doc, path, ("species", "sizes") + extra)
+    species = [_expect_name(v, f"{at}species[{k}]") for k, v in enumerate(_expect_list(
+        _required(doc, "species", f"{at}species"), f"{at}species", min_len=1))]
+    if len(set(species)) != len(species):
+        raise ConfigError(f"{at}species", "species names must be unique")
+    sizes = _expect_list(_required(doc, "sizes", f"{at}sizes"), f"{at}sizes", min_len=1)
+    if len(sizes) != len(species):
+        raise ConfigError(f"{at}sizes", "must match the number of species")
+    return SpeciesLayout(tuple(species), tuple(
+        _expect_int(v, f"{at}sizes[{k}]", minimum=1) for k, v in enumerate(sizes)))
+
+
+def model_to_json(layout: SpeciesLayout, xi: Mixture) -> dict:
+    """{"species", "sizes", "terms": [{"p", "delta_sq"}]}: a config's model object."""
+    return {**layout_to_json(layout),
+            "terms": [{"p": list(p), "delta_sq": c} for p, c in xi.terms]}
+
+
+def model_from_json(doc, path: str = "model") -> tuple[SpeciesLayout, Mixture]:
+    """Inverse of model_to_json, checking every field and refusing unknown keys."""
+    layout = layout_from_json(doc, path, extra=("terms",))
     terms = {}
-    for entry in obj["terms"]:
-        p = tuple(int(d) for d in entry["p"])
-        terms[p] = float(entry["delta_sq"])
-    return Mixture.from_terms(terms, n_species=len(species)), species
+    for k, item in enumerate(_expect_list(_required(doc, "terms", f"{path}.terms"),
+                                          f"{path}.terms")):
+        at = f"{path}.terms[{k}]"
+        entry = _expect_keys(item, at, ("p", "delta_sq"))
+        p_raw = _expect_list(_required(entry, "p", f"{at}.p"), f"{at}.p", min_len=1)
+        if len(p_raw) != layout.n_species:
+            raise ConfigError(f"{at}.p", f"expected {layout.n_species} per-species degrees")
+        p = tuple(_expect_int(v, f"{at}.p[{j}]", minimum=0) for j, v in enumerate(p_raw))
+        if sum(p) < 1:
+            raise ConfigError(f"{at}.p", "total degree must be >= 1")
+        coeff = _expect_number(_required(entry, "delta_sq", f"{at}.delta_sq"),
+                               f"{at}.delta_sq")
+        if coeff <= 0.0:
+            raise ConfigError(f"{at}.delta_sq", "must be > 0")
+        if p in terms:
+            raise ConfigError(f"{at}.p", "duplicate multi-degree")
+        terms[p] = coeff
+    return layout, Mixture.from_terms(terms, n_species=layout.n_species)
 
 
 def random_mixture(rng: np.random.Generator, n_species: int, max_total_degree: int = 4,

@@ -444,6 +444,11 @@ def wilson_interval(hits: int, trials: int, z: float = 1.0) -> tuple[float, floa
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def _log_hit_rate(hits: int, trials: int) -> float:
+    """log(hits / trials), with the zero-hit floor: no hit counts as half a hit."""
+    return math.log(max(hits, 0.5) / trials)
+
+
 def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
                      steps: int, rng: np.random.Generator) -> FreeEnergyEstimate:
     """Coupled-replica band free energy (1/(Nn)) log of the integral of
@@ -485,13 +490,12 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
             trials, n_rep, n)
         i, j = np.triu_indices(n_rep, 1)
         hits = int(spec.pairs_within(tuples[:, i], tuples[:, j]).all(axis=1).sum())
+        pair_log = _log_hit_rate(hits, trials)
         if hits == 0:
-            pair_log = math.log(0.5 / trials)
             pair_se = abs(pair_log)
             meta["flags"].append("zero-hit-floor")
         else:
             lo, hi = wilson_interval(hits, trials)
-            pair_log = math.log(hits / trials)
             pair_se = 0.5 * (math.log(hi) - math.log(max(lo, 1e-300)))
         pair_term = pair_log / (n * n_rep)
         pair_term_se = pair_se / (n * n_rep)
@@ -552,8 +556,7 @@ def multisamplability_records(h: HamiltonianInstance, q, n: int, eps_grid,
         hits = int(np.count_nonzero(worst < eps))
         lo, hi = wilson_interval(hits, counts) if hits else (None, None)
         records.append({
-            # with no hit, the floor counts half a hit
-            "value": math.log(max(hits, 0.5) / counts) / layout.n,
+            "value": _log_hit_rate(hits, counts) / layout.n,
             "hits": hits,
             "samples": counts,
             "wilson_low": lo,

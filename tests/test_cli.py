@@ -184,6 +184,10 @@ class TestConfigParsing:
              "multisamp.eps_grid"),
             (lambda d: d["ground_state"].__setitem__("window", 3),
              "ground_state.window"),
+            (lambda d: d["model"].__setitem__("proportions", [0.5, 0.5]),
+             "model.proportions: unknown field"),
+            (lambda d: d["model"]["terms"][0].__setitem__("delta", 0.8),
+             "model.terms[0].delta: unknown field"),
             (lambda d: d.__setitem__("extra_section", {}), "extra_section"),
             (lambda d: d.__setitem__("schema", 99), "schema"),
             (lambda d: d.__setitem__("schema", True), "schema: expected an integer"),
@@ -448,6 +452,19 @@ class TestCommands:
         config = write_config(tmp_path, doc)
         assert main(["free-energy", "--config", str(config)]) == 2
         assert "model.sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle, path", [
+        (lambda model: model.__setitem__("proportions", [0.5, 0.5]), "model.proportions"),
+        (lambda model: model["terms"][0].__setitem__("delta", 0.8), "model.terms[0].delta"),
+    ])
+    def test_unknown_model_key_exit_code(self, tmp_path, capsys, mangle, path):
+        doc = corner_doc()
+        mangle(doc["model"])
+        config = write_config(tmp_path, doc)
+        assert main(["free-energy", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_model_over_disorder_budget_exit_code(self, tmp_path, capsys):
         # 40^6 dense entries exceed the default budget of 2^28: refused at

@@ -3,13 +3,23 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multispin.geometry import Configuration, overlap, sample_on_shell, sample_uniform
+from multispin.geometry import (
+    Configuration,
+    load_configuration,
+    overlap,
+    sample_on_shell,
+    sample_uniform,
+    save_configuration,
+)
 from multispin.ground_state import ascend, eigen_oracle_2spin
 from multispin.hamiltonian import (
     attach_external_field,
@@ -29,6 +39,7 @@ from multispin.hamiltonian import (
     stack_instances,
 )
 from multispin.mixture import (
+    ConfigError,
     Mixture,
     SpeciesLayout,
     eval_mixture,
@@ -376,6 +387,109 @@ def test_checkpoint_refuses_other_formats(tmp_path):
     path.write_text(json.dumps(header))
     with pytest.raises(ValueError, match="format"):
         load_instance(path)
+
+
+def _field_instance():
+    """A 2+3 instance of a recentered mixture with its one-spin field attached."""
+    lay = SpeciesLayout(("a", "b"), (2, 3))
+    q = [0.3, 0.2]
+    hq = build_instance(xi_q(Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.7}), q), lay, seed=91)
+    return attach_external_field(hq, q, seed=92)
+
+
+@pytest.mark.parametrize("mangle, path", [
+    (lambda d: d["model"]["terms"][0].__setitem__("delta_sq", math.nan),
+     "model.terms[0].delta_sq"),
+    (lambda d: d["model"]["terms"][0].__setitem__("delta_sq", True),
+     "model.terms[0].delta_sq"),
+    (lambda d: d["model"]["terms"][0]["p"].__setitem__(0, 1.7), "model.terms[0].p[0]"),
+    (lambda d: d["model"]["sizes"].__setitem__(0, 3.9), "model.sizes[0]"),
+    (lambda d: d.__setitem__("seed", 5.5), "seed"),
+    (lambda d: d.__setitem__("seed", -1), "seed"),
+    (lambda d: d.pop("seed"), "seed"),
+    (lambda d: d.__setitem__("layout", {}), "layout"),
+    (lambda d: d["model"].__setitem__("proportions", [0.4, 0.6]), "model.proportions"),
+    (lambda d: d["model"]["terms"][0].__setitem__("delta", 1.0), "model.terms[0].delta"),
+    (lambda d: d["field"].__setitem__("seed", 2.5), "field.seed"),
+    (lambda d: d["field"]["q"].__setitem__(1, None), "field.q[1]"),
+    (lambda d: d["field"]["q"].__setitem__(1, 1.5), "field.q"),
+    (lambda d: d.__setitem__("schema", 2), "schema"),
+])
+def test_load_instance_names_the_bad_field(tmp_path, mangle, path):
+    h = _field_instance()
+    file = tmp_path / "instance.json"
+    save_instance(h, file)
+    header = json.loads(file.read_text())
+    assert set(header) == {"schema", "backend", "seed", "model", "field"}
+    mangle(header)
+    file.write_text(json.dumps(header))
+    with pytest.raises(ConfigError) as err:
+        load_instance(file)
+    assert err.value.path == path
+
+
+def _header_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _header_paths(child, prefix + (key,))
+
+
+# small values only: a mutated size or degree never asks for a large draw
+HEADER_VALUES = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+                 | st.sampled_from(["", "a", "coefficient-tensor"])
+                 | st.lists(st.integers(-1, 3), max_size=3)
+                 | st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2) | st.builds(dict))
+
+
+def _mutate(header, mutations):
+    """Each mutation sets the value at a header path, drops it, or adds an
+    unknown key "extra" to the object there (the path is drawn by index)."""
+    for kind, index, value in mutations:
+        paths = list(_header_paths(header))
+        path = paths[index % len(paths)]
+        if not path:
+            if kind == "set":
+                header = value
+            elif kind == "add" and isinstance(header, dict):
+                header["extra"] = value
+            continue
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if kind == "set":
+            parent[path[-1]] = value
+        elif kind == "drop":
+            parent.pop(path[-1])
+        elif isinstance(node, dict):
+            node["extra"] = value
+    return header
+
+
+@pytest.mark.parametrize("kind", ["instance", "configuration"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["set", "drop", "add"]), st.integers(0, 99),
+                          HEADER_VALUES), min_size=1, max_size=3))
+def test_mutated_checkpoint_headers_load_or_name_a_field(tmp_path_factory, kind, mutations):
+    path = tmp_path_factory.mktemp("checkpoint") / "file"
+    h = _field_instance()
+    if kind == "instance":
+        save_instance(h, path)
+        header, payload, load = json.loads(path.read_text()), b"", load_instance
+    else:
+        save_configuration(sample_uniform(h.layout, np.random.default_rng(3)), path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header, load = json.loads(line), load_configuration
+    header = _mutate(header, mutations)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    try:
+        load(path)
+    except ConfigError as exc:
+        known = {"<document>", "schema", "backend", "seed", "model", "field", "species",
+                 "sizes", "extra"}
+        assert re.split(r"[.\[]", exc.path)[0] in known, str(exc)
 
 
 def test_field_contribution_bound_on_replica_tuples():

@@ -8,13 +8,16 @@ import pytest
 import sympy
 
 from multispin.mixture import (
+    ConfigError,
     Mixture,
     SpeciesLayout,
     eval_mixture,
     grad_mixture,
+    layout_from_json,
+    layout_to_json,
     log_volume_term,
-    mixture_from_json,
-    mixture_to_json,
+    model_from_json,
+    model_to_json,
     nesting_compose,
     onsager_term,
     random_mixture,
@@ -229,8 +232,6 @@ def test_layout_validation():
         SpeciesLayout(("a", "a"), (2, 2))
     with pytest.raises(ValueError):
         SpeciesLayout(("a",), (0,))
-    with pytest.raises(ValueError):
-        SpeciesLayout(("a", "b"), (2, 2), (0.7, 0.7))
     single = SpeciesLayout(("a",), (5,))
     assert single.proportions == (1.0,)
 
@@ -252,7 +253,43 @@ def test_json_round_trip_is_exact():
         n = int(rng.integers(1, 4))
         xi = random_mixture(rng, n)
         species = [f"s{i}" for i in range(n)]
-        blob = json.dumps(mixture_to_json(xi, species))
-        back, labels = mixture_from_json(json.loads(blob))
-        assert labels == tuple(species)
+        blob = json.dumps(model_to_json(SpeciesLayout(species, (2,) * n), xi))
+        layout, back = model_from_json(json.loads(blob))
+        assert layout.species == tuple(species)
         assert back.as_dict() == xi.as_dict()  # bit-for-bit through repr round-trip
+
+
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+def test_nonfinite_coefficient_refused(coefficient):
+    with pytest.raises(ValueError, match="finite"):
+        Mixture.from_terms({(1, 1): coefficient})
+
+
+def test_layout_round_trip_and_derived_proportions():
+    lay = SpeciesLayout(("a", "b", "c"), (1, 2, 5))
+    doc = layout_to_json(lay)
+    assert doc == {"species": ["a", "b", "c"], "sizes": [1, 2, 5]}
+    back = layout_from_json(json.loads(json.dumps(doc)))
+    assert back == lay and back.proportions == (1 / 8, 2 / 8, 5 / 8)
+    assert lay.scaled(3).proportions == lay.proportions
+
+
+@pytest.mark.parametrize("mangle, path", [
+    (lambda d: d.__setitem__("proportions", [0.5, 0.5]), "model.proportions"),
+    (lambda d: d["terms"][0].__setitem__("delta", 1.0), "model.terms[0].delta"),
+    (lambda d: d["terms"][0].__setitem__("delta_sq", math.nan), "model.terms[0].delta_sq"),
+    (lambda d: d["terms"][0].__setitem__("delta_sq", True), "model.terms[0].delta_sq"),
+    (lambda d: d["terms"][0]["p"].__setitem__(0, 1.7), "model.terms[0].p[0]"),
+    (lambda d: d["sizes"].__setitem__(0, 3.9), "model.sizes[0]"),
+    (lambda d: d["species"].__setitem__(0, 7), "model.species[0]"),
+    (lambda d: d.pop("terms"), "model.terms"),
+])
+def test_model_codec_names_the_bad_field(mangle, path):
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    doc = model_to_json(lay, Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3}))
+    assert model_from_json(json.loads(json.dumps(doc))) == (
+        lay, Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3}))
+    mangle(doc)
+    with pytest.raises(ConfigError) as err:
+        model_from_json(doc)
+    assert err.value.path == path

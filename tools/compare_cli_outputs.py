@@ -17,10 +17,13 @@ benchmark's band_replica shape, the corner enumerations of coupled-replica
 free energies and penalties, `exact_fe_quadrature`, and every move kind of
 the tempering engine (coupled replicas with synchronized sign flips,
 one- and four-chain `pt_sampler`, `multisamplability_records` and
-`replica_symmetry_diagnostic`).  For each differing output file, stdout or
-library value it prints how many numbers differ and the largest relative
-difference between corresponding numbers, with its line and both values, or
-that the texts differ in more than their numbers.  Uses the standard library
+`replica_symmetry_diagnostic`), and checkpoint round trips: instance
+energies after `save_instance` and `load_instance`, with and without an
+external field, and configuration coordinates and layout after
+`save_configuration` and `load_configuration`.  For each differing output
+file, stdout or library value it prints how many numbers differ and the
+largest relative difference between corresponding numbers, with its line
+and both values, or that the texts differ in more than their numbers.  Uses the standard library
 only.  Exit code 0 when nothing but `detail` strings differs, else 1.
 """
 
@@ -127,11 +130,13 @@ json.dump(reports, sys.stdout)
 # runs in a child interpreter with one tree on its path: library values no
 # command reaches, printed as a JSON list of [label, repr of the value]
 _LIBRARY_PROGRAM = """
-import json, sys
+import json, sys, tempfile
 import numpy as np
-from multispin.geometry import BandSpec, Configuration, sample_on_shell
-from multispin.hamiltonian import build_instance
-from multispin.mixture import Mixture, SpeciesLayout
+from multispin.geometry import (BandSpec, Configuration, load_configuration, sample_on_shell,
+                                sample_uniform_batch, save_configuration)
+from multispin.hamiltonian import (attach_external_field, build_instance, energy_many,
+                                   load_instance, save_instance)
+from multispin.mixture import Mixture, SpeciesLayout, xi_q
 from multispin.tap import EstimatorConfig, replica_symmetry_diagnostic
 from multispin.thermo import (exact_fe_quadrature, exact_multi_replica_fe_enumeration,
                               exact_penalty_enumeration, multi_replica_fe,
@@ -211,6 +216,24 @@ record("multisamplability_records n 3", multisamplability_records, h, (0.0, 0.0)
        (0.3, 0.8, 2.5), [0.0, 0.5, 1.0], 60, np.random.default_rng(7))
 record("replica_symmetry_diagnostic n 3", replica_symmetry_diagnostic, h, 3, 0.5,
        EstimatorConfig(beta_grid=(0.0, 0.5, 1.0), sweeps=60, master_seed=8))
+
+# checkpoint round trips: instance energies after save and load, with and
+# without a field, and configuration coordinates (and layout) after save and load
+with tempfile.TemporaryDirectory() as tmp:
+    layout = SpeciesLayout(("a", "b"), (3, 4))
+    rows = sample_uniform_batch(layout, 4, np.random.default_rng(9))
+    for seed in range(2):
+        hq = build_instance(xi_q(quad_xi, (0.3, 0.2)), layout, seed=seed)
+        h = attach_external_field(hq, (0.3, 0.2), seed + 10)
+        for label, h in (("plain", hq), ("field", h)):
+            save_instance(h, tmp + "/instance.json")
+            back = load_instance(tmp + "/instance.json")
+            values.append([f"instance checkpoint {label} seed {seed}",
+                           repr(energy_many(back, rows).tolist())])
+    save_configuration(Configuration(rows[0], layout), tmp + "/sigma.bin")
+    back = load_configuration(tmp + "/sigma.bin")
+    values.append(["configuration checkpoint", repr((
+        back.coords.tolist(), back.layout.species, back.layout.sizes, back.layout.proportions))])
 json.dump(values, sys.stdout)
 """
 
