@@ -2,17 +2,17 @@
 
 A HamiltonianInstance holds one disorder block per mixture term p, of shape
 (N_{s_1}, ..., N_{s_k}) with its slots in canonical (sorted-species) order,
-so the energy and its Euclidean gradient are evaluable anywhere while only
-the index tuples of the term's species pattern are stored.  Separately,
-realize_on_points samples exact joint values on a finite point set from the
-covariance matrix, the law reference the instances are checked against.
+drawn directly, so the energy and its Euclidean gradient are evaluable
+anywhere while only the index tuples of the term's species pattern are drawn
+and stored.  Separately, realize_on_points samples exact joint values on a
+finite point set from the covariance matrix, the law reference the instances
+are checked against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +43,6 @@ __all__ = [
     "ExternalField",
     "HamiltonianInstance",
     "build_instance",
-    "disorder_entries",
     "energy",
     "energy_many",
     "gradient",
@@ -66,9 +65,6 @@ _FORMAT = "coefficient-tensor"  # checkpoint format tag
 
 # chunk staged batch contractions so intermediates stay below ~2^24 floats
 _BATCH_ELEMENT_CAP = 2**24
-# the seeded draw is streamed in chunks of whole index rows of about this
-# many entries (at least one row), so a build holds little beyond its blocks
-_DRAW_CHUNK = 2**14
 
 
 def _slots(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,64 +72,29 @@ def _slots(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s for s, c in enumerate(p) for _ in range(c))
 
 
-def _tuple_scalar(layout: SpeciesLayout, p: tuple[int, ...], delta_sq: float) -> float:
-    """Per-tuple coefficient: sqrt(Delta_p^2 (prod_s p(s)!)/k! prod_s N_s^-p(s))."""
-    val = delta_sq / math.factorial(sum(p))
+def _block_scale(layout: SpeciesLayout, p: tuple[int, ...], delta_sq: float) -> float:
+    """sqrt(Delta_p^2 prod_s N_s^-p(s)): the per-tuple coefficient times sqrt of
+    the k!/prod_s p(s)! tuples per entry, exactly 1 for one species."""
+    k = sum(p)
+    val = delta_sq / math.factorial(k)
     for s, c in enumerate(p):
         val *= math.factorial(c) / float(layout.sizes[s]) ** c
-    return math.sqrt(val)
-
-
-def disorder_entries(xi: Mixture, layout: SpeciesLayout) -> int:
-    """Dense entries the seeded draw visits, N^k per term of degree k; the
-    memory budget bounds this count, which bounds the held blocks too."""
-    return sum(layout.n ** sum(p) for p, _ in xi.terms)
-
-
-def _check_budget(xi: Mixture, layout: SpeciesLayout) -> None:
-    """Refuse a model whose draw visits over DEFAULT_MEMORY_BUDGET dense entries."""
-    cost = disorder_entries(xi, layout)
-    if cost > DEFAULT_MEMORY_BUDGET:
-        raise ValueError(
-            f"disorder needs {cost} dense entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
+    return math.sqrt(val) * math.sqrt(math.factorial(k) // math.prod(map(math.factorial, p)))
 
 
 def block_entries(xi: Mixture, layout: SpeciesLayout) -> int:
     """Entries the canonical blocks of one instance hold, prod_s N_s^p(s)
-    per term."""
+    per term; the seeded draw visits exactly these."""
     return sum(math.prod(layout.sizes[s] ** c for s, c in enumerate(p))
                for p, _ in xi.terms)
 
 
-def _draw_block(rng: np.random.Generator, layout: SpeciesLayout, p: tuple[int, ...],
-                scalar: float) -> np.ndarray:
-    """Canonical block of term p, folded from one dense (N,)*k standard-normal
-    draw streamed along axis 0.
-
-    Each distinct slot ordering of p picks out one sub-block of the dense
-    draw; the stable sort of its species puts that sub-block's axes in
-    canonical order, and the block is scalar times the sum over orderings.
-    """
-    slots = _slots(p)
-    k = len(slots)
-    slices = layout.slices
-    block = np.zeros(tuple(layout.sizes[s] for s in slots))
-    folds = [[] for _ in slices]  # per species of draw axis 0
-    for order in sorted(set(itertools.permutations(slots))):
-        perm = tuple(sorted(range(k), key=order.__getitem__))
-        index = (slice(None),) + tuple(slices[s] for s in order[1:])
-        folds[order[0]].append((perm.index(0), index, perm))
-    step = max(1, _DRAW_CHUNK // layout.n ** (k - 1))
-    for s, sl in enumerate(slices):
-        for lo in range(sl.start, sl.stop, step):
-            hi = min(lo + step, sl.stop)
-            rows = rng.standard_normal((hi - lo,) + (layout.n,) * (k - 1))
-            for axis, index, perm in folds[s]:
-                at = (slice(None),) * axis + (slice(lo - sl.start, hi - sl.start),)
-                block[at] += rows[index].transpose(perm)
-    block *= scalar
-    block.setflags(write=False)
-    return block
+def _check_budget(xi: Mixture, layout: SpeciesLayout) -> None:
+    """Refuse a model whose blocks hold over DEFAULT_MEMORY_BUDGET entries."""
+    cost = block_entries(xi, layout)
+    if cost > DEFAULT_MEMORY_BUDGET:
+        raise ValueError(
+            f"disorder needs {cost} block entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +133,9 @@ class HamiltonianInstance:
 
     @property
     def raw_disorder(self) -> tuple[np.ndarray, ...]:
-        """The dense (N,)*k i.i.d. normals behind each block, redrawn from
-        seed on every access."""
+        """The standard normals each block is scaled from, redrawn per access."""
         rng = np.random.default_rng(self.seed)
-        return tuple(rng.standard_normal((self.layout.n,) * sum(p))
-                     for p, _ in self.mixture.terms)
+        return tuple(rng.standard_normal(a.shape) for a in self.tensors)
 
     @property
     def law_mixture(self) -> Mixture:
@@ -191,7 +150,7 @@ class HamiltonianInstance:
         return Mixture.from_terms(terms, n_species=self.layout.n_species)
 
     def memory_entries(self) -> int:
-        return disorder_entries(self.mixture, self.layout)
+        return block_entries(self.mixture, self.layout)
 
     @functools.cached_property
     def group(self) -> InstanceGroup:
@@ -203,20 +162,23 @@ class HamiltonianInstance:
 def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int) -> HamiltonianInstance:
     """Draw the disorder for mixture xi on the given layout.
 
-    Per mixture term and in the fixed lexicographic term order, the draw is
-    a dense (N,)*k array of i.i.d. standard normals indexed by the k
-    coordinates, of which only the canonical block is kept: the sum over the
-    term's slot orderings of the matching sub-blocks, scaled by the
-    per-pattern coefficient.  The draw is streamed, so it is never held
-    whole.  Models over DEFAULT_MEMORY_BUDGET dense entries are refused.
+    Per mixture term, in the fixed lexicographic term order, the canonical
+    block is i.i.d. standard normals of its shape scaled in place to variance
+    Delta_p^2 / prod_s N_s^p(s): the law of summing per-tuple normals over the
+    term's slot orderings, and that draw exactly for one species.  Models
+    whose blocks hold over DEFAULT_MEMORY_BUDGET entries are refused.
     """
     if xi.n_species != layout.n_species:
         raise ValueError(f"mixture has {xi.n_species} species, layout {layout.n_species}")
     _check_budget(xi, layout)
     rng = np.random.default_rng(int(seed))
-    blocks = tuple(_draw_block(rng, layout, p, _tuple_scalar(layout, p, delta_sq))
-                   for p, delta_sq in xi.terms)
-    return HamiltonianInstance(xi, layout, int(seed), blocks)
+    blocks = []
+    for p, delta_sq in xi.terms:
+        block = rng.standard_normal(tuple(layout.sizes[s] for s in _slots(p)))
+        block *= _block_scale(layout, p, delta_sq)
+        block.setflags(write=False)
+        blocks.append(block)
+    return HamiltonianInstance(xi, layout, int(seed), tuple(blocks))
 
 
 def energy(h: HamiltonianInstance, sigma: Configuration) -> float:

@@ -17,6 +17,7 @@ refusing bad input with a ConfigError at the path of the bad field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -55,7 +56,7 @@ class SpeciesLayout:
 
     def __post_init__(self):
         species = tuple(str(s) for s in self.species)
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(_integral(n, "block size") for n in self.sizes)
         if len(species) == 0:
             raise ValueError("layout needs at least one species")
         if len(set(species)) != len(species):
@@ -87,6 +88,13 @@ class SpeciesLayout:
         return SpeciesLayout(self.species, tuple(n * factor for n in self.sizes))
 
 
+def _integral(value, what: str) -> int:
+    """int(value) for an integral real value, numpy ints and 3.0 included."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_overlap_array(q, n_species: int) -> np.ndarray:
     """Coerce a sequence or array of per-species values to a float vector."""
     vals = np.asarray(q, dtype=float)
@@ -96,17 +104,17 @@ def as_overlap_array(q, n_species: int) -> np.ndarray:
 
 
 def require_shell_overlap(q, n_species: int) -> np.ndarray:
-    """Validate a shell parameter: every q(s) in [0, 1)."""
+    """Validate a shell parameter: every q(s) in [0, 1), so never NaN."""
     vals = as_overlap_array(q, n_species)
-    if np.any(vals < 0.0) or np.any(vals >= 1.0):
+    if not np.all((vals >= 0.0) & (vals < 1.0)):
         raise ValueError(f"shell overlap must lie in [0, 1) per species, got {vals}")
     return vals
 
 
 def require_measured_overlap(q, n_species: int) -> np.ndarray:
-    """Validate a measured overlap: every value in [-1-1e-9, 1+1e-9]."""
+    """Validate a measured overlap: every value in [-1-1e-9, 1+1e-9], so never NaN."""
     vals = as_overlap_array(q, n_species)
-    if np.any(np.abs(vals) > 1.0 + 1e-9):
+    if not np.all(np.abs(vals) <= 1.0 + 1e-9):
         raise ValueError(f"measured overlap outside [-1-1e-9, 1+1e-9]: {vals}")
     return vals
 
@@ -126,7 +134,7 @@ class Mixture:
     def __post_init__(self):
         seen = {}
         for p, c in self.terms:
-            p = tuple(int(d) for d in p)
+            p = tuple(_integral(d, "degree") for d in p)
             c = float(c)
             if len(p) != self.n_species:
                 raise ValueError(f"degree key {p} does not match {self.n_species} species")

@@ -467,7 +467,7 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
     def test_model_over_disorder_budget_exit_code(self, tmp_path, capsys):
-        # 40^6 dense entries exceed the default budget of 2^28: refused at
+        # 40^6 block entries exceed the default budget of 2^28: refused at
         # parse time, before any command draws disorder
         doc = {"model": {"species": ["a"], "sizes": [40],
                          "terms": [{"p": [6], "delta_sq": 1.0}]},
@@ -477,6 +477,21 @@ class TestCommands:
         assert main(["ground-state", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "model: " in err and "budget" in err
+        assert not out.exists()
+
+    def test_block_budget_admits_many_species_cross_terms(self, tmp_path, capsys):
+        # the budget counts block entries: 40^4 for (1,1,1,1) on 4 x 40 passes,
+        # although the 160^4 dense index tuples exceed 2^28; 129^4 blocks do not
+        doc = {"model": {"species": ["a", "b", "c", "d"], "sizes": [40] * 4,
+                         "terms": [{"p": [1, 1, 1, 1], "delta_sq": 1.0}]},
+               "ground_state": {"q": [0.5] * 4, "seeds": 1}}
+        assert parse_config(json.dumps(doc)).layout.sizes == (40,) * 4
+        doc["model"]["sizes"] = [129] * 4
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["ground-state", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "model: " in err and "block entries" in err and "budget" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

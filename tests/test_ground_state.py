@@ -99,9 +99,11 @@ def test_batched_ascent_matches_restarts_run_alone(terms, sizes, q, restarts, ma
     res = ascend(h, q, restarts, max_iters, np.random.default_rng(5))
     streams = np.random.default_rng(5).spawn(restarts)
     alone = [_ascend_one_restart(h, np.array(q), max_iters, st) for st in streams]
-    assert res.iteration_counts == tuple(it for _, it in alone)
+    # the two project onto the shell with different roundoff, which can move
+    # the stop by one iteration and reorder restarts tied at the maximum
+    assert all(abs(a - b) <= 1 for a, (_, b) in zip(res.iteration_counts, alone))
     values = [v for v, _ in alone]
-    assert res.best_restart == int(np.argmax(values))
+    assert values[res.best_restart] == pytest.approx(max(values), rel=1e-12)
     assert res.energy_per_spin * lay.n == pytest.approx(max(values), rel=1e-12)
 
 
@@ -206,8 +208,11 @@ def test_bilinear_eigen_oracle_matches_ascent():
         q = [0.3, 0.5, 0.7][:lay.n_species]
         for seed in range(3):
             h = build_instance(xi, lay, seed=seed)
-            res = ascend(h, q, 6, 300, np.random.default_rng(seed))
+            # the benchmark gate's 2000 iterations: 300 leave a slow restart
+            # short of the maximum on some instances
+            res = ascend(h, q, 6, 2000, np.random.default_rng(seed))
             oracle = eigen_oracle_2spin(h, q)
+            assert res.converged_fraction == 1.0
             assert res.energy_per_spin == pytest.approx(oracle, rel=1e-9)
             assert oracle > 0.0
 

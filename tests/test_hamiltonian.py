@@ -1,11 +1,9 @@
 """Hamiltonian realization: coefficients, determinism, covariance, field."""
 
-import itertools
 import json
 import math
 import re
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -62,15 +60,31 @@ def test_pair_coefficient_frozen_single_species():
 
 
 def test_pair_coefficient_frozen_two_species():
-    # xi = x_a x_b with N_a = N_b = 2: cross pairs carry squared coefficient
-    # (1! 1! / 2!) (1/2)(1/2) = 1/8 and same-species pairs are masked out
+    # xi = x_a x_b with N_a = N_b = 2: the one (a, b) block holds i.i.d.
+    # normals of variance Delta^2 / (N_a N_b) = 1/4, drawn in its own shape
     lay = SpeciesLayout(("a", "b"), (2, 2))
     mix = Mixture.from_terms({(1, 1): 1.0})
     h = build_instance(mix, lay, seed=123)
     ones = Configuration(np.ones(4), lay)
-    j = np.random.default_rng(123).standard_normal((4, 4))
-    cross = j[:2, 2:].sum() + j[2:, :2].sum()
-    assert energy(h, ones) == pytest.approx(2.0 * math.sqrt(1 / 8) * cross, abs=1e-12)
+    j = np.random.default_rng(123).standard_normal((2, 2))
+    np.testing.assert_allclose(h.tensors[0], math.sqrt(1 / 4) * j, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(h.raw_disorder[0], j)
+    assert energy(h, ones) == pytest.approx(2.0 * math.sqrt(1 / 4) * j.sum(), abs=1e-12)
+
+
+def test_one_species_blocks_frozen():
+    # a one-species block is the seeded draw in its own shape: these values
+    # were pinned when each block was still folded from a dense draw
+    lay = SpeciesLayout(("a",), (2,))
+    h = build_instance(Mixture.from_terms({(2,): 0.6, (3,): 0.3}), lay, seed=2024)
+    np.testing.assert_array_equal(h.tensors[0], [
+        [0.39847455384467373, 0.635912897332357],
+        [0.4441225640898488, -0.3769108056303196]])
+    np.testing.assert_array_equal(h.tensors[1], [
+        [[-0.26971457889318484, 0.013012518205809993],
+         [0.16679988802118711, 0.09860359960190078]],
+        [[0.3505602940562581, 0.14540021335668307],
+         [0.12388890489768199, -0.1416199972713648]]])
 
 
 def test_rebuild_is_bit_identical():
@@ -142,6 +156,23 @@ def test_empirical_covariance_matches_mixture():
         assert abs(got - want) <= 3 * se
 
 
+def test_empirical_covariance_three_species_cross_term():
+    # a (1,1,1) block drawn in its own shape still has covariance N xi(R)
+    lay = SpeciesLayout(("a", "b", "c"), (2, 2, 2))
+    mix = Mixture.from_terms({(1, 1, 1): 1.0})
+    rng = np.random.default_rng(8)
+    pairs = [(sample_uniform(lay, rng), sample_uniform(lay, rng)) for _ in range(5)]
+    coords = np.array([p.coords for pair in pairs for p in pair])
+    n_inst = 20000
+    prods = np.empty((n_inst, 5))
+    for i in range(n_inst):
+        vals = energy_many(build_instance(mix, lay, seed=1000 + i), coords)
+        prods[i] = vals[0::2] * vals[1::2] / lay.n
+    for k, (a, b) in enumerate(pairs):
+        se = prods[:, k].std(ddof=1) / math.sqrt(n_inst)
+        assert abs(prods[:, k].mean() - eval_mixture(mix, overlap(a, b))) <= 3 * se
+
+
 def test_gradient_linear_term_constant():
     lay = SpeciesLayout(("a", "b"), (3, 2))
     mix = Mixture.from_terms({(1, 0): 0.9, (0, 1): 0.4})
@@ -202,6 +233,14 @@ def test_memory_budget_refusal():
         build_instance(mix, lay, seed=0)
     small = build_instance(mix, SpeciesLayout(("a",), (8,)), seed=0)
     assert small.memory_entries() == 8**3
+    # the budget counts block entries: (1,1,1,1) on 4 x 40 holds 40^4, well
+    # inside 2^28, although its 160^4 dense index tuples are not
+    cross = Mixture.from_terms({(1, 1, 1, 1): 1.0})
+    h = build_instance(cross, SpeciesLayout(("a", "b", "c", "d"), (40,) * 4), seed=3)
+    assert h.tensors[0].shape == (40,) * 4
+    assert h.memory_entries() == 40**4 < 2**28 < 160**4
+    with pytest.raises(ValueError, match="block entries"):
+        build_instance(cross, SpeciesLayout(("a", "b", "c", "d"), (129,) * 4), seed=3)
 
 
 def test_realize_single_point_variance():
@@ -517,27 +556,17 @@ def test_field_contribution_bound_on_replica_tuples():
         assert abs(total) / (lay.n * n_rep) <= bound + 1e-12
 
 
-def _pattern_mask(sizes, p):
-    """0/1 dense tensor over index tuples marking those whose species pattern is p."""
-    n = sum(sizes)
-    starts = np.cumsum((0,) + tuple(sizes))
-    indicators = [np.where((np.arange(n) >= lo) & (np.arange(n) < hi), 1.0, 0.0)
-                  for lo, hi in zip(starts[:-1], starts[1:])]
-    slots = [s for s, c in enumerate(p) for _ in range(c)]
-    mask = np.zeros((n,) * len(slots))
-    for order in set(itertools.permutations(slots)):
-        mask += reduce(np.multiply.outer, [indicators[s] for s in order])
-    return mask
-
-
 def _dense_reference(h):
-    """Per-term dense coefficient arrays: the raw normals on the term's
-    species pattern, times sqrt(Delta_p^2 prod_s p(s)! / (k! prod_s N_s^p(s)))."""
+    """Per-term dense (N,)*k coefficient arrays, zero outside the term's
+    canonical sub-block, which holds the raw normals times
+    sqrt(Delta_p^2 / prod_s N_s^p(s))."""
     arrays = []
+    slices = h.layout.slices
     for (p, delta_sq), j in zip(h.mixture.terms, h.raw_disorder):
-        scale = delta_sq * math.prod(math.factorial(c) / h.layout.sizes[s] ** c
-                                     for s, c in enumerate(p)) / math.factorial(sum(p))
-        arrays.append(math.sqrt(scale) * _pattern_mask(h.layout.sizes, p) * j)
+        scale = math.sqrt(delta_sq / math.prod(h.layout.sizes[s] ** c for s, c in enumerate(p)))
+        dense = np.zeros((h.layout.n,) * sum(p))
+        dense[tuple(slices[s] for s, c in enumerate(p) for _ in range(c))] = scale * j
+        arrays.append(dense)
     return arrays
 
 

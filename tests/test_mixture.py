@@ -236,6 +236,29 @@ def test_layout_validation():
     assert single.proportions == (1.0,)
 
 
+def test_constructors_refuse_non_integral_sizes_and_degrees():
+    # integral values of any numeric type are taken; 3.9 or 1.7 is not truncated
+    lay = SpeciesLayout(("a", "b"), (np.int64(3), 4.0))
+    assert lay.sizes == (3, 4) and all(type(n) is int for n in lay.sizes)
+    mix = Mixture.from_terms({(np.int32(1), 1.0): 0.5})
+    assert mix.degrees == ((1, 1),) and all(type(d) is int for d in mix.degrees[0])
+    for bad in (3.9, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            SpeciesLayout(("a",), (bad,))
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        Mixture.from_terms({(1.7, 1): 1.0})
+
+
+def test_non_finite_overlaps_refused():
+    lay = SpeciesLayout(("a", "b"), (3, 5))
+    for q in ([math.nan, 0.2], [0.2, math.inf], [-math.inf, 0.2]):
+        with pytest.raises(ValueError, match="shell overlap"):
+            log_volume_term(lay, q)
+    from multispin.mixture import require_measured_overlap
+    with pytest.raises(ValueError, match="measured overlap"):
+        require_measured_overlap([math.nan, 0.2], 2)
+
+
 def test_overlap_vector_ranges():
     from multispin.mixture import require_measured_overlap, require_shell_overlap
 

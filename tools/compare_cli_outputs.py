@@ -2,13 +2,13 @@
 
     python tools/compare_cli_outputs.py --ref <reference src dir>
 
-Runs `free-energy`, `ground-state`, `tap-scan` and `multisamp` on five fixed
+Runs `free-energy`, `ground-state`, `tap-scan` and `multisamp` on six fixed
 configs with the `multispin` package of each tree (the reference and this
 repository's `src/`), and reports the `out_dir` files, stdout and exit codes
 that differ.  One config is a corner model of six one-coordinate species
 with fewer restarts than sign patterns, where the shell ground state must
 be enumerated.  Runs `verify` on the same configs
-and on 50 (model, master seed, mutation) combinations, and reports any
+and on 60 (model, master seed, mutation) combinations, and reports any
 difference in the exit code, the check names, their order or their `passed`
 flags; `detail` strings (Monte Carlo estimates and roundoff-level deviations)
 are only counted, per check.  Last, it compares the reprs of library values
@@ -97,6 +97,17 @@ CONFIGS = {
         "ground_state": {"q": [0.5] * 6, "restarts": 2, "seeds": 4},
         "tap_scan": {"q_grid": [[0.0] * 6, [0.5] * 6], "seeds": 3, "restarts": 2},
         "multisamp": {"q": [0.0] * 6, "eps_grid": [0.6], "beta_grid": _betas(4),
+                      "sweeps": 60, "seeds": 2},
+    },
+    # one species: its blocks are the seeded per-tuple draws themselves
+    "one-species-12": {
+        "master_seed": 21,
+        "model": _model((12,), [((2,), 0.7), ((3,), 0.4)]),
+        "free_energy": {"beta_grid": _betas(6), "sweeps": 60, "seeds": 3},
+        "ground_state": {"q": [0.5], "restarts": 2, "max_iters": 50, "seeds": 3},
+        "tap_scan": {"q_grid": [[0.3]], "beta_grid": _betas(6), "sweeps": 60,
+                     "seeds": 2, "restarts": 2, "max_iters": 50},
+        "multisamp": {"q": [0.0], "eps_grid": [0.6, 0.3], "beta_grid": _betas(4),
                       "sweeps": 60, "seeds": 2},
     },
     # one full-size unit of the benchmark's tap_scan workload
