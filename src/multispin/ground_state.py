@@ -19,8 +19,7 @@ from .hamiltonian import (
     HamiltonianInstance,
     build_instance,
     energy_many,
-    group_energies,
-    group_gradients,
+    group_energies_and_gradients,
     stack_instances,
 )
 from .mixture import Mixture, SpeciesLayout, require_shell_overlap
@@ -84,12 +83,14 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     Each restart starts uniformly on the shell, from its own stream, and
     follows the per-species tangent gradient with Armijo backtracking
     (shrink 0.5, slope 1e-4, initial step 1/sqrt(N)), re-projecting every
-    block after each step.  A step must also gain 32 ulps of |energy|, so
-    roundoff does not decide when a restart stops, and backtracking ends
-    once a step's first-order gain falls under that floor.  The (instance,
-    restart) rows advance together as one fixed-shape batch, and a row that
-    has stopped is masked, not dropped, so each result equals the one its
-    instance gets on its own.  A restart stops when its tangent gradient
+    block after each step; each Armijo round is one energy-and-gradient
+    pass, and an accepted step keeps its gradient for the next iteration.
+    A step must also gain 32 ulps of |energy|, so a gain made only of
+    roundoff does not pass, and backtracking ends once a step's first-order
+    gain falls under that floor.  The (instance, restart) rows advance
+    together as one fixed-shape batch, and a row that has stopped is masked,
+    not dropped, so each result equals the one its instance gets on its
+    own.  A restart stops when its tangent gradient
     falls below tolerance or no step passes the test (both count as
     converged).  The best restart is the lowest index whose final energy is
     within 64 ulps (two such gains) of the best, so restarts that reach the
@@ -112,7 +113,7 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
         return [_shell_maximum(h, patterns, restarts) for h in hs]
     coords = np.array([[sample_on_shell(layout, qv, stream).coords
                         for stream in rng.spawn(restarts)] for rng in rngs])
-    values = group_energies(group, coords)
+    values, grads = group_energies_and_gradients(group, coords)
     step0 = 1.0 / math.sqrt(layout.n)
     steps = np.full(values.shape, step0)
     counts = np.full(values.shape, max_iters)
@@ -120,24 +121,26 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     for it in range(1, max_iters + 1):
         if not active.any():
             break
-        t = _tangent(group_gradients(group, coords), coords, layout, qv)
+        t = _tangent(grads, coords, layout, qv)
         t_norm_sq = np.einsum("...j,...j->...", t, t)
         flat = active & (np.sqrt(t_norm_sq) / layout.n < _GRAD_TOL_PER_SPIN)
         counts[flat] = it - 1
         active &= ~flat
         trial = np.minimum(steps * 2.0, step0)
         searching, moved = active.copy(), np.zeros_like(active)
+        # a row's value changes only when its search ends
+        floor = _GAIN_ULPS * np.spacing(np.abs(values))
         for _ in range(_MAX_BACKTRACKS):
             if not searching.any():
                 break
             cand = _to_shell(coords + trial[..., None] * t, layout, qv)
-            cand_values = group_energies(group, cand)
-            floor = _GAIN_ULPS * np.spacing(np.abs(values))
+            cand_values, cand_grads = group_energies_and_gradients(group, cand)
             ok = searching & (cand_values >= values + np.maximum(
                 _ARMIJO_SLOPE * trial * t_norm_sq, floor))
-            coords[ok] = cand[ok]
-            values[ok] = cand_values[ok]
-            steps[ok] = trial[ok]
+            np.copyto(coords, cand, where=ok[..., None])
+            np.copyto(grads, cand_grads, where=ok[..., None])
+            np.copyto(values, cand_values, where=ok)
+            np.copyto(steps, trial, where=ok)
             moved |= ok
             trial *= _ARMIJO_SHRINK
             # near a maximum a step gains at most trial * t_norm_sq, so a step

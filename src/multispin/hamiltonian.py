@@ -51,6 +51,7 @@ __all__ = [
     "stack_instances",
     "group_energies",
     "group_gradients",
+    "group_energies_and_gradients",
     "block_entries",
     "realize_on_points",
     "factor_covariance",
@@ -237,67 +238,70 @@ def stack_instances(hs) -> InstanceGroup:
     return InstanceGroup(len(hs), first.layout, first.slot_slices, blocks, flats, fields)
 
 
-def _check_group_rows(group: InstanceGroup, coords) -> np.ndarray:
+def _contract(group: InstanceGroup, coords, gradients: bool):
+    """(energies, gradients or None) of coords (K, batch, N), row b of
+    instance k on instance k.  Energies: per term, one stacked matrix
+    product over the block's last axis, then batched matrix-vector products
+    down to slot 0, in row chunks whose intermediates stay below about
+    _BATCH_ELEMENT_CAP floats; before its last fold this holds slot 0's
+    gradient part.  Slot c > 0 contracts a prefix (slots 0..c-1 folded in,
+    slot 0 by one stacked matrix product) with the trailing slots."""
     coords = np.asarray(coords, dtype=float)
     k, n = group.size, group.layout.n
     if coords.ndim != 3 or coords.shape[0] != k or coords.shape[2] != n:
         raise ValueError(f"expected ({k}, batch, {n}) coordinates")
-    return coords
-
-
-def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
-    """Energies of a batch of configurations per instance: coords has shape
-    (K, batch, N) and row b of instance k is evaluated on instance k.  Each
-    term is one stacked matrix product over the block's last axis, then
-    batched matrix-vector products, chunked so intermediates stay below
-    about _BATCH_ELEMENT_CAP floats."""
-    coords = _check_group_rows(group, coords)
-    k, n = group.size, group.layout.n
     n_batch = coords.shape[1]
     out = np.zeros((k, n_batch))
-    for slices, flat in zip(group.slot_slices, group.flats):
+    g = np.zeros_like(coords) if gradients else None
+    for slices, flat, block in zip(group.slot_slices, group.flats, group.blocks):
         chunk = max(1, _BATCH_ELEMENT_CAP // (k * flat.shape[2]))
         for lo in range(0, n_batch, chunk):
             rows = coords[:, lo:lo + chunk]
+            part = g[:, lo:lo + chunk] if gradients else None
             v = rows[..., slices[-1]] @ flat
-            rows = rows.reshape(-1, n)
-            for sl in reversed(slices[:-1]):
-                v = v.reshape(len(rows), -1, sl.stop - sl.start) @ rows[:, sl, None]
+            flat_rows = rows.reshape(-1, n)
+            for c in range(len(slices) - 2, -1, -1):
+                if c == 0 and gradients:
+                    part[..., slices[0]] += v.reshape(rows.shape[:2] + (-1,))
+                v = v.reshape(len(flat_rows), -1, slices[c].stop - slices[c].start) @ \
+                    flat_rows[:, slices[c], None]
             out[:, lo:lo + chunk] += v.reshape(k, -1)
+            if gradients and len(slices) == 1:
+                part[..., slices[0]] += block[:, None]
+            for c in range(1, len(slices) if gradients else 0):
+                d = slices[c - 1].stop - slices[c - 1].start
+                prefix = (rows[..., slices[0]] @ block.reshape(len(block), d, -1) if c == 1 else
+                          (rows[..., None, slices[c - 1]] @ prefix.reshape(
+                              prefix.shape[:2] + (d, -1)))[..., 0, :])
+                t = prefix
+                for sl in reversed(slices[c + 1:]):
+                    t = (t.reshape(t.shape[:2] + (-1, sl.stop - sl.start)) @ rows[..., sl, None])[..., 0]
+                part[..., slices[c]] += t
     out *= math.sqrt(n)
     if group.fields is not None:
         fields = np.broadcast_to(group.fields, (k, n))
         for i in range(k):
             out[i] += coords[i] @ fields[i]
-    return out
+    if gradients:
+        g *= math.sqrt(n)
+        if group.fields is not None:
+            g += group.fields[:, None]
+    return out, g
+
+
+def group_energies(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
+    """Energies of coords (K, batch, N): the energy half of _contract."""
+    return _contract(group, coords, False)[0]
 
 
 def group_gradients(group: InstanceGroup, coords: np.ndarray) -> np.ndarray:
-    """Euclidean energy gradients of a batch of configurations per instance,
-    coords of shape (K, batch, N) as in group_energies.
+    """Euclidean energy gradients of coords: the gradient half of _contract."""
+    return _contract(group, coords, True)[1]
 
-    Per term, block axis c takes the block contracted on every other axis:
-    the leading axes are folded in once per row, as a running prefix, and
-    the trailing axes per slot, as batched matrix-vector products.
-    """
-    coords = _check_group_rows(group, coords)
-    k, n_batch = coords.shape[:2]
-    g = np.zeros_like(coords)
-    for slices, a in zip(group.slot_slices, group.blocks):
-        prefix = a[:, None]  # axis 1: 1 until the first fold, then the batch
-        for c, sl in enumerate(slices):
-            t = prefix
-            for rest in reversed(slices[c + 1:]):
-                t = t.reshape(t.shape[:2] + (-1, rest.stop - rest.start)) @ coords[..., rest, None]
-            g[..., sl] += t.reshape(t.shape[:2] + (-1,))
-            if c + 1 < len(slices):
-                d = sl.stop - sl.start
-                prefix = (coords[:, :, None, sl] @ prefix.reshape(prefix.shape[:2] + (d, -1))
-                          ).reshape((k, n_batch) + a.shape[c + 2:])
-    g *= math.sqrt(group.layout.n)
-    if group.fields is not None:
-        g += group.fields[:, None]
-    return g
+
+def group_energies_and_gradients(group: InstanceGroup, coords: np.ndarray):
+    """(group_energies, group_gradients) from one contraction pass."""
+    return _contract(group, coords, True)
 
 
 def energy_many(h: HamiltonianInstance, coords: np.ndarray) -> np.ndarray:
@@ -345,15 +349,20 @@ def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> 
     return factor_covariance(cov) @ z
 
 
-def _base_coefficients(shifted: Mixture, q: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Invert the overlap-shift map on the |p| >= 2 block.
+@functools.lru_cache(maxsize=128)
+def _field_coefficients(shifted: Mixture, q: tuple[float, ...]) -> np.ndarray:
+    """Read-only per-species field coefficients D_s = sqrt((1 - q_s) d_s
+    xi(q)) of the base mixture xi that the mixture shifted recenters at q,
+    the same for every instance of one (mixture, q).
 
-    Solves for base coefficients c_p (all |p| >= 2) such that shifting them
-    to center q reproduces the given mixture's terms; the map is triangular
-    in the componentwise partial order with diagonal prod_s (1-q_s)^p(s) > 0.
-    Base one-spin coefficients are taken to be zero (they leave no trace in
-    the shifted |p| >= 2 block).
+    Inverts the overlap-shift map on the |p| >= 2 block: solves for base
+    coefficients c_p (all |p| >= 2) such that shifting them to center q
+    reproduces the given mixture's terms; the map is triangular in the
+    componentwise partial order with diagonal prod_s (1-q_s)^p(s) > 0.  Base
+    one-spin coefficients are taken to be zero (they leave no trace in the
+    shifted |p| >= 2 block).
     """
+    qv = np.array(q)
     targets = shifted.as_dict()
     if any(sum(p) < 2 for p in targets):
         raise ValueError("shifted mixture must not carry one-spin terms")
@@ -365,18 +374,22 @@ def _base_coefficients(shifted: Mixture, q: np.ndarray) -> dict[tuple[int, ...],
                 continue
             w = c
             for s in range(len(p)):
-                w *= math.comb(pp[s], p[s]) * (1.0 - q[s]) ** p[s] * q[s] ** (pp[s] - p[s])
+                w *= math.comb(pp[s], p[s]) * (1.0 - qv[s]) ** p[s] * qv[s] ** (pp[s] - p[s])
             acc -= w
         diag = 1.0
         for s in range(len(p)):
-            diag *= (1.0 - q[s]) ** p[s]
+            diag *= (1.0 - qv[s]) ** p[s]
         val = acc / diag
         if val < -1e-9:
             raise ValueError(
                 f"mixture is not a recentering of a nonnegative mixture (degree {p})")
         if val > 0.0:
             solved[p] = val
-    return solved
+    slope = (grad_mixture(Mixture.from_terms(solved, n_species=len(q)), qv) if solved
+             else np.zeros(len(q)))
+    delta = np.sqrt((1.0 - qv) * slope)
+    delta.setflags(write=False)
+    return delta
 
 
 def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianInstance:
@@ -390,13 +403,7 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
     """
     layout = hq.layout
     qv = require_shell_overlap(q, layout.n_species)
-    base = _base_coefficients(hq.mixture, qv)
-    if base:
-        base_mix = Mixture.from_terms(base, n_species=layout.n_species)
-        slope = grad_mixture(base_mix, qv)
-    else:
-        slope = np.zeros(layout.n_species)
-    delta = np.sqrt((1.0 - qv) * slope)
+    delta = _field_coefficients(hq.mixture, tuple(qv.tolist()))
     rng = np.random.default_rng(int(seed))
     normals = rng.standard_normal(layout.n)
     vector = normals * np.repeat(np.sqrt(layout.n / layout.size_array) * delta,

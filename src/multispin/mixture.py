@@ -165,7 +165,7 @@ class Mixture:
         return dict(self.terms)
 
     def coefficient(self, p: Sequence[int]) -> float:
-        return self.as_dict().get(tuple(int(d) for d in p), 0.0)
+        return self.as_dict().get(tuple(_integral(d, "degree") for d in p), 0.0)
 
     @property
     def degrees(self) -> tuple[tuple[int, ...], ...]:

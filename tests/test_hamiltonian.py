@@ -19,6 +19,7 @@ from multispin.geometry import (
     save_configuration,
 )
 from multispin.ground_state import ascend, eigen_oracle_2spin
+from multispin import hamiltonian
 from multispin.hamiltonian import (
     attach_external_field,
     build_instance,
@@ -28,6 +29,7 @@ from multispin.hamiltonian import (
     gradient,
     gradient_many,
     group_energies,
+    group_energies_and_gradients,
     group_gradients,
     lipschitz_ratio,
     load_instance,
@@ -586,8 +588,9 @@ def _dense_energy_and_gradient(arrays, x):
 
 
 def test_blocks_match_dense_reference():
-    # energy, energy_many and gradient on the canonical blocks agree with the
-    # dense masked layout, on unequal sizes, up to 3 species and degree 4
+    # energy, energy_many, gradient and the energy-and-gradient pass on the
+    # canonical blocks agree with the dense masked layout, on unequal sizes,
+    # up to 3 species and degree 4
     rng = np.random.default_rng(41)
     for trial in range(12):
         n_species = 1 + trial % 3
@@ -600,6 +603,8 @@ def test_blocks_match_dense_reference():
         pts = [sample_uniform(lay, rng) for _ in range(5)]
         batch = energy_many(h, np.array([p.coords for p in pts]))
         batch_g = gradient_many(h, np.array([p.coords for p in pts]))
+        pass_e, pass_g = group_energies_and_gradients(h.group, np.array([[p.coords for p in pts]]))
+        assert np.array_equal(pass_e[0], batch)
         for k, sig in enumerate(pts):
             want_e, want_g = _dense_energy_and_gradient(dense, sig.coords)
             # rounding scale: the same sums taken over absolute values
@@ -608,6 +613,7 @@ def test_blocks_match_dense_reference():
             assert abs(batch[k] - want_e) <= 1e-12 * scale_e
             assert np.all(np.abs(gradient(h, sig) - want_g) <= 1e-12 * scale_g)
             assert np.all(np.abs(batch_g[k] - want_g) <= 1e-12 * scale_g)
+            assert np.all(np.abs(pass_g[0, k] - want_g) <= 1e-12 * scale_g)
 
 
 def test_group_energies_match_each_instance():
@@ -623,6 +629,9 @@ def test_group_energies_match_each_instance():
         assert np.array_equal(grouped[k], energy_many(h, coords[k]))
     assert all(np.array_equal(g, gradient_many(h, c)) for g, h, c in
                zip(group_gradients(stack_instances(hs), coords), hs, coords))
+    for k, (e, g) in enumerate(zip(*group_energies_and_gradients(stack_instances(hs), coords))):
+        assert np.array_equal(e, energy_many(hs[k], coords[k]))
+        assert np.array_equal(g, gradient_many(hs[k], coords[k]))
     other = build_instance(Mixture.from_terms({(1, 1): 1.0}), lay, seed=1)
     with pytest.raises(ValueError):
         stack_instances([hs[0], other])
@@ -648,6 +657,30 @@ def test_repeated_instance_group_shares_blocks():
             assert np.array_equal(grouped[k], energy_many(inst, coords[k]))
         assert all(np.array_equal(g, gradient_many(inst, c)) for g, c in
                    zip(group_gradients(stack_instances([inst] * 3), coords), coords))
+        energies, grads = group_energies_and_gradients(stack_instances([inst] * 3), coords)
+        assert np.array_equal(energies, grouped)
+        assert all(np.array_equal(g, gradient_many(inst, c)) for g, c in zip(grads, coords))
+
+
+def test_energy_and_gradient_pass_splits_into_chunks(monkeypatch):
+    # under a small element cap the pass runs in row chunks: its energies
+    # still equal group_energies bit for bit, and its gradients the ones of
+    # the unsplit batch, on every slot count from 1 to 3 and with a field
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
+    hs = [build_instance(mix, lay, seed=80 + i) for i in range(3)]
+    hs[1] = attach_external_field(build_instance(
+        Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5}), lay, seed=81), [0.2, 0.4], seed=9)
+    coords = np.random.default_rng(5).standard_normal((3, 7, lay.n))
+    for group in (stack_instances([hs[0], hs[2], hs[0]]),
+                  stack_instances([hs[1]] * 3)):
+        whole = group_energies_and_gradients(group, coords)
+        monkeypatch.setattr(hamiltonian, "_BATCH_ELEMENT_CAP", 3 * 9 * 2)
+        energies, grads = group_energies_and_gradients(group, coords)
+        assert np.array_equal(energies, group_energies(group, coords))
+        np.testing.assert_allclose(energies, whole[0], rtol=1e-14)
+        np.testing.assert_allclose(grads, whole[1], rtol=1e-14, atol=1e-14)
+        monkeypatch.undo()
 
 
 def test_group_gradients_match_central_differences():

@@ -249,6 +249,15 @@ def test_constructors_refuse_non_integral_sizes_and_degrees():
         Mixture.from_terms({(1.7, 1): 1.0})
 
 
+def test_coefficient_looks_up_integral_keys_only():
+    # the lookup reads keys as the constructors do: (1.7, 1) is not (1, 1)
+    mix = Mixture.from_terms({(1, 1): 0.5})
+    assert mix.coefficient((np.int64(1), 1.0)) == 0.5
+    assert mix.coefficient((2, 0)) == 0.0
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        mix.coefficient((1.7, 1))
+
+
 def test_non_finite_overlaps_refused():
     lay = SpeciesLayout(("a", "b"), (3, 5))
     for q in ([math.nan, 0.2], [0.2, math.inf], [-math.inf, 0.2]):
