@@ -11,14 +11,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .mixture import (
+    ConfigError,
     SpeciesLayout,
     _at,
     _expect_schema,
+    _integral,
     as_overlap_array,
     layout_from_json,
     layout_to_json,
@@ -93,26 +95,29 @@ class BandSpec:
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0 or self.rho < 0:
+        if not (self.delta >= 0 and self.rho >= 0):
             raise ValueError("delta and rho must be >= 0")
+        object.__setattr__(self, "n", _integral(self.n, "replica count"))
         if self.n < 1:
             raise ValueError("replica count must be >= 1")
-
-    @cached_property
-    def _center_overlap(self) -> np.ndarray:
-        return self.center.self_overlap()
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
         """coords in B(m, delta): every species has |R_s(x, m) - R_s(m, m)| <= delta,
         over the last axis of coords, broadcast over the leading ones."""
         r = species_overlaps(coords, self.center.coords, self.center.layout)
-        return (np.abs(r - self._center_overlap) <= self.delta).all(axis=-1)
+        return (np.abs(r - self.center.self_overlap()) <= self.delta).all(axis=-1)
 
     def pairs_within(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Every species has |R_s(a, b) - R_s(m, m)| <= rho, over the last axis
         of a and b, broadcast over the leading ones."""
         r = species_overlaps(a, b, self.center.layout)
-        return (np.abs(r - self._center_overlap) <= self.rho).all(axis=-1)
+        return (np.abs(r - self.center.self_overlap()) <= self.rho).all(axis=-1)
+
+    def tuples_within(self, tuples: np.ndarray) -> np.ndarray:
+        """pairs_within for every pair i < j of replicas along axis -2 of
+        tuples, broadcast over the leading axes; true for one replica."""
+        i, j = np.triu_indices(tuples.shape[-2], 1)
+        return self.pairs_within(tuples[..., i, :], tuples[..., j, :]).all(axis=-1)
 
 
 def _check_same_layout(a: Configuration, b: Configuration):
@@ -219,8 +224,7 @@ def in_multi_band(replicas, spec: BandSpec) -> bool:
     for sig in replicas:
         _check_same_layout(sig, spec.center)
     coords = np.array([sig.coords for sig in replicas])
-    i, j = np.triu_indices(len(replicas), 1)
-    return bool(spec.contains(coords).all() and spec.pairs_within(coords[i], coords[j]).all())
+    return bool(spec.contains(coords).all() and spec.tuples_within(coords))
 
 
 def tilde_transform(sigma: Configuration, m: Configuration, q) -> Configuration:
@@ -393,7 +397,7 @@ def log_band_volume(layout: SpeciesLayout, q, delta: float) -> float:
     qv = as_overlap_array(q, layout.n_species)
     if np.any(qv < 0.0) or np.any(qv > 1.0):
         raise ValueError("per-species self-overlaps must lie in [0, 1]")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be > 0")
     total = 0.0
     for s, d in enumerate(layout.sizes):
@@ -468,10 +472,14 @@ def save_configuration(cfg: Configuration, path) -> None:
 
 
 def load_configuration(path) -> Configuration:
-    """Read a save_configuration checkpoint; a bad header raises ConfigError at its field."""
+    """Read a save_configuration checkpoint; a bad header raises ConfigError at
+    its field, a body not of finite float64 values at "coords", a miscount at "sizes"."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        coords = np.frombuffer(fh.read(), dtype="<f8")
+        body = fh.read()
     layout = layout_from_json(header, extra=("schema",))
     _expect_schema(header.get("schema"))
+    coords = _at("coords", np.frombuffer, body, "<f8")
+    if not np.isfinite(coords).all():
+        raise ConfigError("coords", "coordinates must be finite")
     return _at("sizes", Configuration, coords, layout)

@@ -11,7 +11,6 @@ are checked against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -124,13 +123,6 @@ class HamiltonianInstance:
     seed: int
     tensors: tuple[np.ndarray, ...]  # canonical blocks, aligned with mixture.terms
     field: ExternalField | None = None
-    # coordinate slice of each block axis, per term; fixed at construction
-    slot_slices: tuple[tuple[slice, ...], ...] = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        species = self.layout.slices
-        object.__setattr__(self, "slot_slices", tuple(
-            tuple(species[s] for s in _slots(p)) for p, _ in self.mixture.terms))
 
     @property
     def raw_disorder(self) -> tuple[np.ndarray, ...]:
@@ -189,7 +181,8 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
         raise ValueError("configuration layout does not match instance")
     x = sigma.coords
     total = 0.0
-    for slices, a in zip(h.slot_slices, h.tensors):
+    for (p, _), a in zip(h.mixture.terms, h.tensors):
+        slices = [h.layout.slices[s] for s in _slots(p)]
         t = a
         for sl in reversed(slices[1:]):
             t = t.reshape(-1, sl.stop - sl.start).dot(x[sl])
@@ -235,7 +228,8 @@ def stack_instances(hs) -> InstanceGroup:
     if any(h.field is not None for h in members):
         zero = np.zeros(first.layout.n)
         fields = np.stack([zero if h.field is None else h.field.vector for h in members])
-    return InstanceGroup(len(hs), first.layout, first.slot_slices, blocks, flats, fields)
+    slot_slices = tuple(tuple(first.layout.slices[s] for s in _slots(p)) for p in keys)
+    return InstanceGroup(len(hs), first.layout, slot_slices, blocks, flats, fields)
 
 
 def _contract(group: InstanceGroup, coords, gradients: bool):
@@ -412,7 +406,7 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
     vector.setflags(write=False)
     field = ExternalField(int(seed), tuple(float(v) for v in qv),
                           tuple(float(d) for d in delta), normals, vector)
-    return dataclasses.replace(hq, field=field)
+    return HamiltonianInstance(hq.mixture, hq.layout, hq.seed, hq.tensors, field)
 
 
 def sample_in_ball(layout: SpeciesLayout, rng: np.random.Generator) -> Configuration:

@@ -110,31 +110,28 @@ def _check_series_budget(rows: int, steps: int) -> None:
         raise ValueError(f"{rows} chains x {steps} sweeps keep a series over the budget")
 
 
-_INIT_BATCH = 200  # band candidates drawn per rejection round
-_INIT_ROUNDS = 100  # rounds before initialization gives up
+_INIT_TUPLES = 20_000  # band tuples drawn before initialization gives up
 
 
 def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Starting tuples, shape (n_chains, 1 or band.n, N): uniform on S_N, or
-    uniform on the band with pairwise rejection when the run is constrained."""
+    for a band, rounds of n_chains i.i.d. band tuples (one draw each) kept
+    where band.tuples_within holds, until n_chains are kept; chains reuse
+    kept tuples cyclically when _INIT_TUPLES draws found fewer."""
     if band is None:
         return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
-    out = np.empty((n_chains, band.n, layout.n))
-    out[:, 0] = sample_uniform_in_band_batch(band.center, band.delta, n_chains, rng)
-    for c in range(n_chains):
-        for r in range(1, band.n):
-            for _ in range(_INIT_ROUNDS):
-                cand = sample_uniform_in_band_batch(band.center, band.delta, _INIT_BATCH, rng)
-                ok = band.pairs_within(cand[:, None, :], out[c, :r]).all(axis=1)
-                if ok.any():
-                    out[c, r] = cand[np.argmax(ok)]
-                    break
-            else:
-                raise ValueError(
-                    "could not initialize replicas inside the pairwise constraint; "
-                    "the constrained set is too small for rejection sampling")
-    return out
+    kept = np.empty((0, band.n, layout.n))
+    for _ in range(-(-_INIT_TUPLES // n_chains)):
+        tuples = sample_uniform_in_band_batch(band.center, band.delta, n_chains * band.n,
+                                              rng).reshape(n_chains, band.n, layout.n)
+        kept = np.concatenate([kept, tuples[band.tuples_within(tuples)]])
+        if len(kept) >= n_chains:
+            break
+    if not len(kept):
+        raise ValueError("could not initialize replicas inside the pairwise constraint; "
+                         "the constrained set is too small for rejection sampling")
+    return kept[np.arange(n_chains) % len(kept)]
 
 
 def _group_sampler(rngs, method):
@@ -182,7 +179,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     replicas also flip single-coordinate blocks together.  After each sweep,
     neighbouring chains (even pairs on even sweeps, odd pairs on odd sweeps)
     swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band
-    run couples band.n replicas; an unconstrained run has one.  Instance k
+    run couples band.n replicas, started by _init_replicas inside the
+    pairwise rule; an unconstrained run has one.  Instance k
     draws all its randomness from rngs[k], as whole arrays over the chain
     axis in a fixed order, so its run depends only on its own seed, not on
     the group.  Without keep_snapshots no thinned states are kept (snapshots
@@ -488,8 +486,7 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         trials = 4000
         tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
             trials, n_rep, n)
-        i, j = np.triu_indices(n_rep, 1)
-        hits = int(spec.pairs_within(tuples[:, i], tuples[:, j]).all(axis=1).sum())
+        hits = int(spec.tuples_within(tuples).sum())
         pair_log = _log_hit_rate(hits, trials)
         if hits == 0:
             pair_se = abs(pair_log)

@@ -26,6 +26,7 @@ from multispin.geometry import (
     rescale_to_shell,
     sample_on_shell,
     sample_uniform,
+    sample_uniform_batch,
     sample_uniform_in_band,
     sample_uniform_in_band_batch,
     save_configuration,
@@ -123,6 +124,17 @@ def test_in_multi_band():
     assert not in_multi_band([sig, sig], spec2)
     with pytest.raises(ValueError):
         in_multi_band([sig], spec2)
+    # the tuple rule is pairs_within over every pair i < j, and in_multi_band
+    # applies it to band members
+    for n in (1, 2, 3):
+        spec = BandSpec(m, delta=2.0, n=n, rho=0.6)
+        tuples = sample_uniform_batch(LAY2, 40 * n, rng).reshape(40, n, LAY2.n)
+        brute = [all(spec.pairs_within(t[i], t[j]) for i in range(n) for j in range(i + 1, n))
+                 for t in tuples]
+        assert spec.tuples_within(tuples).tolist() == brute
+        assert [in_multi_band([Configuration(x, LAY2) for x in t], spec)
+                for t in tuples] == brute
+        assert all(brute) == (n == 1)
 
 
 def test_multi_band_orthogonality_consequence():

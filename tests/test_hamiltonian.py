@@ -533,6 +533,27 @@ def test_mutated_checkpoint_headers_load_or_name_a_field(tmp_path_factory, kind,
         assert re.split(r"[.\[]", exc.path)[0] in known, str(exc)
 
 
+_NAN, _INF = np.float64(math.nan).tobytes(), np.float64(-math.inf).tobytes()
+
+
+@pytest.mark.parametrize("mangle, path", [
+    (lambda body: body + bytes(7), "coords"),
+    (lambda body: body[:-3], "coords"),
+    (lambda body: body + bytes(8), "sizes"),
+    (lambda body: body[:-8], "sizes"),
+    (lambda body: _NAN + body[8:], "coords"),
+    (lambda body: body[:-8] + _INF, "coords"),
+])
+def test_mutated_configuration_body_names_a_field(tmp_path, mangle, path):
+    file = tmp_path / "cfg.bin"
+    save_configuration(sample_uniform(_field_instance().layout, np.random.default_rng(4)), file)
+    header, body = file.read_bytes().split(b"\n", 1)
+    file.write_bytes(header + b"\n" + mangle(body))
+    with pytest.raises(ConfigError) as exc:
+        load_configuration(file)
+    assert exc.value.path == path
+
+
 def test_field_contribution_bound_on_replica_tuples():
     # per-tuple field average obeys sqrt((1/n + rho)/N) ||J|| sum_s D_s
     # on tuples whose pairwise species overlaps are within rho of zero

@@ -14,7 +14,9 @@ from multispin.geometry import (
     Configuration,
     _check_pattern_budget,
     in_multi_band,
+    log_band_volume,
     sample_on_shell,
+    sample_uniform_in_band_batch,
     sign_patterns,
 )
 from multispin.hamiltonian import (
@@ -464,8 +466,17 @@ def test_restricted_fe_matches_enumeration_oracle():
 def test_restricted_fe_validation():
     h = corner_instance()
     rng = np.random.default_rng(0)
+    for delta in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            restricted_fe(h, corner_center(), delta, [0.0, 1.0], 10, rng)
     with pytest.raises(ValueError):
-        restricted_fe(h, corner_center(), -0.1, [0.0, 1.0], 10, rng)
+        log_band_volume(CORNER_LAYOUT, [0.25] * 4, math.nan)
+    # NaN widths and a fractional replica count are refused; an integral
+    # float count is read as an int
+    for widths in ({"rho": math.nan}, {"n": 2.5}, {"n": 0}):
+        with pytest.raises(ValueError):
+            BandSpec(corner_center(), 0.5, **{"n": 2, **widths})
+    assert type(BandSpec(corner_center(), 0.5, n=2.0).n) is int
     outside = Configuration(np.array([1.2, 0.0, 0.0, 0.0]), CORNER_LAYOUT)
     with pytest.raises(ValueError):
         restricted_fe(h, outside, 0.1, [0.0, 1.0], 10, rng)
@@ -565,6 +576,33 @@ def test_constrained_chains_keep_every_tuple_in_multi_band(case):
     for tup in tuples:
         assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)
     assert min(run.accept_rates) > 0.0
+
+
+def test_one_replica_band_start_is_one_band_draw():
+    h, spec = continuous_band_spec()
+    start = thermo._init_replicas(h.layout, BandSpec(spec.center, spec.delta), 11,
+                                  np.random.default_rng(15))
+    draw = sample_uniform_in_band_batch(spec.center, spec.delta, 11, np.random.default_rng(15))
+    np.testing.assert_array_equal(start, draw[:, None])
+
+
+def test_coupled_start_draws_batched_tuples(monkeypatch):
+    # three replicas at rho = 0.5 pass the pairwise rule about half the time,
+    # so a few rounds of 11 tuples start 11 chains
+    h, spec = continuous_band_spec()
+    spec = BandSpec(spec.center, spec.delta, n=3, rho=0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_uniform_in_band_batch(*args)
+
+    monkeypatch.setattr(thermo, "sample_uniform_in_band_batch", counted)
+    start = thermo._init_replicas(h.layout, spec, 11, np.random.default_rng(16))
+    assert start.shape == (11, 3, h.layout.n)
+    for tup in start:
+        assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)
+    assert len(calls) < 11
 
 
 def test_multi_replica_infeasible_pairing_hits_floor():
