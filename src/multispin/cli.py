@@ -290,15 +290,7 @@ def dump_config(config: ExperimentConfig) -> str:
         "out_dir": config.out_dir,
         **{name: getattr(config, name)._asdict() for name in _SECTIONS},
     }
-
-    def listify(obj):
-        if isinstance(obj, tuple):
-            return [listify(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: listify(v) for k, v in obj.items()}
-        return obj
-
-    return json.dumps(listify(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _run_tasks(tasks, workers: int) -> list:

@@ -29,7 +29,6 @@ __all__ = [
     "Mixture",
     "as_overlap_array",
     "require_shell_overlap",
-    "require_measured_overlap",
     "eval_mixture",
     "grad_mixture",
     "shifted_coefficients",
@@ -108,14 +107,6 @@ def require_shell_overlap(q, n_species: int) -> np.ndarray:
     vals = as_overlap_array(q, n_species)
     if not np.all((vals >= 0.0) & (vals < 1.0)):
         raise ValueError(f"shell overlap must lie in [0, 1) per species, got {vals}")
-    return vals
-
-
-def require_measured_overlap(q, n_species: int) -> np.ndarray:
-    """Validate a measured overlap: every value in [-1-1e-9, 1+1e-9], so never NaN."""
-    vals = as_overlap_array(q, n_species)
-    if not np.all(np.abs(vals) <= 1.0 + 1e-9):
-        raise ValueError(f"measured overlap outside [-1-1e-9, 1+1e-9]: {vals}")
     return vals
 
 

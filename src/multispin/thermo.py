@@ -110,28 +110,10 @@ def _check_series_budget(rows: int, steps: int) -> None:
         raise ValueError(f"{rows} chains x {steps} sweeps keep a series over the budget")
 
 
-_INIT_TUPLES = 20_000  # band tuples drawn before initialization gives up
-
-
-def _init_replicas(layout: SpeciesLayout, band: BandSpec | None, n_chains: int,
+def _init_replicas(layout: SpeciesLayout, n_chains: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Starting tuples, shape (n_chains, 1 or band.n, N): uniform on S_N, or
-    for a band, rounds of n_chains i.i.d. band tuples (one draw each) kept
-    where band.tuples_within holds, until n_chains are kept; chains reuse
-    kept tuples cyclically when _INIT_TUPLES draws found fewer."""
-    if band is None:
-        return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
-    kept = np.empty((0, band.n, layout.n))
-    for _ in range(-(-_INIT_TUPLES // n_chains)):
-        tuples = sample_uniform_in_band_batch(band.center, band.delta, n_chains * band.n,
-                                              rng).reshape(n_chains, band.n, layout.n)
-        kept = np.concatenate([kept, tuples[band.tuples_within(tuples)]])
-        if len(kept) >= n_chains:
-            break
-    if not len(kept):
-        raise ValueError("could not initialize replicas inside the pairwise constraint; "
-                         "the constrained set is too small for rejection sampling")
-    return kept[np.arange(n_chains) % len(kept)]
+    """Uniform starting states on S_N, shape (n_chains, 1, N)."""
+    return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
 
 
 def _group_sampler(rngs, method):
@@ -167,7 +149,7 @@ def _check_kept_budget(rows: int, steps: int, size: int, what: str) -> None:
 
 
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
-               keep_snapshots: bool = True) -> list[PTResult]:
+               starts: np.ndarray | None = None, keep_snapshots: bool = True) -> list[PTResult]:
     """Replica-exchange Metropolis over the beta grid, batched over a group
     of instances that share mixture terms and layout, and over chains.
 
@@ -179,8 +161,10 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     replicas also flip single-coordinate blocks together.  After each sweep,
     neighbouring chains (even pairs on even sweeps, odd pairs on odd sweeps)
     swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band
-    run couples band.n replicas, started by _init_replicas inside the
-    pairwise rule; an unconstrained run has one.  Instance k
+    run couples band.n replicas and starts from the given tuples, shape
+    (rows, band.n, N), which the caller draws inside the band and the
+    pairwise rule; a band without them is refused.  An unconstrained run has
+    one replica, started uniform on S_N by _init_replicas.  Instance k
     draws all its randomness from rngs[k], as whole arrays over the chain
     axis in a fixed order, so its run depends only on its own seed, not on
     the group.  Without keep_snapshots no thinned states are kept (snapshots
@@ -201,10 +185,15 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     n_rows = k * n_chains
     betas = np.tile(beta_grid, k)
     n_replicas = 1 if band is None else band.n
+    if band is not None and np.shape(starts) != (n_rows, n_replicas, layout.n):
+        raise ValueError("a band run needs starting tuples of shape "
+                         f"{(n_rows, n_replicas, layout.n)}")
     if keep_snapshots:
         _check_kept_budget(n_rows, steps, n_replicas * layout.n, "chains")
-    coords = np.concatenate([_init_replicas(layout, band, n_chains, rng)
-                             for rng in rngs])
+    if band is None:
+        coords = np.concatenate([_init_replicas(layout, n_chains, rng) for rng in rngs])
+    else:
+        coords = np.array(starts, dtype=float)
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
         n_rows, n_replicas)
     step_sizes = np.full((n_rows, layout.n_species), 0.5)
@@ -457,7 +446,9 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
     log-probability that an i.i.d. uniform band tuple satisfies the pairwise
     constraint (estimated with a Wilson interval; absent for one replica);
     the beta dependence is recovered by thermodynamic integration of the
-    constrained joint chain.
+    constrained joint chain.  The pair-term tuples that pass the constraint
+    start the chains, reused cyclically when fewer than the chains passed;
+    one replica starts from one draw of a band point per chain.
     """
     grid = _check_beta_grid(beta_grid)
     layout = h.layout
@@ -486,7 +477,8 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         trials = 4000
         tuples = sample_uniform_in_band_batch(m, spec.delta, trials * n_rep, rng).reshape(
             trials, n_rep, n)
-        hits = int(spec.tuples_within(tuples).sum())
+        kept = tuples[spec.tuples_within(tuples)]
+        hits = len(kept)
         pair_log = _log_hit_rate(hits, trials)
         if hits == 0:
             pair_se = abs(pair_log)
@@ -505,7 +497,12 @@ def multi_replica_fe(h: HamiltonianInstance, spec: BandSpec, beta_grid,
         return FreeEnergyEstimate(float(log_vol + pair_term), float(pair_term_se),
                                   "thermo-integration", meta)
 
-    run = _run_group([h], grid, steps, [rng], spec, keep_snapshots=False)[0]
+    _check_series_budget(grid.size, steps)
+    if n_rep == 1:
+        starts = sample_uniform_in_band_batch(m, spec.delta, grid.size, rng)[:, None]
+    else:
+        starts = kept[np.arange(grid.size) % hits]
+    run = _run_group([h], grid, steps, [rng], spec, starts, keep_snapshots=False)[0]
     integral, err = _ti_tail(run, n_rep * h_at_m, n * n_rep, meta)
     return FreeEnergyEstimate(float(log_vol + pair_term + integral),
                               float(err + pair_term_se), "thermo-integration", meta)

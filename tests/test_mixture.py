@@ -263,20 +263,14 @@ def test_non_finite_overlaps_refused():
     for q in ([math.nan, 0.2], [0.2, math.inf], [-math.inf, 0.2]):
         with pytest.raises(ValueError, match="shell overlap"):
             log_volume_term(lay, q)
-    from multispin.mixture import require_measured_overlap
-    with pytest.raises(ValueError, match="measured overlap"):
-        require_measured_overlap([math.nan, 0.2], 2)
 
 
 def test_overlap_vector_ranges():
-    from multispin.mixture import require_measured_overlap, require_shell_overlap
+    from multispin.mixture import require_shell_overlap
 
     require_shell_overlap((0.0, 0.99), 2)
     with pytest.raises(ValueError):
         require_shell_overlap([1.0], 1)
-    require_measured_overlap([-1.0, 1.0], 2)
-    with pytest.raises(ValueError):
-        require_measured_overlap([1.1], 1)
 
 
 def test_json_round_trip_is_exact():

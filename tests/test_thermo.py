@@ -565,44 +565,91 @@ def continuous_band_spec():
     return h, BandSpec(m, delta=0.15, n=2, rho=0.15)
 
 
+def band_starts(spec, n_chains, rng):
+    """n_chains i.i.d. band tuples that pass the pairwise rule."""
+    n = spec.center.layout.n
+    tuples = sample_uniform_in_band_batch(spec.center, spec.delta, 200 * spec.n, rng).reshape(
+        200, spec.n, n)
+    kept = tuples[spec.tuples_within(tuples)]
+    assert len(kept) >= n_chains
+    return kept[:n_chains]
+
+
 @pytest.mark.parametrize("case", ["corner", "continuous"])
 def test_constrained_chains_keep_every_tuple_in_multi_band(case):
     if case == "corner":
         h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=2, rho=1.2)
     else:
         h, spec = continuous_band_spec()
-    run, = _run_group([h], np.linspace(0, 1, 5), 150, [np.random.default_rng(14)], band=spec)
+    starts = band_starts(spec, 5, np.random.default_rng(13))
+    run, = _run_group([h], np.linspace(0, 1, 5), 150, [np.random.default_rng(14)],
+                      band=spec, starts=starts)
     tuples = np.concatenate([run.snapshots.reshape(-1, 2, h.layout.n), run.final_coords])
     for tup in tuples:
         assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)
     assert min(run.accept_rates) > 0.0
 
 
-def test_one_replica_band_start_is_one_band_draw():
+def test_band_run_without_starts_refused():
     h, spec = continuous_band_spec()
-    start = thermo._init_replicas(h.layout, BandSpec(spec.center, spec.delta), 11,
-                                  np.random.default_rng(15))
-    draw = sample_uniform_in_band_batch(spec.center, spec.delta, 11, np.random.default_rng(15))
-    np.testing.assert_array_equal(start, draw[:, None])
+    grid = np.linspace(0, 1, 5)
+    for starts in (None, band_starts(spec, 4, np.random.default_rng(13))):
+        with pytest.raises(ValueError, match="starting tuples"):
+            _run_group([h], grid, 10, [np.random.default_rng(14)], band=spec, starts=starts)
 
 
-def test_coupled_start_draws_batched_tuples(monkeypatch):
-    # three replicas at rho = 0.5 pass the pairwise rule about half the time,
-    # so a few rounds of 11 tuples start 11 chains
-    h, spec = continuous_band_spec()
-    spec = BandSpec(spec.center, spec.delta, n=3, rho=0.5)
-    calls = []
+def start_of_estimate(monkeypatch, h, spec, n_chains, seed):
+    """Run multi_replica_fe; return its chain starts and its band-sampler calls."""
+    calls, starts = [], []
 
     def counted(*args):
         calls.append(args)
         return sample_uniform_in_band_batch(*args)
 
+    def started(hs, beta_grid, steps, rngs, band, start, **kwargs):
+        starts.append(start)
+        return _run_group(hs, beta_grid, steps, rngs, band, start, **kwargs)
+
     monkeypatch.setattr(thermo, "sample_uniform_in_band_batch", counted)
-    start = thermo._init_replicas(h.layout, spec, 11, np.random.default_rng(16))
+    monkeypatch.setattr(thermo, "_run_group", started)
+    multi_replica_fe(h, spec, np.linspace(0, 1, n_chains), 10, np.random.default_rng(seed))
+    assert len(starts) == 1
+    return starts[0], calls
+
+
+def test_one_replica_band_start_is_one_band_draw(monkeypatch):
+    h, spec = continuous_band_spec()
+    start, calls = start_of_estimate(monkeypatch, h, BandSpec(spec.center, spec.delta), 11, 15)
+    assert len(calls) == 1
+    draw = sample_uniform_in_band_batch(spec.center, spec.delta, 11, np.random.default_rng(15))
+    np.testing.assert_array_equal(start, draw[:, None])
+
+
+def test_coupled_start_draws_batched_tuples(monkeypatch):
+    # three replicas at rho = 0.5 pass the pairwise rule about half the time;
+    # the pair term's passing tuples start the 11 chains, with no further draw
+    h, spec = continuous_band_spec()
+    spec = BandSpec(spec.center, spec.delta, n=3, rho=0.5)
+    start, calls = start_of_estimate(monkeypatch, h, spec, 11, 16)
     assert start.shape == (11, 3, h.layout.n)
     for tup in start:
         assert in_multi_band([Configuration(x, h.layout) for x in tup], spec)
-    assert len(calls) < 11
+    assert len(calls) == 1
+
+
+def test_coupled_estimate_starts_from_a_rare_pair_term_hit():
+    # on criterion 7's 8+8 center, two replicas at rho = 0.004 pass the
+    # pairwise rule at a rate of about 1e-4: at this seed the pair term finds
+    # one hit in 4000 tuples, and that tuple starts every chain (the next
+    # 20,000 band tuples of the stream hold no hit)
+    layout = SpeciesLayout(("a", "b"), (8, 8))
+    h = build_instance(Mixture.from_terms({(1, 1): 0.7, (2, 0): 0.4}), layout, seed=600)
+    m = sample_on_shell(layout, [0.3, 0.3], np.random.default_rng(700))
+    spec = BandSpec(m, delta=0.15, n=2, rho=0.004)
+    est = multi_replica_fe(h, spec, np.linspace(0, 1, 11), 60, np.random.default_rng(21))
+    assert est.meta["pairwise_hits"] == 1
+    assert "initialization-skipped" not in est.meta["flags"]
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
 
 def test_multi_replica_infeasible_pairing_hits_floor():
