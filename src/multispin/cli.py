@@ -52,6 +52,7 @@ from .mixture import (
     Mixture,
     SpeciesLayout,
     _at,
+    _decode_json,
     _expect_int,
     _expect_keys,
     _expect_list,
@@ -255,12 +256,9 @@ def _estimator_config(section, master_seed: int = 0) -> EstimatorConfig:
         k: v for k, v in section._asdict().items() if k in _ESTIMATOR_DEFAULTS})
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
+def parse_config(text: str | bytes) -> ExperimentConfig:
+    """Parse and validate a JSON config document (bytes are read as UTF-8)."""
+    doc = _decode_json(text)
     _expect_keys(doc, "", ("schema", "master_seed", "model", "out_dir") + tuple(_SECTIONS))
     _expect_schema(doc.get("schema", SCHEMA_VERSION), SCHEMA_VERSION)
     master_seed = _expect_int(doc.get("master_seed", 0), "master_seed", minimum=0)
@@ -754,7 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_bytes())
         if args.seed is not None:
             config = dataclasses.replace(
                 config, master_seed=_expect_int(args.seed, "--seed", minimum=0))

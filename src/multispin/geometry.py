@@ -19,6 +19,7 @@ from .mixture import (
     ConfigError,
     SpeciesLayout,
     _at,
+    _decode_json,
     _expect_schema,
     _integral,
     as_overlap_array,
@@ -475,7 +476,7 @@ def load_configuration(path) -> Configuration:
     """Read a save_configuration checkpoint; a bad header raises ConfigError at
     its field, a body not of finite float64 values at "coords", a miscount at "sizes"."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        header = _decode_json(fh.readline())
         body = fh.read()
     layout = layout_from_json(header, extra=("schema",))
     _expect_schema(header.get("schema"))

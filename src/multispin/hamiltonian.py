@@ -24,6 +24,7 @@ from .mixture import (
     Mixture,
     SpeciesLayout,
     _at,
+    _decode_json,
     _expect_int,
     _expect_keys,
     _expect_list,
@@ -196,40 +197,42 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
 @dataclass(frozen=True, eq=False)
 class InstanceGroup:
     """Instances of one mixture on one layout, with each term's blocks
-    stacked once on a leading instance axis, so one batched contraction
-    evaluates every instance.  When every instance is the same object the
-    group holds views of its blocks with a leading axis of 1, and the
-    contractions broadcast them over the group's rows."""
+    stacked once on a leading instance axis, and any external fields as one
+    more one-slot block over all N coordinates (a zero row where an instance
+    has none), so one batched contraction evaluates every instance.  When
+    every instance is the same object the group holds views of its term
+    blocks with a leading axis of 1, broadcast over the group's rows."""
 
     size: int
     layout: SpeciesLayout
     slot_slices: tuple[tuple[slice, ...], ...]
-    blocks: tuple[np.ndarray, ...]  # per term (K or 1, *block shape)
+    blocks: tuple[np.ndarray, ...]  # per term, then any field: (K or 1, *block shape)
     flats: tuple[np.ndarray, ...]  # views of blocks as (K or 1, d_last, rest), last axis first
-    fields: np.ndarray | None  # (K or 1, N) field vectors, or None when no instance has one
 
 
 def stack_instances(hs) -> InstanceGroup:
     """Stack the blocks of instances that share mixture terms and layout;
-    one instance repeated is not copied, its blocks are shared."""
+    one instance repeated is not copied, its blocks are shared.  A field is
+    the block J_i D_s / sqrt(N_s): _block_scale's one-spin block of D_s^2."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one instance")
-    first = hs[0]
+    first, layout = hs[0], hs[0].layout
     keys = [p for p, _ in first.mixture.terms]
-    if any(h.layout != first.layout or [p for p, _ in h.mixture.terms] != keys
-           for h in hs):
+    if any(h.layout != layout or [p for p, _ in h.mixture.terms] != keys for h in hs):
         raise ValueError("grouped instances must share mixture terms and layout")
     members = hs[:1] if all(h is first for h in hs) else hs
-    blocks = tuple(a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
-                   for t, a in enumerate(first.tensors))
-    flats = tuple(b.reshape(len(members), -1, b.shape[-1]).transpose(0, 2, 1) for b in blocks)
-    fields = None
+    blocks = [a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
+              for t, a in enumerate(first.tensors)]
+    slot_slices = [tuple(layout.slices[s] for s in _slots(p)) for p in keys]
     if any(h.field is not None for h in members):
-        zero = np.zeros(first.layout.n)
-        fields = np.stack([zero if h.field is None else h.field.vector for h in members])
-    slot_slices = tuple(tuple(first.layout.slices[s] for s in _slots(p)) for p in keys)
-    return InstanceGroup(len(hs), first.layout, slot_slices, blocks, flats, fields)
+        blocks.append(np.stack([np.zeros(layout.n) if h.field is None else h.field.normals *
+                                np.repeat(np.divide(h.field.delta_coeffs,
+                                                    np.sqrt(layout.size_array)), layout.sizes)
+                                for h in members]))
+        slot_slices.append((slice(0, layout.n),))
+    flats = tuple(b.reshape(len(members), -1, b.shape[-1]).transpose(0, 2, 1) for b in blocks)
+    return InstanceGroup(len(hs), layout, tuple(slot_slices), tuple(blocks), flats)
 
 
 def _contract(group: InstanceGroup, coords, gradients: bool):
@@ -272,14 +275,8 @@ def _contract(group: InstanceGroup, coords, gradients: bool):
                     t = (t.reshape(t.shape[:2] + (-1, sl.stop - sl.start)) @ rows[..., sl, None])[..., 0]
                 part[..., slices[c]] += t
     out *= math.sqrt(n)
-    if group.fields is not None:
-        fields = np.broadcast_to(group.fields, (k, n))
-        for i in range(k):
-            out[i] += coords[i] @ fields[i]
     if gradients:
         g *= math.sqrt(n)
-        if group.fields is not None:
-            g += group.fields[:, None]
     return out, g
 
 
@@ -346,13 +343,18 @@ def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> 
 @functools.lru_cache(maxsize=128)
 def _field_coefficients(shifted: Mixture, q: tuple[float, ...]) -> np.ndarray:
     """Read-only per-species field coefficients D_s = sqrt((1 - q_s) d_s
-    xi(q)) of the base mixture xi that the mixture shifted recenters at q,
-    the same for every instance of one (mixture, q).
+    xi(q)) of a base mixture xi solved from the mixture shifted and q, the
+    same for every instance of one (mixture, q).
 
-    Inverts the overlap-shift map on the |p| >= 2 block: solves for base
-    coefficients c_p (all |p| >= 2) such that shifting them to center q
-    reproduces the given mixture's terms; the map is triangular in the
-    componentwise partial order with diagonal prod_s (1-q_s)^p(s) > 0.  Base
+    Solves on shifted's own terms only: from the highest degree down, each
+    base coefficient c_p is the one the overlap-shift map (triangular in the
+    componentwise partial order, diagonal prod_s (1-q_s)^p(s) > 0) needs to
+    reproduce shifted's coefficient at p, given the c_p solved above it.  It
+    does not invert the map: the lower |p| >= 2 terms the solved xi recenters
+    to are not checked against shifted.  So {(2,1): 1, (0,2): 0.5} at
+    q = (0.2, 0.4) passes, although its preimage under the shift, the
+    recentering at q' = -q/(1-q), has (1,1) and (2,0) coefficients of -1.04.
+    A solved c_p below -1e-9 and a one-spin term of shifted are refused; base
     one-spin coefficients are taken to be zero (they leave no trace in the
     shifted |p| >= 2 block).
     """
@@ -392,8 +394,9 @@ def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianI
 
     hq must hold the recentered mixture with one-spin terms removed; the
     per-species field coefficients D_s are the one-spin coefficients of the
-    full recentered mixture, recovered from hq.mixture and q.  The returned
-    instance shares hq's disorder and evaluates H_hq(sigma) + field. sigma.
+    full recentered mixture, solved from hq.mixture and q.  The returned
+    instance shares hq's disorder and evaluates H_hq(sigma) + field . sigma;
+    a group contracts the field as one more block (stack_instances).
     """
     layout = hq.layout
     qv = require_shell_overlap(q, layout.n_species)
@@ -472,8 +475,9 @@ def save_instance(h: HamiltonianInstance, path) -> None:
 
 def load_instance(path) -> HamiltonianInstance:
     """Read a save_instance checkpoint; a bad header raises ConfigError at its field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = _expect_keys(json.load(fh), "", ("schema", "backend", "seed", "model", "field"))
+    with open(path, "rb") as fh:
+        header = _expect_keys(_decode_json(fh.read()), "",
+                              ("schema", "backend", "seed", "model", "field"))
     _expect_schema(header.get("schema"))
     if header.get("backend") != _FORMAT:
         raise ConfigError("backend", f"unknown checkpoint format {header.get('backend')!r}")

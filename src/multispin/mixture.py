@@ -16,6 +16,7 @@ refusing bad input with a ConfigError at the path of the bad field.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -352,6 +353,16 @@ def _at(path, check, *args):
         raise ConfigError(path, str(exc)) from None
 
 
+def _decode_json(data: str | bytes):
+    """The JSON document data, bytes read as UTF-8; a document that does not
+    decode (invalid JSON, invalid UTF-8 or nested too deep) is a ConfigError
+    at "<document>"."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
+
+
 def layout_to_json(layout: SpeciesLayout) -> dict:
     return {"species": list(layout.species), "sizes": list(layout.sizes)}
 
@@ -377,13 +388,12 @@ def model_to_json(layout: SpeciesLayout, xi: Mixture) -> dict:
             "terms": [{"p": list(p), "delta_sq": c} for p, c in xi.terms]}
 
 
-def model_from_json(doc, path: str = "model") -> tuple[SpeciesLayout, Mixture]:
+def model_from_json(doc) -> tuple[SpeciesLayout, Mixture]:
     """Inverse of model_to_json, checking every field and refusing unknown keys."""
-    layout = layout_from_json(doc, path, extra=("terms",))
+    layout = layout_from_json(doc, "model", extra=("terms",))
     terms = {}
-    for k, item in enumerate(_expect_list(_required(doc, "terms", f"{path}.terms"),
-                                          f"{path}.terms")):
-        at = f"{path}.terms[{k}]"
+    for k, item in enumerate(_expect_list(_required(doc, "terms", "model.terms"), "model.terms")):
+        at = f"model.terms[{k}]"
         entry = _expect_keys(item, at, ("p", "delta_sq"))
         p_raw = _expect_list(_required(entry, "p", f"{at}.p"), f"{at}.p", min_len=1)
         if len(p_raw) != layout.n_species:
@@ -402,8 +412,7 @@ def model_from_json(doc, path: str = "model") -> tuple[SpeciesLayout, Mixture]:
 
 
 def random_mixture(rng: np.random.Generator, n_species: int, max_total_degree: int = 4,
-                   n_terms: int = 4, scale: float = 1.0,
-                   min_total_degree: int = 1) -> Mixture:
+                   n_terms: int = 4, min_total_degree: int = 1) -> Mixture:
     """Random finite mixture for property suites: positive coefficients."""
     terms: dict[tuple[int, ...], float] = {}
     tries = 0
@@ -412,5 +421,5 @@ def random_mixture(rng: np.random.Generator, n_species: int, max_total_degree: i
         p = tuple(int(d) for d in rng.integers(0, max_total_degree + 1, size=n_species))
         if not min_total_degree <= sum(p) <= max_total_degree:
             continue
-        terms[p] = scale * float(rng.uniform(0.1, 1.0))
+        terms[p] = float(rng.uniform(0.1, 1.0))
     return Mixture.from_terms(terms, n_species=n_species)

@@ -420,14 +420,14 @@ def restricted_fe(h: HamiltonianInstance, m: Configuration, delta: float,
     return multi_replica_fe(h, BandSpec(m, delta), beta_grid, steps, rng)
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (z = 1 is one SE)."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """One-SE (z = 1) Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p_hat = hits / trials
-    denom = 1.0 + z * z / trials
-    center = (p_hat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + 1.0 / trials
+    center = (p_hat + 1.0 / (2 * trials)) / denom
+    half = math.sqrt(p_hat * (1 - p_hat) / trials + 1.0 / (4 * trials * trials)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
@@ -606,7 +606,9 @@ def _enum_logsums(h: HamiltonianInstance, spec: BandSpec) -> tuple[float, float,
     """Over the sign patterns s in B(m, delta), at corner scale: the log sum of
     exp(sum_i H(s^i) - n H(m)) over n-tuples with pairwise overlaps within rho
     of q(m), taken as one broadcast over n axes, the log sum of exp(H(s) - H(m)),
-    and the pattern count."""
+    and the pattern count.  The pair matrix is built for n >= 2 only, and
+    refused when it (b^2 N entries) or the tuple broadcast (b^n) would hold
+    over DEFAULT_MEMORY_BUDGET entries."""
     layout, m = h.layout, spec.center
     _require_corner(layout)
     if m.layout != layout:
@@ -615,9 +617,14 @@ def _enum_logsums(h: HamiltonianInstance, spec: BandSpec) -> tuple[float, float,
     in_band = spec.contains(patterns)
     band = patterns[in_band]
     centered = (energy_many(h, patterns) - energy(h, m))[in_band]
-    allowed = spec.pairs_within(band[:, None], band[None])
-    # replica i runs along axis i of n; trailing axes of size 1 broadcast
     b, joint, ok = len(band), 0.0, True
+    if spec.n >= 2:
+        cost = max(b * b * layout.n, b**spec.n)
+        if cost > DEFAULT_MEMORY_BUDGET:
+            raise ValueError(f"enumerating {spec.n} replicas over {b} band patterns needs "
+                             f"{cost} entries, over the budget of {DEFAULT_MEMORY_BUDGET}")
+        allowed = spec.pairs_within(band[:, None], band[None])
+    # replica i runs along axis i of n; trailing axes of size 1 broadcast
     for i in range(spec.n):
         rest = (1,) * (spec.n - 1 - i)
         joint = joint + centered.reshape((b,) + rest)

@@ -453,6 +453,13 @@ class TestCommands:
         assert main(["free-energy", "--config", str(config)]) == 2
         assert "model.sizes" in capsys.readouterr().err
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        # a config file that is not UTF-8 is a document error, not a traceback
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(corner_doc()).encode().replace(b'"a"', b'"\xff"', 1))
+        assert main(["free-energy", "--config", str(config)]) == 2
+        assert "<document>" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mangle, path", [
         (lambda model: model.__setitem__("proportions", [0.5, 0.5]), "model.proportions"),
         (lambda model: model["terms"][0].__setitem__("delta", 0.8), "model.terms[0].delta"),

@@ -554,6 +554,67 @@ def test_mutated_configuration_body_names_a_field(tmp_path, mangle, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("kind", ["instance", "configuration"])
+@pytest.mark.parametrize("mangle", [lambda header: header[:len(header) // 2],
+                                    lambda header: header.replace(b'"a"', b'"\xff"', 1),
+                                    lambda header: b"[" * 100_000 + b"]" * 100_000],
+                         ids=["truncated", "not-utf8", "too-deep"])
+def test_undecodable_checkpoint_header_is_a_document_error(tmp_path, kind, mangle):
+    # a header that is not JSON, not UTF-8 or nested past the recursion limit
+    # is a ConfigError at <document>, not a bare JSONDecodeError,
+    # UnicodeDecodeError or RecursionError
+    file = tmp_path / "checkpoint"
+    h = _field_instance()
+    if kind == "instance":
+        save_instance(h, file)
+    else:
+        save_configuration(sample_uniform(h.layout, np.random.default_rng(4)), file)
+    header, sep, body = file.read_bytes().partition(b"\n")
+    assert mangle(header) != header
+    file.write_bytes(mangle(header) + sep + body)
+    with pytest.raises(ConfigError) as err:
+        (load_instance if kind == "instance" else load_configuration)(file)
+    assert err.value.path == "<document>"
+
+
+def test_field_coefficient_refusals(tmp_path):
+    # a one-spin term of the shifted mixture, and a term whose solved base
+    # coefficient is negative ({(3,): 1, (2,): 0.5} at q = 0.5 solves (2,)
+    # to (0.5 - 3 * 8 * 0.25 * 0.5) / 0.25 = -10), are refused; a checkpoint
+    # carrying the latter names field.q
+    lay = SpeciesLayout(("a",), (3,))
+    one_spin = build_instance(Mixture.from_terms({(2,): 1.0, (1,): 0.3}), lay, seed=1)
+    with pytest.raises(ValueError, match="one-spin"):
+        attach_external_field(one_spin, [0.5], seed=2)
+    hq = build_instance(Mixture.from_terms({(3,): 1.0, (2,): 0.5}), lay, seed=1)
+    with pytest.raises(ValueError, match=r"degree \(2,\)"):
+        attach_external_field(hq, [0.5], seed=2)
+    file = tmp_path / "instance.json"
+    save_instance(hq, file)
+    header = json.loads(file.read_text())
+    header["field"] = {"seed": 2, "q": [0.5]}
+    file.write_text(json.dumps(header))
+    with pytest.raises(ConfigError) as err:
+        load_instance(file)
+    assert err.value.path == "field.q"
+
+
+def test_field_is_one_more_block_of_the_group():
+    # a group with a field instance holds one extra one-slot block over all
+    # N coordinates, a zero row for the instance without a field, the field
+    # vector over sqrt(N); a group without one holds the term blocks only
+    lay = SpeciesLayout(("a", "b"), (3, 4))
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    plain = build_instance(mix, lay, seed=60)
+    with_field = attach_external_field(build_instance(mix, lay, seed=61), [0.2, 0.4], seed=9)
+    assert len(stack_instances([plain, plain]).blocks) == 2
+    group = stack_instances([plain, with_field])
+    assert len(group.blocks) == 3 and group.slot_slices[-1] == (slice(0, lay.n),)
+    assert not group.blocks[-1][0].any()
+    np.testing.assert_allclose(group.blocks[-1][1] * math.sqrt(lay.n), with_field.field.vector,
+                               rtol=1e-15)
+
+
 def test_field_contribution_bound_on_replica_tuples():
     # per-tuple field average obeys sqrt((1/n + rho)/N) ||J|| sum_s D_s
     # on tuples whose pairwise species overlaps are within rho of zero

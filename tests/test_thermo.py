@@ -534,6 +534,43 @@ def test_multi_replica_enumeration_subadditive_and_empty():
         exact_penalty_enumeration(h, BandSpec(m, 0.0, 2, 1.5))
 
 
+def _count_pair_matrices(monkeypatch) -> list:
+    """Calls to BandSpec.pairs_within from here on, one entry each."""
+    calls, real = [], BandSpec.pairs_within
+    monkeypatch.setattr(BandSpec, "pairs_within",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    return calls
+
+
+def _criterion_7_corner(seed):
+    corner = SpeciesLayout(("a", "b"), (1, 1))
+    h = build_instance(Mixture.from_terms({(1, 1): 0.8, (2, 0): 0.3}), corner, seed=seed)
+    return h, Configuration(np.array([0.5, -0.4]), corner)
+
+
+def test_one_replica_enumeration_builds_no_pair_matrix(monkeypatch):
+    # n = 1 reads no pairwise constraint, so it builds no band x band pair
+    # matrix, and its values on criterion 7's corner are unchanged
+    calls = _count_pair_matrices(monkeypatch)
+    for seed, want in ((79, 0.005872329243688634), (80, 0.30761405486770477)):
+        h, m = _criterion_7_corner(seed)
+        assert exact_restricted_fe_enumeration(h, m, 0.9).value == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, budget", [(2, 31), (3, 63)])
+def test_replica_enumeration_over_budget_refused_before_the_pair_matrix(monkeypatch, n, budget):
+    # all 4 patterns of the corner are in the band: the pair matrix holds
+    # 4^2 * 2 = 32 entries and the 3-replica broadcast 4^3 = 64, so each
+    # budget sits one entry below what its case needs
+    h, m = _criterion_7_corner(79)
+    calls = _count_pair_matrices(monkeypatch)
+    monkeypatch.setattr(thermo, "DEFAULT_MEMORY_BUDGET", budget)
+    with pytest.raises(ValueError, match=f"budget of {budget}"):
+        exact_multi_replica_fe_enumeration(h, BandSpec(m, 0.9, n, 1.3))
+    assert calls == []
+
+
 def test_penalty_identity_exact_at_corner_scale():
     h = corner_instance()
     m = corner_center()
