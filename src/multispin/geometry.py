@@ -298,12 +298,13 @@ def _gauss_legendre():
     return x, w, np.hstack((anti, fit))
 
 
+@lru_cache(maxsize=256)
 def _cos_law_table(d: int, c1: float, c2: float):
     """Panel table of cos^(d-2) t on [asin c1, asin c2], -1 <= c1 < c2 <= 1,
     d >= 2: scaled by its peak at tm (the point nearest 0), cut to the window
     above e^-_WINDOW of it, on _PANELS equal panels in s = t - tm.  Returns
     tm, the log peak, the panel edges, the cumulative mass at each edge and
-    the density times ds/dx at each node."""
+    the density times ds/dx at each node, read-only and cached per (d, c1, c2)."""
     sin_m = min(max(0.0, c1), c2)
     cos_m = math.sqrt((1.0 - sin_m) * (1.0 + sin_m))
     tm, power = math.asin(sin_m), d - 2
@@ -316,6 +317,8 @@ def _cos_law_table(d: int, c1: float, c2: float):
     # (cos(tm + s) / cos tm)^power, accurate where the ratio is near 1
     vals = half * np.exp(power * np.log1p(-2.0 * np.sin(0.5 * s) ** 2 - sin_m / cos_m * np.sin(s)))
     cum = np.concatenate(([0.0], np.cumsum(vals @ w)))
+    for table in (edges, cum, vals):
+        table.setflags(write=False)
     return tm, power * math.log(cos_m), edges, cum, vals
 
 

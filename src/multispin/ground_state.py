@@ -96,6 +96,8 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
     within 64 ulps (two such gains) of the best, so restarts that reach the
     same maximum tie.
 
+    q is one overlap for all instances, or one row per instance.
+
     On single-coordinate blocks the shell is its 2^N sign patterns scaled by
     sqrt(q_s): each instance gets the exact maximum, and rngs are not drawn.
     """
@@ -106,13 +108,17 @@ def ascend_many(hs, q, restarts: int, max_iters: int, rngs) -> list[AscentResult
         raise ValueError("restarts and max_iters must be >= 1")
     group = stack_instances(hs)
     layout = group.layout
-    qv = require_shell_overlap(q, layout.n_species)
+    q_rows = q if np.ndim(q) == 2 else [q] * len(hs)
+    if len(q_rows) != len(hs):
+        raise ValueError("need one overlap per instance")
+    qk = np.array([require_shell_overlap(row, layout.n_species) for row in q_rows])
+    qv = qk[:, None]  # (instance, 1, species), broadcast over the restarts
     _check_restart_budget(group.size, restarts, layout.n)
     if layout.n == layout.n_species:  # no block can move: enumerate the shell
-        patterns = sign_patterns(layout.n) * np.sqrt(qv)[None, :]
-        return [_shell_maximum(h, patterns, restarts) for h in hs]
-    coords = np.array([[sample_on_shell(layout, qv, stream).coords
-                        for stream in rng.spawn(restarts)] for rng in rngs])
+        return [_shell_maximum(h, sign_patterns(layout.n) * np.sqrt(row), restarts)
+                for h, row in zip(hs, qk)]
+    coords = np.array([[sample_on_shell(layout, row, stream).coords
+                        for stream in rng.spawn(restarts)] for rng, row in zip(rngs, qk)])
     values, grads = group_energies_and_gradients(group, coords)
     step0 = 1.0 / math.sqrt(layout.n)
     steps = np.full(values.shape, step0)

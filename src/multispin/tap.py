@@ -206,9 +206,10 @@ def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, see
     scatter of per-seed estimates, which carries any MC noise), and for each
     overlap qs[k] the (mean, SE, per-row values, flags) of the per-spin shell
     ground state of the first len(gs_streams[k]) rows (row r on
-    gs_streams[k][r]; one ascend_many per group and overlap).  Free energies
-    by TI must integrate up to beta 1, the temperature of gs and the Onsager
-    term."""
+    gs_streams[k][r]), the (overlap, row) ascents of a group in one
+    ascend_many batch, split as instance_groups splits under
+    _BATCH_ELEMENT_CAP.  Free energies by TI must integrate up to beta 1, the
+    temperature of gs and the Onsager term."""
     if (fe_streams is not None and config.beta_grid[-1] != 1.0
             and resolve_fe_method(config.method, layout) == "ti"):
         raise ValueError("thermodynamic integration must end at beta 1, like gs and onsager")
@@ -220,13 +221,17 @@ def _over_seeds(xis, layout: SpeciesLayout, labels, config: EstimatorConfig, see
             fe_streams or (), *gs_streams):
         if fe_streams is not None:
             estimates += _fe_group(group, config, group_fe_streams)
-        for qv, streams, row_values, row_flags in zip(qs, group_gs_streams, values, flags):
-            hs = group[:len(streams)]  # gs rows lead the pass, so they lead a group
-            if hs:
-                for res in ascend_many(hs, qv, config.restarts, config.max_iters, streams):
-                    row_values.append(res.energy_per_spin)
-                    if res.converged_fraction < 0.5:
-                        row_flags.add("gs-poor-convergence")
+        # gs rows lead the pass, so they lead a group
+        jobs = [(j, i) for j, streams in enumerate(group_gs_streams) for i in range(len(streams))]
+        size = max(1, _BATCH_ELEMENT_CAP // max(1, group[0].memory_entries()))
+        for lo in range(0, len(jobs), size):
+            batch = jobs[lo:lo + size]
+            for (j, _), res in zip(batch, ascend_many(
+                    [group[i] for _, i in batch], [qs[j] for j, _ in batch], config.restarts,
+                    config.max_iters, [group_gs_streams[j][i] for j, i in batch])):
+                values[j].append(res.energy_per_spin)
+                if res.converged_fraction < 0.5:
+                    flags[j].add("gs-poor-convergence")
     averages = []
     for lo in range(0, len(estimates), seeds):
         chunk = estimates[lo:lo + seeds]

@@ -57,6 +57,7 @@ _TARGET_ACCEPT = 0.4  # proposal scale adaptation target during burn-in
 _SWAP_FLAG_RATE = 0.05
 _MOVE_FLAG_RATE = 1e-3
 _MAX_KEPT_SAMPLES = 512
+_RANDOM_CHUNK = 16  # sweeps whose randomness an instance draws in one pair of arrays
 
 
 @dataclass(frozen=True)
@@ -116,20 +117,6 @@ def _init_replicas(layout: SpeciesLayout, n_chains: int,
     return sample_uniform_batch(layout, n_chains, rng).reshape(n_chains, 1, layout.n)
 
 
-def _group_sampler(rngs, method):
-    """shape -> method(rng, shape) for each instance's generator, concatenated
-    along the first axis; a group fills the blocks of one array in place."""
-    if len(rngs) == 1:
-        return functools.partial(method, rngs[0])
-
-    def draw(shape):
-        out = np.empty((len(rngs),) + shape)
-        for block, rng in zip(out, rngs):
-            method(rng, out=block)
-        return out.reshape((-1,) + shape[1:])
-    return draw
-
-
 def _thinning(steps: int) -> tuple[int, int]:
     """Thinning stride and thinned states kept per chain for a run of steps
     sweeps: at most _MAX_KEPT_SAMPLES, evenly spaced after the burn-in third."""
@@ -148,6 +135,17 @@ def _check_kept_budget(rows: int, steps: int, size: int, what: str) -> None:
                          "are over the budget")
 
 
+def _block_within(band: BandSpec, s: int, y: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Whether block s of one replica per row, moved to y (rows, N_s), stays in
+    the band and within rho of that block of the others (rows, n - 1, N_s).
+    The rest of the tuple held when last accepted, so this decides as contains
+    and pairs_within on the whole tuple, with species_overlaps' block sums."""
+    sl, q = band.center.layout.slices[s], band.center.self_overlap()[s]
+    to_center = np.add.reduceat(y * band.center.coords[sl], [0], axis=-1)[:, 0] / y.shape[-1]
+    to_others = np.add.reduceat(y[:, None] * others, [0], axis=-1)[..., 0] / y.shape[-1]
+    return (np.abs(to_center - q) <= band.delta) & (np.abs(to_others - q) <= band.rho).all(axis=1)
+
+
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
                starts: np.ndarray | None = None, keep_snapshots: bool = True) -> list[PTResult]:
     """Replica-exchange Metropolis over the beta grid, batched over a group
@@ -157,26 +155,35 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     block of some replicas on every chain of every instance at once:
     min(1, 1_constraints * exp(beta dH)), dH summed over those replicas.
     Block moves take one replica: a tangent Gaussian step re-projected to the
-    block sphere (for single-coordinate blocks, a lazy sign flip).  Coupled
-    replicas also flip single-coordinate blocks together.  After each sweep,
+    block sphere (for single-coordinate blocks, a lazy sign flip), checked
+    against the band on that block alone (_block_within).  Coupled replicas
+    also flip single-coordinate blocks together.  After each sweep,
     neighbouring chains (even pairs on even sweeps, odd pairs on odd sweeps)
     swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band
     run couples band.n replicas and starts from the given tuples, shape
-    (rows, band.n, N), which the caller draws inside the band and the
-    pairwise rule; a band without them is refused.  An unconstrained run has
-    one replica, started uniform on S_N by _init_replicas.  Instance k
-    draws all its randomness from rngs[k], as whole arrays over the chain
-    axis in a fixed order, so its run depends only on its own seed, not on
-    the group.  Without keep_snapshots no thinned states are kept (snapshots
-    hold zero per chain), so a large group holds only its energy series.
-    A series or set of kept states over the memory budget is refused before
-    anything is allocated.
+    (rows, band.n, N), which must hold the band and the pairwise rule.  An
+    unconstrained run has one replica, started uniform on S_N by
+    _init_replicas.  Without keep_snapshots no thinned states are kept
+    (snapshots hold zero per chain), so a large group holds only its energy
+    series.  A series or set of kept states over the memory budget is
+    refused before anything is allocated.
+
+    Instance k draws all its randomness from rngs[k], one generator per
+    instance, so its run does not depend on the group.  Every _RANDOM_CHUNK
+    sweeps (C, fewer at the end) it draws normals z (C, replicas, chains, N),
+    then uniforms (C, rows, chains).  Block s of replica r proposes from block
+    s of z[c, r]; a sweep's uniform rows follow its moves: per replica and
+    block a flip decision (one-coordinate blocks) and the accept, then the
+    coupled flips' decisions and accepts, then the swap, on the first entries
+    of its row.  Accepts and swaps compare against log(max(u, 1e-300)).
 
     The state arrays have one row per (instance, chain), instance-major, so
     a group of one is laid out exactly as a single run.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if len(rngs) != len(hs):
+        raise ValueError("need one generator per instance")
     _check_series_budget(len(hs) * beta_grid.size, steps)
     group = stack_instances(hs)
     layout = group.layout
@@ -194,6 +201,8 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
         coords = np.concatenate([_init_replicas(layout, n_chains, rng) for rng in rngs])
     else:
         coords = np.array(starts, dtype=float)
+        if not (band.contains(coords).all() and band.tuples_within(coords).all()):
+            raise ValueError("band starts must lie in the band and satisfy the pairwise rule")
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
         n_rows, n_replicas)
     step_sizes = np.full((n_rows, layout.n_species), 0.5)
@@ -205,30 +214,42 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     prop_count = np.zeros(n_rows, dtype=int)
     acc_count = np.zeros(n_rows, dtype=int)
     swap_tries, swap_accepts = np.zeros((2, k, n_chains - 1), dtype=int)
-    # left chain of each pair tried on even and on odd sweeps, and its rows
+    # left chain of each pair tried on even and on odd sweeps, its rows and beta gaps
     swap_lo = [np.arange(parity, n_chains - 1, 2) for parity in (0, 1)]
     swap_rows = [(lo + n_chains * np.arange(k)[:, None]).reshape(-1) for lo in swap_lo]
+    swap_gaps = [betas[rows + 1] - betas[rows] for rows in swap_rows]
+    flips = [s for s, d in enumerate(layout.sizes) if d == 1]
+    n_u = n_replicas * (layout.n_species + len(flips)) + 2 * len(flips) * (n_replicas > 1) + 1
 
-    uniforms = _group_sampler(rngs, np.random.Generator.random)
-    normals = _group_sampler(rngs, np.random.Generator.standard_normal)
-
-    def accept(reps, others, sl, y, moved):
+    def accept(reps, sl, y, ok, log_u):
         """Metropolis step for block sl of replicas reps (a slice) proposed
-        as y where moved, constrained against the replicas others."""
+        as y, where ok holds."""
         props = coords[:, reps].copy()
         props[:, :, sl] = y
         prop_e = group_energies(group, props.reshape(k, -1, layout.n)).reshape(n_rows, -1)
-        log_u = np.log(np.maximum(uniforms((n_chains,)), 1e-300))
-        ok = moved
-        if band is not None:
-            ok = ok & band.contains(props).all(axis=1) & band.pairs_within(
-                props[:, :, None], coords[:, None, others]).all(axis=(1, 2))
-        accepted = ok & (log_u < betas * (prop_e.sum(axis=1) - energies[:, reps].sum(axis=1)))
+        if prop_e.shape[1] == 1:
+            gain = prop_e[:, 0] - energies[:, reps.start]
+        else:  # a band run's coupled flips, checked against the band on the whole tuple
+            gain = prop_e.sum(axis=1) - energies[:, reps].sum(axis=1)
+            ok = ok & band.contains(props).all(axis=1)
+        accepted = ok & (log_u < betas * gain)
         np.copyto(coords[:, reps, sl], y, where=accepted[:, None, None])
         np.copyto(energies[:, reps], prop_e, where=accepted[:, None])
         return accepted
 
     for t in range(steps):
+        c = t % _RANDOM_CHUNK
+        if c == 0:
+            z = u = log_u = g = None  # drop the last chunk (g views it) before the next
+            size = min(_RANDOM_CHUNK, steps - t)
+            z = np.empty((size, n_replicas, k, n_chains, layout.n))
+            u = np.empty((size, n_u, k, n_chains))
+            for i, rng in enumerate(rngs):
+                z[:, :, i] = rng.standard_normal((size, n_replicas, n_chains, layout.n))
+                u[:, :, i] = rng.random((size, n_u, n_chains))
+            z, u = z.reshape(size, n_replicas, n_rows, layout.n), u.reshape(size, n_u, n_rows)
+            log_u = np.log(np.maximum(u, 1e-300))
+        draws = zip(u[c], log_u[c])
         adapting = t < burn
         for r in range(n_replicas):
             others = [r2 for r2 in range(n_replicas) if r2 != r]
@@ -236,15 +257,17 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
                 d = layout.sizes[s]
                 x = coords[:, r, sl]
                 if d == 1:
-                    moved = uniforms((n_chains,)) < 0.5
+                    moved = next(draws)[0] < 0.5
                     y = -x
                 else:
-                    g = normals((n_chains, d))
+                    g = z[c, r, :, sl]
                     v = g - (np.einsum("ij,ij->i", g, x) / d)[:, None] * x
                     y = x + step_sizes[:, s, None] * v
                     y *= np.sqrt(d / np.einsum("ij,ij->i", y, y))[:, None]
                     moved = True
-                accepted = accept(slice(r, r + 1), others, sl, y[:, None], moved)
+                ok = moved if band is None else moved & _block_within(
+                    band, s, y, coords[:, others, sl])
+                accepted = accept(slice(r, r + 1), sl, y[:, None], ok, next(draws)[1])
                 if not adapting:
                     prop_count += moved
                     acc_count += accepted
@@ -255,23 +278,24 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
         if n_replicas > 1:
             # synchronized sign flips keep pairwise overlaps invariant, so
             # they connect components that single-replica flips cannot reach
-            for s, sl in enumerate(layout.slices):
-                if layout.sizes[s] == 1:
-                    accept(slice(None), [], sl, -coords[:, :, sl], uniforms((n_chains,)) < 0.5)
-        lo, rows = swap_lo[t % 2], swap_rows[t % 2]
-        log_u = np.log(np.maximum(uniforms(lo.shape), 1e-300))
+            for s in flips:
+                sl = layout.slices[s]
+                moved = next(draws)[0] < 0.5
+                accept(slice(None), sl, -coords[:, :, sl], moved, next(draws)[1])
+        lo, rows, gaps = swap_lo[t % 2], swap_rows[t % 2], swap_gaps[t % 2]
+        swap_log_u = next(draws)[1].reshape(k, n_chains)[:, :lo.size].reshape(-1)
         totals = energies.sum(axis=1)
-        gain = (betas[rows + 1] - betas[rows]) * (totals[rows] - totals[rows + 1])
-        accepted = log_u < gain
+        accepted = swap_log_u < gaps * (totals[rows] - totals[rows + 1])
         a = rows[accepted]
         pair = np.concatenate([a, a + 1])
         swapped = np.concatenate([a + 1, a])
         coords[pair] = coords[swapped]
         energies[pair] = energies[swapped]
+        totals[pair] = totals[swapped]
         if not adapting:
             swap_tries[:, lo] += 1
             swap_accepts[:, lo] += accepted.reshape(k, -1)
-            series[:, t - burn] = energies.sum(axis=1)
+            series[:, t - burn] = totals
             if kept and (t - burn) % thin == 0:
                 snapshots[:, (t - burn) // thin] = coords
 

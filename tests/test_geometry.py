@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import betainc, betaincc, betaincinv, gammaln
 
+from multispin import geometry
 from multispin.geometry import (
     BandSpec,
     Configuration,
@@ -646,3 +647,23 @@ def test_configuration_cache_and_immutability():
     np.testing.assert_allclose(cfg.block_sq_norms, recomputed, rtol=1e-9)
     with pytest.raises(ValueError):
         cfg.coords[0] = 5.0
+
+
+def test_band_draws_equal_with_the_panel_table_cold_and_warm():
+    # the cosine-law panel table is cached per (d, c1, c2) as read-only
+    # arrays; a draw or a volume is the same bit for bit either way
+    m = sample_on_shell(LAY2, [0.3, 0.6], np.random.default_rng(1))
+
+    def draw():
+        return (sample_uniform_in_band_batch(m, 0.15, 50, np.random.default_rng(2)),
+                log_band_volume(LAY2, [0.3, 0.6], 0.15))
+
+    geometry._cos_law_table.cache_clear()
+    (cold, cold_volume), (warm, warm_volume) = draw(), draw()
+    assert geometry._cos_law_table.cache_info().hits > 0
+    np.testing.assert_array_equal(cold, warm)
+    assert cold_volume == warm_volume
+    _, _, edges, cum, vals = geometry._cos_law_table(6, 0.1, 0.8)
+    for table in (edges, cum, vals):
+        with pytest.raises(ValueError):
+            table[0] = 0.0

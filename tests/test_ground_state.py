@@ -370,3 +370,18 @@ def test_probe_shared_harness_on_free_energy():
     assert rep["sizes"] == [2, 4, 6]
     assert all(v >= 0.0 for v in rep["variances"])
     assert all(np.isfinite(rep["n_times_variance"]))
+
+
+@pytest.mark.parametrize("sizes", [(5, 6), (1, 1)])
+def test_ascend_many_takes_one_overlap_per_instance(sizes):
+    # one row of q per instance gives each instance its own ascent at its own
+    # overlap, bit for bit; a zero q_s and the enumerated shell included
+    lay = SpeciesLayout(("a", "b"), sizes)
+    mix = Mixture.from_terms({(1, 1): 1.0, (2, 0): 0.5})
+    hs = [build_instance(mix, lay, seed=20 + k) for k in range(3)]
+    qs = [[0.3, 0.4], [0.6, 0.0], [0.2, 0.9]]
+    grouped = ascend_many(hs, qs, 4, 60, [np.random.default_rng(40 + k) for k in range(3)])
+    for k, (h, q, res) in enumerate(zip(hs, qs, grouped)):
+        _assert_same_ascent(res, ascend(h, q, 4, 60, np.random.default_rng(40 + k)))
+    with pytest.raises(ValueError, match="one overlap per instance"):
+        ascend_many(hs, qs[:2], 4, 60, [np.random.default_rng(40 + k) for k in range(3)])

@@ -426,3 +426,33 @@ def test_fq_rows_group_across_overlaps(split, monkeypatch):
             h = build_instance(xi_q(xi, q), lay, seed=derive_seed(8, "tap-recentered", i))
             alone = fe_thermo_integration(h, cfg.beta_grid, cfg.sweeps, stream)
             assert rep.fq.meta["seed_values"][i] == alone.value
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_gs_pass_runs_its_overlaps_as_one_batch(split, monkeypatch):
+    # the (overlap, row) ascents of a group are one ascend_many call, split
+    # under _BATCH_ELEMENT_CAP like instance_groups, and give every overlap
+    # the values of one ascend_many per overlap
+    xi = Mixture.from_terms({(2, 0): 0.5, (1, 1): 1.0})
+    lay = SpeciesLayout(("a", "b"), (3, 2))
+    cfg = EstimatorConfig(restarts=3, max_iters=40, master_seed=5)
+    qs = [np.array([0.3, 0.4]), np.array([0.6, 0.0]), np.array([0.2, 0.5])]
+    calls = []
+    grouped_ascent = tap.ascend_many
+
+    def spy(hs, *args):
+        calls.append(len(hs))
+        return grouped_ascent(hs, *args)
+
+    monkeypatch.setattr(tap, "ascend_many", spy)
+    if split:  # room for two instances per group and per batch
+        monkeypatch.setattr(tap, "_BATCH_ELEMENT_CAP", 2 * block_entries(xi, lay) + 1)
+    _, passes = tap._over_seeds([xi], lay, ["tap-base"], cfg, 4, qs=qs, gs_streams=[
+        np.random.default_rng(8 + j).spawn(4) for j in range(len(qs))])
+    assert calls == ([2] * 6 if split else [12])
+    hs = [build_instance(xi, lay, seed=derive_seed(cfg.master_seed, "tap-base", i))
+          for i in range(4)]
+    for j, (qv, (_, _, values, _)) in enumerate(zip(qs, passes)):
+        alone = grouped_ascent(hs, qv, cfg.restarts, cfg.max_iters,
+                               np.random.default_rng(8 + j).spawn(4))
+        assert values == [res.energy_per_spin for res in alone]

@@ -849,3 +849,90 @@ def test_free_energy_chain_inequality_exact():
     h_m = energy(h, m) / n
     assert h_m + joint <= h_m + single + 1e-12
     assert h_m + single <= full + 1e-12
+
+
+# --- random stream layout and band moves -----------------------------------
+
+@pytest.mark.parametrize("steps", [1, 16, 17, 33])
+@pytest.mark.parametrize("case", ["one replica", "coupled"])
+def test_tempering_draws_its_randomness_in_chunks_of_16_sweeps(case, steps):
+    # every 16 sweeps (fewer in the last chunk) an instance draws its normals,
+    # (sweeps, replicas, chains, N), then its uniforms, (sweeps, rows, chains):
+    # per replica a flip row for each of the S1 one-coordinate blocks and an
+    # accept row for each of the S blocks, two rows per one-coordinate block
+    # for coupled flips, and one swap row
+    grid = np.linspace(0, 1, 4)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    if case == "one replica":
+        lay = SpeciesLayout(("a", "b"), (1, 3))
+        h = build_instance(Mixture.from_terms({(1, 1): 1.0, (0, 2): 0.5}), lay, seed=3)
+        pt_sampler(h, grid, steps, rng)
+        thermo._init_replicas(lay, grid.size, ref)
+        replicas, rows = 1, 1 * (2 + 1) + 1
+    else:
+        h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=2, rho=1.2)
+        lay = h.layout
+        _run_group([h], grid, steps, [rng], band=spec,
+                   starts=band_starts(spec, grid.size, np.random.default_rng(13)))
+        replicas, rows = 2, 2 * (4 + 4) + 2 * 4 + 1
+    for lo in range(0, steps, 16):
+        size = min(16, steps - lo)
+        ref.standard_normal((size, replicas, grid.size, lay.n))
+        ref.random((size, rows, grid.size))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_tempering_group_needs_one_generator_per_instance():
+    h = corner_instance()
+    grid = np.linspace(0, 1, 3)
+    with pytest.raises(ValueError, match="one generator per instance"):
+        _run_group([h, h], grid, 5, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="one generator per instance"):
+        _run_group([h], grid, 5, np.random.default_rng(0).spawn(2))
+
+
+def test_band_run_refuses_starts_outside_the_band_or_the_pair_rule():
+    h, spec = continuous_band_spec()
+    grid = np.linspace(0, 1, 5)
+    starts = band_starts(spec, 5, np.random.default_rng(13))
+    outside = starts.copy()
+    outside[2, 1] *= -1.0  # R_s(-x, m) = -R_s(x, m), about 0.6 from q = 0.3
+    tuples = sample_uniform_in_band_batch(spec.center, spec.delta, 400, np.random.default_rng(3))
+    tuples = tuples.reshape(200, 2, h.layout.n)
+    unpaired = tuples[~spec.tuples_within(tuples)][:5]
+    for bad in (outside, unpaired):
+        with pytest.raises(ValueError, match="band starts"):
+            _run_group([h], grid, 10, [np.random.default_rng(14)], band=spec, starts=bad)
+
+
+@pytest.mark.parametrize("case", ["corner", "continuous"])
+def test_block_band_check_decides_as_the_whole_tuple_check(case):
+    # a move of one block of one replica, from a tuple that holds the band and
+    # the pair rule, is decided on that block alone exactly as contains and
+    # pairs_within decide on the whole proposed tuple
+    if case == "corner":
+        h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=3, rho=1.2)
+    else:
+        h, spec = continuous_band_spec()
+        spec = BandSpec(spec.center, spec.delta, n=3, rho=0.5)
+    lay = h.layout
+    rng = np.random.default_rng(5)
+    tuples = band_starts(spec, 40, np.random.default_rng(13))
+    decided = []
+    for r in range(spec.n):
+        others = [r2 for r2 in range(spec.n) if r2 != r]
+        for s, sl in enumerate(lay.slices):
+            x = tuples[:, r, sl]
+            scale = np.repeat([0.05, 0.3, 1.0, 3.0], 10)[:, None]
+            y = -x if lay.sizes[s] == 1 else x + scale * rng.standard_normal(x.shape)
+            if lay.sizes[s] > 1:
+                y *= np.sqrt(lay.sizes[s] / np.einsum("ij,ij->i", y, y))[:, None]
+            props = tuples[:, [r]].copy()
+            props[:, :, sl] = y[:, None]
+            whole = spec.contains(props).all(axis=1) & spec.pairs_within(
+                props[:, :, None], tuples[:, None, others]).all(axis=(1, 2))
+            block = thermo._block_within(spec, s, y, tuples[:, others, sl])
+            np.testing.assert_array_equal(block, whole)
+            decided.append(whole)
+    decided = np.concatenate(decided)
+    assert decided.any() and not decided.all()
