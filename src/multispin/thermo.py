@@ -135,15 +135,27 @@ def _check_kept_budget(rows: int, steps: int, size: int, what: str) -> None:
                          "are over the budget")
 
 
-def _block_within(band: BandSpec, s: int, y: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Whether block s of one replica per row, moved to y (rows, N_s), stays in
-    the band and within rho of that block of the others (rows, n - 1, N_s).
-    The rest of the tuple held when last accepted, so this decides as contains
-    and pairs_within on the whole tuple, with species_overlaps' block sums."""
-    sl, q = band.center.layout.slices[s], band.center.self_overlap()[s]
-    to_center = np.add.reduceat(y * band.center.coords[sl], [0], axis=-1)[:, 0] / y.shape[-1]
-    to_others = np.add.reduceat(y[:, None] * others, [0], axis=-1)[..., 0] / y.shape[-1]
-    return (np.abs(to_center - q) <= band.delta) & (np.abs(to_others - q) <= band.rho).all(axis=1)
+def _rounds(n_replicas: int, n_species: int) -> list[list[tuple[int, int]]]:
+    """The (replica, block) moves of a sweep in rounds of commuting moves:
+    move (r, s) runs in round (r + s) % max(n_replicas, n_species), so a
+    round moves distinct blocks of distinct replicas, in ascending replica
+    order.  With one replica, round j moves block j."""
+    n_rounds = max(n_replicas, n_species)
+    return [[(r, (j - r) % n_rounds) for r in range(n_replicas) if (j - r) % n_rounds < n_species]
+            for j in range(n_rounds)]
+
+
+def _round_within(band: BandSpec, props: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Whether each replica's proposal in props (rows, n, N) stays in the band
+    and within rho of every other replica in coords.  For moves of distinct
+    blocks from a tuple that holds the band and the pair rule, this decides
+    each move as contains and pairs_within on the whole tuple it proposes."""
+    m, n = band.center, props.shape[1]
+    refs = np.concatenate([np.broadcast_to(m.coords, coords[:, :1].shape), coords], axis=1)
+    dev = np.abs(species_overlaps(props[:, :, None], refs[:, None], m.layout) - m.self_overlap())
+    # delta to the center, rho to every other replica, no test against itself
+    tol = np.where(np.eye(n, n + 1, 1, dtype=bool), np.inf, [band.delta] + [band.rho] * n)
+    return (dev <= tol[..., None]).all(axis=(-2, -1))
 
 
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
@@ -151,13 +163,14 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     """Replica-exchange Metropolis over the beta grid, batched over a group
     of instances that share mixture terms and layout, and over chains.
 
-    One accept step serves every move, a symmetric proposal for one species
-    block of some replicas on every chain of every instance at once:
-    min(1, 1_constraints * exp(beta dH)), dH summed over those replicas.
-    Block moves take one replica: a tangent Gaussian step re-projected to the
-    block sphere (for single-coordinate blocks, a lazy sign flip), checked
-    against the band on that block alone (_block_within).  Coupled replicas
-    also flip single-coordinate blocks together.  After each sweep,
+    A sweep moves each block of each replica once, in the rounds of _rounds.
+    A round is one Metropolis step on every chain of every instance, accepted
+    per (row, replica) with min(1, 1_constraints * exp(beta dH)); its moves
+    commute, so it decides as they would one at a time.  A block move is a
+    tangent Gaussian step, from the state and step size at the start of the
+    sweep, re-projected to the block sphere (for single-coordinate blocks, a
+    lazy sign flip), checked by _round_within.  Coupled replicas also flip
+    single-coordinate blocks together.  After each sweep,
     neighbouring chains (even pairs on even sweeps, odd pairs on odd sweeps)
     swap states when log u < (beta_{c+1} - beta_c)(E_c - E_{c+1}).  A band
     run couples band.n replicas and starts from the given tuples, shape
@@ -172,10 +185,11 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     instance, so its run does not depend on the group.  Every _RANDOM_CHUNK
     sweeps (C, fewer at the end) it draws normals z (C, replicas, chains, N),
     then uniforms (C, rows, chains).  Block s of replica r proposes from block
-    s of z[c, r]; a sweep's uniform rows follow its moves: per replica and
-    block a flip decision (one-coordinate blocks) and the accept, then the
-    coupled flips' decisions and accepts, then the swap, on the first entries
-    of its row.  Accepts and swaps compare against log(max(u, 1e-300)).
+    s of z[c, r]; a sweep's uniform rows follow its moves: per round and per
+    moving replica in ascending order a flip decision (one-coordinate
+    blocks) and the accept, then the coupled flips' decisions and accepts,
+    then the swap, on the first entries of its row.  Accepts and swaps
+    compare against log(max(u, 1e-300)).
 
     The state arrays have one row per (instance, chain), instance-major, so
     a group of one is laid out exactly as a single run.
@@ -211,94 +225,104 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     kept = kept if keep_snapshots else 0
     series = np.empty((n_rows, steps - burn))
     snapshots = np.empty((n_rows, kept, n_replicas, layout.n))
-    prop_count = np.zeros(n_rows, dtype=int)
-    acc_count = np.zeros(n_rows, dtype=int)
-    swap_tries, swap_accepts = np.zeros((2, k, n_chains - 1), dtype=int)
-    # left chain of each pair tried on even and on odd sweeps, its rows and beta gaps
+    prop_count, acc_count = np.zeros((2, n_rows, n_replicas), dtype=int)
+    swap_accepts = np.zeros((k, n_chains - 1), dtype=int)
+    # left chain of each pair tried on even and on odd sweeps, its rows, its
+    # swap uniforms (the first entries of each instance's row) and beta gaps
     swap_lo = [np.arange(parity, n_chains - 1, 2) for parity in (0, 1)]
     swap_rows = [(lo + n_chains * np.arange(k)[:, None]).reshape(-1) for lo in swap_lo]
+    swap_u = [(np.arange(lo.size) + n_chains * np.arange(k)[:, None]).ravel() for lo in swap_lo]
     swap_gaps = [betas[rows + 1] - betas[rows] for rows in swap_rows]
     flips = [s for s, d in enumerate(layout.sizes) if d == 1]
-    n_u = n_replicas * (layout.n_species + len(flips)) + 2 * len(flips) * (n_replicas > 1) + 1
+    # the blocks of each size d > 1, and their coordinates (blocks, d)
+    coord_sizes = np.repeat(layout.size_array, layout.size_array)
+    by_size = [(d, np.flatnonzero(layout.size_array == d),
+                np.flatnonzero(coord_sizes == d).reshape(-1, d)) for d in set(layout.sizes) - {1}]
+    # per round: its moved coordinates (n, N), each replica's flip and accept
+    # uniform rows, who flips (None: nobody), who moves, and the (replicas,
+    # blocks) whose step sizes adapt
+    table, n_u = [], 0
+    for moves in _rounds(n_replicas, layout.n_species):
+        mask = np.zeros((n_replicas, layout.n), dtype=bool)
+        u_rows = np.zeros((2, n_replicas), dtype=int)
+        for r, s in moves:
+            mask[r, layout.slices[s]] = True
+            u_rows[:, r] = n_u, n_u + (layout.sizes[s] == 1)
+            n_u = u_rows[1, r] + 1
+        flip = mask.sum(axis=1) == 1
+        table.append((mask, u_rows, flip if flip.any() else None, mask.any(axis=1), np.array(
+            [(r, s) for r, s in moves if layout.sizes[s] > 1], dtype=int).reshape(-1, 2).T))
+    n_u += 2 * len(flips) * (n_replicas > 1) + 1
 
-    def accept(reps, sl, y, ok, log_u):
-        """Metropolis step for block sl of replicas reps (a slice) proposed
-        as y, where ok holds."""
-        props = coords[:, reps].copy()
-        props[:, :, sl] = y
+    def metropolis(props, ok, log_u):
+        """Metropolis step to props (rows, n, N) where ok holds, per (row,
+        replica); for log_u of one column and several replicas, per row."""
         prop_e = group_energies(group, props.reshape(k, -1, layout.n)).reshape(n_rows, -1)
-        if prop_e.shape[1] == 1:
-            gain = prop_e[:, 0] - energies[:, reps.start]
-        else:  # a band run's coupled flips, checked against the band on the whole tuple
-            gain = prop_e.sum(axis=1) - energies[:, reps].sum(axis=1)
-            ok = ok & band.contains(props).all(axis=1)
-        accepted = ok & (log_u < betas * gain)
-        np.copyto(coords[:, reps, sl], y, where=accepted[:, None, None])
-        np.copyto(energies[:, reps], prop_e, where=accepted[:, None])
+        gain = prop_e - energies
+        if log_u.shape[1] < n_replicas:
+            gain = prop_e.sum(axis=1, keepdims=True) - energies.sum(axis=1, keepdims=True)
+        accepted = ok & (log_u < betas[:, None] * gain)
+        np.copyto(coords, props, where=accepted[..., None])
+        np.copyto(energies, prop_e, where=accepted)
         return accepted
 
     for t in range(steps):
         c = t % _RANDOM_CHUNK
         if c == 0:
-            z = u = log_u = g = None  # drop the last chunk (g views it) before the next
+            z = u = log_u = None  # drop the last chunk before the next
             size = min(_RANDOM_CHUNK, steps - t)
             z = np.empty((size, n_replicas, k, n_chains, layout.n))
             u = np.empty((size, n_u, k, n_chains))
             for i, rng in enumerate(rngs):
                 z[:, :, i] = rng.standard_normal((size, n_replicas, n_chains, layout.n))
                 u[:, :, i] = rng.random((size, n_u, n_chains))
-            z, u = z.reshape(size, n_replicas, n_rows, layout.n), u.reshape(size, n_u, n_rows)
+            z = z.reshape(size, n_replicas, n_rows, layout.n).transpose(0, 2, 1, 3)
+            u = u.reshape(size, n_u, n_rows)
             log_u = np.log(np.maximum(u, 1e-300))
-        draws = zip(u[c], log_u[c])
         adapting = t < burn
-        for r in range(n_replicas):
-            others = [r2 for r2 in range(n_replicas) if r2 != r]
-            for s, sl in enumerate(layout.slices):
-                d = layout.sizes[s]
-                x = coords[:, r, sl]
-                if d == 1:
-                    moved = next(draws)[0] < 0.5
-                    y = -x
-                else:
-                    g = z[c, r, :, sl]
-                    v = g - (np.einsum("ij,ij->i", g, x) / d)[:, None] * x
-                    y = x + step_sizes[:, s, None] * v
-                    y *= np.sqrt(d / np.einsum("ij,ij->i", y, y))[:, None]
-                    moved = True
-                ok = moved if band is None else moved & _block_within(
-                    band, s, y, coords[:, others, sl])
-                accepted = accept(slice(r, r + 1), sl, y[:, None], ok, next(draws)[1])
-                if not adapting:
-                    prop_count += moved
-                    acc_count += accepted
-                elif d > 1:
-                    step_sizes[:, s] = np.clip(
-                        step_sizes[:, s] * np.exp(0.1 * (accepted - _TARGET_ACCEPT)),
-                        1e-4, 10.0)
+        y = -coords  # the sign flips of one-coordinate blocks
+        for d, blocks, idx in by_size:
+            x, g = np.take(coords, idx, axis=2), np.take(z[c], idx, axis=2)
+            v = g - (np.einsum("...j,...j->...", g, x) / d)[..., None] * x
+            step = x + step_sizes[:, None, blocks, None] * v
+            step *= np.sqrt(d / np.einsum("...j,...j->...", step, step))[..., None]
+            y[:, :, idx] = step
+        for mask, u_rows, flip, moving, (adapt_r, adapt_s) in table:
+            props = np.where(mask, y, coords)
+            moved = moving if flip is None else np.where(flip, u[c, u_rows[0]].T < 0.5, moving)
+            ok = moved if band is None else moved & _round_within(band, props, coords)
+            accepted = metropolis(props, ok, log_u[c, u_rows[1]].T)
+            if not adapting:
+                prop_count += moved
+                acc_count += accepted
+            elif adapt_r.size:
+                step_sizes[:, adapt_s] = np.clip(
+                    step_sizes[:, adapt_s] * np.exp(0.1 * (accepted[:, adapt_r] - _TARGET_ACCEPT)),
+                    1e-4, 10.0)
         if n_replicas > 1:
             # synchronized sign flips keep pairwise overlaps invariant, so
             # they connect components that single-replica flips cannot reach
-            for s in flips:
-                sl = layout.slices[s]
-                moved = next(draws)[0] < 0.5
-                accept(slice(None), sl, -coords[:, :, sl], moved, next(draws)[1])
+            for row, s in zip(range(n_u - 1 - 2 * len(flips), n_u, 2), flips):
+                props = coords.copy()
+                props[:, :, layout.slices[s]] *= -1.0
+                ok = (u[c, row] < 0.5) & band.contains(props).all(axis=1)
+                metropolis(props, ok[:, None], log_u[c, row + 1, :, None])
         lo, rows, gaps = swap_lo[t % 2], swap_rows[t % 2], swap_gaps[t % 2]
-        swap_log_u = next(draws)[1].reshape(k, n_chains)[:, :lo.size].reshape(-1)
-        totals = energies.sum(axis=1)
-        accepted = swap_log_u < gaps * (totals[rows] - totals[rows + 1])
-        a = rows[accepted]
-        pair = np.concatenate([a, a + 1])
-        swapped = np.concatenate([a + 1, a])
-        coords[pair] = coords[swapped]
-        energies[pair] = energies[swapped]
-        totals[pair] = totals[swapped]
+        totals = energies[:, 0] if n_replicas == 1 else energies.sum(axis=1)
+        accepted = log_u[c, -1, swap_u[t % 2]] < gaps * (totals[rows] - totals[rows + 1])
+        perm, a = np.arange(n_rows), rows[accepted]
+        perm[a], perm[a + 1] = a + 1, a
+        coords, energies = coords[perm], energies[perm]
         if not adapting:
-            swap_tries[:, lo] += 1
             swap_accepts[:, lo] += accepted.reshape(k, -1)
-            series[:, t - burn] = totals
+            series[:, t - burn] = totals[perm]
             if kept and (t - burn) % thin == 0:
                 snapshots[:, (t - burn) // thin] = coords
 
+    # post-burn-in sweeps of each parity try the pairs whose left chain has it
+    swap_tries = np.resize([(steps + 1) // 2 - (burn + 1) // 2, steps // 2 - burn // 2],
+                           n_chains - 1)
+    prop_count, acc_count = prop_count.sum(axis=1), acc_count.sum(axis=1)
     accept_rates = np.where(prop_count > 0, acc_count / np.maximum(prop_count, 1), 1.0)
     swap_rates = np.where(swap_tries > 0, swap_accepts / np.maximum(swap_tries, 1), 1.0)
     runs = []

@@ -907,9 +907,9 @@ def test_band_run_refuses_starts_outside_the_band_or_the_pair_rule():
 
 @pytest.mark.parametrize("case", ["corner", "continuous"])
 def test_block_band_check_decides_as_the_whole_tuple_check(case):
-    # a move of one block of one replica, from a tuple that holds the band and
-    # the pair rule, is decided on that block alone exactly as contains and
-    # pairs_within decide on the whole proposed tuple
+    # in every round, each move of one block of one replica, from a tuple that
+    # holds the band and the pair rule, is decided by the round's band test
+    # exactly as contains and pairs_within decide on the whole proposed tuple
     if case == "corner":
         h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=3, rho=1.2)
     else:
@@ -919,20 +919,137 @@ def test_block_band_check_decides_as_the_whole_tuple_check(case):
     rng = np.random.default_rng(5)
     tuples = band_starts(spec, 40, np.random.default_rng(13))
     decided = []
-    for r in range(spec.n):
-        others = [r2 for r2 in range(spec.n) if r2 != r]
-        for s, sl in enumerate(lay.slices):
+    for moves in thermo._rounds(spec.n, lay.n_species):
+        props = tuples.copy()
+        for r, s in moves:
+            sl = lay.slices[s]
             x = tuples[:, r, sl]
             scale = np.repeat([0.05, 0.3, 1.0, 3.0], 10)[:, None]
             y = -x if lay.sizes[s] == 1 else x + scale * rng.standard_normal(x.shape)
             if lay.sizes[s] > 1:
                 y *= np.sqrt(lay.sizes[s] / np.einsum("ij,ij->i", y, y))[:, None]
-            props = tuples[:, [r]].copy()
-            props[:, :, sl] = y[:, None]
-            whole = spec.contains(props).all(axis=1) & spec.pairs_within(
-                props[:, :, None], tuples[:, None, others]).all(axis=(1, 2))
-            block = thermo._block_within(spec, s, y, tuples[:, others, sl])
-            np.testing.assert_array_equal(block, whole)
+            props[:, r, sl] = y
+        within = thermo._round_within(spec, props, tuples)
+        for r, s in moves:
+            others = [r2 for r2 in range(spec.n) if r2 != r]
+            whole = spec.contains(props[:, [r]]).all(axis=1) & spec.pairs_within(
+                props[:, [r], None], tuples[:, None, others]).all(axis=(1, 2))
+            np.testing.assert_array_equal(within[:, r], whole)
             decided.append(whole)
     decided = np.concatenate(decided)
     assert decided.any() and not decided.all()
+
+
+@pytest.mark.parametrize("n_species", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rounds_move_each_block_of_each_replica_once_per_sweep(n, n_species):
+    rounds = thermo._rounds(n, n_species)
+    assert len(rounds) == max(n, n_species)
+    assert sorted(m for moves in rounds for m in moves) == sorted(
+        itertools.product(range(n), range(n_species)))
+    for moves in rounds:
+        replicas, blocks = zip(*moves)
+        assert list(replicas) == sorted(set(replicas))
+        assert len(set(blocks)) == len(blocks)
+    if n == 1:
+        assert rounds == [[(0, s)] for s in range(n_species)]
+
+
+def one_move_at_a_time(h, spec, beta, start, rng):
+    """One sweep of a one-chain band run from the tuple start, with the
+    stream layout and proposals of _run_group, but its moves applied one at a
+    time in round order and the energies recomputed after each: the final
+    tuple, the block moves proposed and the block moves accepted."""
+    lay, n = h.layout, spec.n
+    flips = [s for s, d in enumerate(lay.sizes) if d == 1]
+    z = rng.standard_normal((1, n, 1, lay.n))[0, :, 0]
+    u = rng.random((1, n * (lay.n_species + len(flips)) + 2 * len(flips) * (n > 1) + 1, 1))
+    draws = iter(u[0, :, 0])
+    tup, proposed, accepted = start.copy(), 0, 0
+
+    def metropolis(prop, ok):
+        log_u = math.log(max(next(draws), 1e-300))
+        return ok and log_u < beta * (energy_many(h, prop).sum() - energy_many(h, tup).sum())
+
+    for moves in thermo._rounds(n, lay.n_species):
+        for r, s in moves:
+            sl, d = lay.slices[s], lay.sizes[s]
+            x, g = start[r, sl], z[r, sl]
+            moved = next(draws) < 0.5 if d == 1 else True
+            prop = tup.copy()
+            prop[r, sl] = -x if d == 1 else x + 0.5 * (g - (g @ x / d) * x)
+            prop[r, sl] *= math.sqrt(d / (prop[r, sl] @ prop[r, sl]))
+            ok = moved and spec.contains(prop).all() and spec.tuples_within(prop)
+            if metropolis(prop, ok):
+                tup, accepted = prop, accepted + 1
+            proposed += moved
+    for s in flips:
+        prop = tup.copy()
+        prop[:, lay.slices[s]] *= -1.0
+        moved = next(draws) < 0.5
+        if metropolis(prop, moved and spec.contains(prop).all()):
+            tup = prop
+    return tup, proposed, accepted
+
+
+@pytest.mark.parametrize("case, n", [("continuous", 2), ("continuous", 3), ("corner", 3)])
+def test_round_decides_as_its_moves_one_at_a_time(case, n):
+    # one sweep of 40 one-chain instances (no swap pairs) equals, per chain,
+    # its moves applied one at a time with the energies recomputed after each
+    if case == "corner":
+        h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=n, rho=1.2)
+    else:
+        h, spec = continuous_band_spec()
+        spec = BandSpec(spec.center, spec.delta, n=n, rho=0.5)
+    starts = band_starts(spec, 40, np.random.default_rng(13))
+    beta = 3.0
+    runs = _run_group([h] * 40, np.array([beta]), 1, np.random.default_rng(8).spawn(40),
+                      band=spec, starts=starts)
+    proposed = []
+    for run, start, rng in zip(runs, starts, np.random.default_rng(8).spawn(40)):
+        tup, moves, accepts = one_move_at_a_time(h, spec, beta, start, rng)
+        np.testing.assert_allclose(run.final_coords[0], tup, rtol=0, atol=1e-12)
+        assert run.proposal_counts[0] == moves
+        assert run.accept_rates[0] * moves == pytest.approx(accepts)
+        assert run.series[0, 0] == pytest.approx(energy_many(h, tup).sum(), abs=1e-10)
+        proposed.append((moves, accepts))
+    moves, accepts = np.array(proposed).T
+    assert 0 < accepts.sum() < moves.sum()
+
+
+class SwapUniforms:
+    """A generator whose draws come from a default_rng, except the swap row
+    of each sweep: 1.0 (refused: log 1 is not below 0) or 0.5 (accepted,
+    where the energy gap is 0), each with probability one half; keeps them."""
+
+    def __init__(self, seed):
+        self.rng, self.swap = np.random.default_rng(seed), []
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape)
+
+    def random(self, shape):
+        u = self.rng.random(shape)
+        u[:, -1] = np.where(self.rng.random(u[:, -1].shape) < 0.5, 1.0, 0.5)
+        self.swap.append(u[:, -1])
+        return u
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 17])
+def test_swap_rates_count_each_sweep(steps):
+    # with H = 0 every swap whose uniform is below 1 is accepted, so the
+    # rates follow from the swap rows alone, counted here sweep by sweep
+    h = build_instance(Mixture.from_terms({}, n_species=2), SpeciesLayout(("a", "b"), (1, 3)),
+                       seed=0)
+    n_chains, rng = 6, SwapUniforms(4)
+    run = pt_sampler(h, np.linspace(0, 1, n_chains), steps, rng)
+    swap = np.concatenate(rng.swap)
+    tries, accepts = np.zeros((2, n_chains - 1), dtype=int)
+    for t in range(steps // 3, steps):
+        for j, lo in enumerate(range(t % 2, n_chains - 1, 2)):
+            tries[lo] += 1
+            accepts[lo] += swap[t, j] < 1.0
+    expected = np.where(tries > 0, accepts / np.maximum(tries, 1), 1.0)
+    np.testing.assert_array_equal(run.swap_rates, expected)
+    if steps >= 5:
+        assert 0 < accepts.sum() < tries.sum()
