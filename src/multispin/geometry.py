@@ -322,6 +322,31 @@ def _cos_law_table(d: int, c1: float, c2: float):
     return tm, power * math.log(cos_m), edges, cum, vals
 
 
+@lru_cache(maxsize=256)
+def _cos_law_fits(d: int, c1: float, c2: float):
+    """Per panel of _cos_law_table(d, c1, c2): the monomial coefficients in x
+    of its polynomial mass and density (panels, 2, k), and the density at x =
+    -1 over the mean of its ends.  Read-only, cached per (d, c1, c2)."""
+    vals = _cos_law_table(d, c1, c2)[4]
+    k = vals.shape[1] + 1
+    poly = (vals @ _gauss_legendre()[2]).reshape(-1, 2, k)
+    ends = poly[:, 1] @ np.vander([-1.0, 1.0], k, increasing=True).T
+    alpha = 2.0 * ends[:, 0] / ends.sum(axis=1)
+    for table in (poly, alpha):
+        table.setflags(write=False)
+    return poly, alpha
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x^0 .. x^(k-1) of each entry of x, shape (x.size, k): the table of
+    np.vander(x, k, increasing=True), bit for bit, built column by column."""
+    table = np.empty((x.size, k))
+    table[:, 0] = 1.0
+    for i in range(1, k):
+        np.multiply(table[:, i - 1], x, out=table[:, i])
+    return table
+
+
 def _log_cos_integral(d: int, c1: float, c2: float) -> float:
     """log of int_{c1}^{c2} (1-c^2)^((d-3)/2) dc for d >= 2, via c = sin t."""
     if c2 <= c1:
@@ -336,17 +361,15 @@ def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
     that holds the target mass, on that panel's polynomial mass.  Angles, not
     cosines, since near c = +-1 the law's far tails lie below the float
     spacing of c but not of t."""
-    tm, _, edges, cum, vals = _cos_law_table(d, c1, c2)
-    k = vals.shape[1] + 1
-    poly = (vals @ _gauss_legendre()[2]).reshape(-1, 2, k)
-    # start from the CDF of the density linear between the panel's ends
-    ends = poly[:, 1] @ np.vander([-1.0, 1.0], k, increasing=True).T
-    alpha = 2.0 * ends[:, 0] / ends.sum(axis=1)
+    tm, _, edges, cum, _ = _cos_law_table(d, c1, c2)
+    poly, alpha = _cos_law_fits(d, c1, c2)
+    k = poly.shape[2]
     out = np.empty(u.size)
     for lo in range(0, u.size, _ROW_CHUNK):
         target = cum[-1] * u[lo:lo + _ROW_CHUNK]
         j = np.minimum(np.searchsorted(cum, target, side="right") - 1, _PANELS - 1)
         r, a = (target - cum[j]) / np.maximum(cum[j + 1] - cum[j], 1e-300), alpha[j]
+        # start from the CDF of the density linear between the panel's ends
         x = 4.0 * r / np.maximum(a + np.sqrt(a * a + 4.0 * (1.0 - a) * r), 1e-300) - 1.0
         # end panels at c = -1 and +1, where the density vanishes like the
         # power d - 2 of the distance to the end, start from that power's CDF
@@ -358,7 +381,7 @@ def _cos_law_inverse(d: int, c1: float, c2: float, u: np.ndarray) -> np.ndarray:
         rows = poly[j]
         rows[:, 0, 0] += cum[j] - target
         for _ in range(_NEWTON_STEPS):
-            excess, dens = np.einsum("rck,rk->cr", rows, np.vander(x, k, increasing=True))
+            excess, dens = np.einsum("rck,rk->cr", rows, _powers(x, k))
             x = np.clip(x - excess / dens, -1.0, 1.0)
         out[lo:lo + _ROW_CHUNK] = tm + edges[j] + 0.5 * (x + 1.0) * (edges[1] - edges[0])
     return np.clip(out, math.asin(c1), math.asin(c2), out=out)

@@ -10,6 +10,7 @@ variable of thermodynamic integration (or explicitly via scale_mixture).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -145,17 +146,32 @@ def _rounds(n_replicas: int, n_species: int) -> list[list[tuple[int, int]]]:
             for j in range(n_rounds)]
 
 
-def _round_within(band: BandSpec, props: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def _block_runs(layout: SpeciesLayout) -> list[tuple[int, slice, slice]]:
+    """(d, blocks, coordinates) of each run of consecutive blocks of one size d > 1."""
+    runs = [(d, list(b)) for d, b in
+            itertools.groupby(range(layout.n_species), layout.sizes.__getitem__)]
+    return [(d, slice(b[0], b[-1] + 1), slice(layout.starts[b[0]], layout.slices[b[-1]].stop))
+            for d, b in runs if d > 1]
+
+
+@functools.lru_cache(maxsize=16)
+def _band_tolerances(n: int, delta: float, rho: float) -> np.ndarray:
+    """Read-only tolerances (n, 1 + n, 1) of n replicas against the center and
+    the replicas: delta to the center, rho to every other replica, none to itself."""
+    tol = np.where(np.eye(n, n + 1, 1, dtype=bool), np.inf, [delta] + [rho] * n)[..., None]
+    tol.setflags(write=False)
+    return tol
+
+
+def _round_within(band: BandSpec, props: np.ndarray, held: np.ndarray) -> np.ndarray:
     """Whether each replica's proposal in props (rows, n, N) stays in the band
-    and within rho of every other replica in coords.  For moves of distinct
-    blocks from a tuple that holds the band and the pair rule, this decides
-    each move as contains and pairs_within on the whole tuple it proposes."""
-    m, n = band.center, props.shape[1]
-    refs = np.concatenate([np.broadcast_to(m.coords, coords[:, :1].shape), coords], axis=1)
-    dev = np.abs(species_overlaps(props[:, :, None], refs[:, None], m.layout) - m.self_overlap())
-    # delta to the center, rho to every other replica, no test against itself
-    tol = np.where(np.eye(n, n + 1, 1, dtype=bool), np.inf, [band.delta] + [band.rho] * n)
-    return (dev <= tol[..., None]).all(axis=(-2, -1))
+    and within rho of every other replica in held, the center then the
+    replicas (rows, 1 + n, N).  For moves of distinct blocks from a tuple that
+    holds the band and the pair rule, this decides each move as contains and
+    pairs_within on the whole tuple it proposes."""
+    m = band.center
+    dev = np.abs(species_overlaps(props[:, :, None], held[:, None], m.layout) - m.self_overlap())
+    return (dev <= _band_tolerances(props.shape[1], band.delta, band.rho)).all(axis=(-2, -1))
 
 
 def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | None = None,
@@ -192,7 +208,9 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     compare against log(max(u, 1e-300)).
 
     The state arrays have one row per (instance, chain), instance-major, so
-    a group of one is laid out exactly as a single run.
+    a group of one is laid out exactly as a single run.  A band run holds the
+    center in front of its replicas, (rows, 1 + n, N), for the swap to permute
+    and _round_within to read.  Proposals read runs of equal-size blocks as views.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -204,7 +222,7 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     k = group.size
     n_chains = beta_grid.size
     n_rows = k * n_chains
-    betas = np.tile(beta_grid, k)
+    betas = np.tile(beta_grid, k)[:, None]
     n_replicas = 1 if band is None else band.n
     if band is not None and np.shape(starts) != (n_rows, n_replicas, layout.n):
         raise ValueError("a band run needs starting tuples of shape "
@@ -212,11 +230,12 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     if keep_snapshots:
         _check_kept_budget(n_rows, steps, n_replicas * layout.n, "chains")
     if band is None:
-        coords = np.concatenate([_init_replicas(layout, n_chains, rng) for rng in rngs])
+        held = np.concatenate([_init_replicas(layout, n_chains, rng) for rng in rngs])
     else:
-        coords = np.array(starts, dtype=float)
-        if not (band.contains(coords).all() and band.tuples_within(coords).all()):
+        held = np.insert(np.asarray(starts, dtype=float), 0, band.center.coords, axis=1)
+        if not (band.contains(held[:, 1:]).all() and band.tuples_within(held[:, 1:]).all()):
             raise ValueError("band starts must lie in the band and satisfy the pairwise rule")
+    coords = held[:, -n_replicas:]
     energies = group_energies(group, coords.reshape(k, -1, layout.n)).reshape(
         n_rows, n_replicas)
     step_sizes = np.full((n_rows, layout.n_species), 0.5)
@@ -227,17 +246,16 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
     snapshots = np.empty((n_rows, kept, n_replicas, layout.n))
     prop_count, acc_count = np.zeros((2, n_rows, n_replicas), dtype=int)
     swap_accepts = np.zeros((k, n_chains - 1), dtype=int)
-    # left chain of each pair tried on even and on odd sweeps, its rows, its
-    # swap uniforms (the first entries of each instance's row) and beta gaps
-    swap_lo = [np.arange(parity, n_chains - 1, 2) for parity in (0, 1)]
-    swap_rows = [(lo + n_chains * np.arange(k)[:, None]).reshape(-1) for lo in swap_lo]
-    swap_u = [(np.arange(lo.size) + n_chains * np.arange(k)[:, None]).ravel() for lo in swap_lo]
-    swap_gaps = [betas[rows + 1] - betas[rows] for rows in swap_rows]
+    # per parity: rows of the pairs' left and right chains (off: each instance's
+    # first row), swap uniforms, beta gaps and a view of the pairs' accept counts
+    swaps, off = [], n_chains * np.arange(k)[:, None]
+    for p in (0, 1):
+        lo = np.arange(p, n_chains - 1, 2)
+        rows = (lo + off).ravel()
+        swaps.append((rows, rows + 1, (np.arange(lo.size) + off).ravel(),
+                      np.tile(beta_grid[lo + 1] - beta_grid[lo], k), swap_accepts[:, p::2]))
     flips = [s for s, d in enumerate(layout.sizes) if d == 1]
-    # the blocks of each size d > 1, and their coordinates (blocks, d)
-    coord_sizes = np.repeat(layout.size_array, layout.size_array)
-    by_size = [(d, np.flatnonzero(layout.size_array == d),
-                np.flatnonzero(coord_sizes == d).reshape(-1, d)) for d in set(layout.sizes) - {1}]
+    runs = _block_runs(layout)
     # per round: its moved coordinates (n, N), each replica's flip and accept
     # uniform rows, who flips (None: nobody), who moves, and the (replicas,
     # blocks) whose step sizes adapt
@@ -261,7 +279,7 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
         gain = prop_e - energies
         if log_u.shape[1] < n_replicas:
             gain = prop_e.sum(axis=1, keepdims=True) - energies.sum(axis=1, keepdims=True)
-        accepted = ok & (log_u < betas[:, None] * gain)
+        accepted = ok & (log_u < betas * gain)
         np.copyto(coords, props, where=accepted[..., None])
         np.copyto(energies, prop_e, where=accepted)
         return accepted
@@ -281,24 +299,25 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
             log_u = np.log(np.maximum(u, 1e-300))
         adapting = t < burn
         y = -coords  # the sign flips of one-coordinate blocks
-        for d, blocks, idx in by_size:
-            x, g = np.take(coords, idx, axis=2), np.take(z[c], idx, axis=2)
+        for d, blocks, cols in runs:
+            x = coords[:, :, cols].reshape(n_rows, n_replicas, -1, d)
+            g = z[c, :, :, cols].reshape(x.shape)
             v = g - (np.einsum("...j,...j->...", g, x) / d)[..., None] * x
             step = x + step_sizes[:, None, blocks, None] * v
             step *= np.sqrt(d / np.einsum("...j,...j->...", step, step))[..., None]
-            y[:, :, idx] = step
+            y[:, :, cols] = step.reshape(n_rows, n_replicas, -1)
         for mask, u_rows, flip, moving, (adapt_r, adapt_s) in table:
             props = np.where(mask, y, coords)
             moved = moving if flip is None else np.where(flip, u[c, u_rows[0]].T < 0.5, moving)
-            ok = moved if band is None else moved & _round_within(band, props, coords)
+            ok = moved if band is None else moved & _round_within(band, props, held)
             accepted = metropolis(props, ok, log_u[c, u_rows[1]].T)
             if not adapting:
                 prop_count += moved
                 acc_count += accepted
             elif adapt_r.size:
-                step_sizes[:, adapt_s] = np.clip(
+                step_sizes[:, adapt_s] = np.minimum(np.maximum(
                     step_sizes[:, adapt_s] * np.exp(0.1 * (accepted[:, adapt_r] - _TARGET_ACCEPT)),
-                    1e-4, 10.0)
+                    1e-4), 10.0)
         if n_replicas > 1:
             # synchronized sign flips keep pairwise overlaps invariant, so
             # they connect components that single-replica flips cannot reach
@@ -307,14 +326,15 @@ def _run_group(hs, beta_grid: np.ndarray, steps: int, rngs, band: BandSpec | Non
                 props[:, :, layout.slices[s]] *= -1.0
                 ok = (u[c, row] < 0.5) & band.contains(props).all(axis=1)
                 metropolis(props, ok[:, None], log_u[c, row + 1, :, None])
-        lo, rows, gaps = swap_lo[t % 2], swap_rows[t % 2], swap_gaps[t % 2]
+        rows, right, u_at, gaps, swapped = swaps[t % 2]
         totals = energies[:, 0] if n_replicas == 1 else energies.sum(axis=1)
-        accepted = log_u[c, -1, swap_u[t % 2]] < gaps * (totals[rows] - totals[rows + 1])
+        accepted = log_u[c, -1, u_at] < gaps * (totals[rows] - totals[right])
         perm, a = np.arange(n_rows), rows[accepted]
         perm[a], perm[a + 1] = a + 1, a
-        coords, energies = coords[perm], energies[perm]
+        held, energies = held[perm], energies[perm]
+        coords = held[:, -n_replicas:]
         if not adapting:
-            swap_accepts[:, lo] += accepted.reshape(k, -1)
+            swapped += accepted.reshape(k, -1)
             series[:, t - burn] = totals[perm]
             if kept and (t - burn) % thin == 0:
                 snapshots[:, (t - burn) // thin] = coords

@@ -667,3 +667,31 @@ def test_band_draws_equal_with_the_panel_table_cold_and_warm():
     for table in (edges, cum, vals):
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10])
+def test_power_table_equals_vander_bit_for_bit(k):
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-310, -1.5e-308]
+    x = np.concatenate([special, rng.uniform(-1.0, 1.0, 500), rng.normal(0.0, 3.0, 100)])
+    want = np.vander(x, k, increasing=True)
+    got = geometry._powers(x, k)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_band_draws_equal_with_the_polynomial_fits_cold_and_warm():
+    # the panels' polynomial fits are cached per (d, c1, c2) as read-only
+    # arrays; a draw is the same bit for bit either way
+    m = sample_on_shell(LAY2, [0.3, 0.6], np.random.default_rng(1))
+
+    def draw():
+        return sample_uniform_in_band_batch(m, 0.15, 50, np.random.default_rng(2))
+
+    geometry._cos_law_fits.cache_clear()
+    cold, warm = draw(), draw()
+    assert geometry._cos_law_fits.cache_info().hits > 0
+    np.testing.assert_array_equal(cold, warm)
+    for table in geometry._cos_law_fits(6, 0.1, 0.8):
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -918,6 +918,8 @@ def test_block_band_check_decides_as_the_whole_tuple_check(case):
     lay = h.layout
     rng = np.random.default_rng(5)
     tuples = band_starts(spec, 40, np.random.default_rng(13))
+    center = np.broadcast_to(spec.center.coords, tuples[:, :1].shape)
+    held = np.concatenate([center, tuples], axis=1)  # the center in front of the tuple
     decided = []
     for moves in thermo._rounds(spec.n, lay.n_species):
         props = tuples.copy()
@@ -929,7 +931,7 @@ def test_block_band_check_decides_as_the_whole_tuple_check(case):
             if lay.sizes[s] > 1:
                 y *= np.sqrt(lay.sizes[s] / np.einsum("ij,ij->i", y, y))[:, None]
             props[:, r, sl] = y
-        within = thermo._round_within(spec, props, tuples)
+        within = thermo._round_within(spec, props, held)
         for r, s in moves:
             others = [r2 for r2 in range(spec.n) if r2 != r]
             whole = spec.contains(props[:, [r]]).all(axis=1) & spec.pairs_within(
@@ -953,6 +955,23 @@ def test_rounds_move_each_block_of_each_replica_once_per_sweep(n, n_species):
         assert len(set(blocks)) == len(blocks)
     if n == 1:
         assert rounds == [[(0, s)] for s in range(n_species)]
+
+
+@pytest.mark.parametrize("sizes", [(8, 8), (3, 1, 5), (4, 2, 4), (1, 1), (2, 2, 1, 2)])
+def test_block_runs_cover_each_wide_block_once_in_order(sizes):
+    lay = SpeciesLayout(tuple("abcd"[:len(sizes)]), sizes)
+    runs = thermo._block_runs(lay)
+    wide = [s for s, d in enumerate(sizes) if d > 1]
+    assert [s for _, blocks, _ in runs for s in range(blocks.start, blocks.stop)] == wide
+    covered = []
+    for d, blocks, cols in runs:
+        assert {sizes[s] for s in range(blocks.start, blocks.stop)} == {d}
+        assert cols == slice(lay.slices[blocks.start].start, lay.slices[blocks.stop - 1].stop)
+        covered += range(cols.start, cols.stop)
+    assert covered == [i for s in wide for i in range(lay.slices[s].start, lay.slices[s].stop)]
+    # a run ends where the size changes or a one-coordinate block sits
+    for (d, blocks, _), (d2, blocks2, _) in zip(runs, runs[1:]):
+        assert d != d2 or blocks.stop < blocks2.start
 
 
 def one_move_at_a_time(h, spec, beta, start, rng):
@@ -992,12 +1011,20 @@ def one_move_at_a_time(h, spec, beta, start, rng):
     return tup, proposed, accepted
 
 
-@pytest.mark.parametrize("case, n", [("continuous", 2), ("continuous", 3), ("corner", 3)])
+@pytest.mark.parametrize("case, n", [("continuous", 2), ("continuous", 3), ("corner", 3),
+                                     ("split", 2), ("split", 3)])
 def test_round_decides_as_its_moves_one_at_a_time(case, n):
     # one sweep of 40 one-chain instances (no swap pairs) equals, per chain,
-    # its moves applied one at a time with the energies recomputed after each
+    # its moves applied one at a time with the energies recomputed after each;
+    # the split layout's two 3-blocks are two runs, split by a one-coordinate block
     if case == "corner":
         h, spec = corner_instance(), BandSpec(corner_center(), delta=0.8, n=n, rho=1.2)
+    elif case == "split":
+        lay = SpeciesLayout(("a", "b", "c"), (3, 1, 3))
+        h = build_instance(Mixture.from_terms({(1, 1, 0): 0.8, (0, 1, 1): 0.5, (2, 0, 1): 0.3,
+                                               (1, 1, 1): 0.4}), lay, seed=17)
+        m = sample_on_shell(lay, [0.3, 0.3, 0.3], np.random.default_rng(18))
+        spec = BandSpec(m, delta=0.9, n=n, rho=1.25)
     else:
         h, spec = continuous_band_spec()
         spec = BandSpec(spec.center, spec.delta, n=n, rho=0.5)

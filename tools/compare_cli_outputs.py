@@ -17,7 +17,9 @@ benchmark's band_replica shape, the corner enumerations of coupled-replica
 free energies and penalties, `exact_fe_quadrature`, and every move kind of
 the tempering engine (coupled replicas with synchronized sign flips,
 one- and four-chain `pt_sampler`, `multisamplability_records` and
-`replica_symmetry_diagnostic`), and checkpoint round trips: instance
+`replica_symmetry_diagnostic`), four-chain `pt_sampler` and two-replica
+`multi_replica_fe` on a (3, 1, 3) layout, whose two 3-blocks are separate
+runs of equal-size blocks, and checkpoint round trips: instance
 energies after `save_instance` and `load_instance`, with and without an
 external field, and configuration coordinates and layout after
 `save_configuration` and `load_configuration`.  For each differing output
@@ -215,6 +217,19 @@ for sizes, xi in (((1, 1), pair_xi), ((1, 4), quad_xi), ((1, 1, 1), corner_xi)):
             record(f"multi_replica_fe {sizes} seed {seed} n {n}", multi_replica_fe, h,
                    BandSpec(m, 0.9, n=n, rho=1.3), np.linspace(0.0, 1.0, 6), 60,
                    np.random.default_rng([seed, n, 5]))
+
+# a layout whose blocks of one size make two runs, split by a one-coordinate block
+split = SpeciesLayout(("a", "b", "c"), (3, 1, 3))
+for seed in range(2):
+    h = build_instance(corner_xi, split, seed=seed)
+    run = pt_sampler(h, [0.0, 0.4, 0.7, 1.0], 60, np.random.default_rng([seed, 6]))
+    values.append([f"pt_sampler (3, 1, 3) seed {seed}", repr((
+        run.series.tolist(), run.snapshots.tolist(), run.accept_rates.tolist(),
+        run.swap_rates.tolist(), run.step_sizes.tolist(), run.flags))])
+    m = sample_on_shell(split, (0.3, 0.3, 0.3), np.random.default_rng([seed, 7]))
+    record(f"multi_replica_fe (3, 1, 3) seed {seed} n 2", multi_replica_fe, h,
+           BandSpec(m, 0.9, n=2, rho=1.25), np.linspace(0.0, 1.0, 6), 60,
+           np.random.default_rng([seed, 2, 7]))
 
 # single-replica moves and chain swaps, on one and on four chains
 h = build_instance(quad_xi, SpeciesLayout(("a", "b"), (1, 3)), seed=4)
