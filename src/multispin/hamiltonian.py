@@ -27,20 +27,15 @@ from .mixture import (
     _decode_json,
     _expect_int,
     _expect_keys,
-    _expect_list,
-    _expect_number,
     _expect_schema,
     _required,
     eval_mixture,
-    grad_mixture,
     model_from_json,
     model_to_json,
-    require_shell_overlap,
 )
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
-    "ExternalField",
     "HamiltonianInstance",
     "build_instance",
     "energy",
@@ -55,7 +50,6 @@ __all__ = [
     "block_entries",
     "realize_on_points",
     "factor_covariance",
-    "attach_external_field",
     "lipschitz_ratio",
     "sample_in_ball",
     "save_instance",
@@ -99,23 +93,10 @@ def _check_budget(xi: Mixture, layout: SpeciesLayout) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ExternalField:
-    """Independent one-spin term sum_s sqrt(N/N_s) D_s sum_{i in I_s} J_i sigma_i."""
-
-    seed: int
-    q: tuple[float, ...]
-    delta_coeffs: tuple[float, ...]  # D_s >= 0 per species
-    normals: np.ndarray  # J, i.i.d. standard normal, length N
-    vector: np.ndarray  # energy coefficient of sigma_i, length N
-
-
-@dataclass(frozen=True, eq=False)
 class HamiltonianInstance:
-    """One realized disorder sample of the Gaussian process.
-
-    mixture holds the terms backed by disorder blocks; when an external
-    field is attached the full covariance corresponds to law_mixture, which
-    adds the field's one-spin coefficients.  Instances are immutable, and
+    """One realized disorder sample of the Gaussian process: one block per
+    term of mixture and nothing else, so its covariance is N xi(R) for that
+    mixture, one-spin terms included.  Instances are immutable, and
     energy/gradient evaluation is pure, so concurrent use is safe.
     """
 
@@ -123,7 +104,6 @@ class HamiltonianInstance:
     layout: SpeciesLayout
     seed: int
     tensors: tuple[np.ndarray, ...]  # canonical blocks, aligned with mixture.terms
-    field: ExternalField | None = None
 
     @property
     def raw_disorder(self) -> tuple[np.ndarray, ...]:
@@ -132,16 +112,11 @@ class HamiltonianInstance:
         return tuple(rng.standard_normal(a.shape) for a in self.tensors)
 
     @property
-    def law_mixture(self) -> Mixture:
-        """Mixture whose covariance matches this instance, field included."""
-        if self.field is None:
-            return self.mixture
-        terms = dict(self.mixture.terms)
-        for s, d in enumerate(self.field.delta_coeffs):
-            if d > 0.0:
-                key = tuple(1 if t == s else 0 for t in range(self.layout.n_species))
-                terms[key] = terms.get(key, 0.0) + d * d
-        return Mixture.from_terms(terms, n_species=self.layout.n_species)
+    def field(self) -> None:
+        """Always None: an instance carries no field beyond its mixture's
+        one-spin terms.  Kept because benchmarks/bench_metrics.py reads it
+        on every traced build, and benchmarks/test_bench.py runs those."""
+        return None
 
     def memory_entries(self) -> int:
         return block_entries(self.mixture, self.layout)
@@ -177,7 +152,7 @@ def build_instance(xi: Mixture, layout: SpeciesLayout, seed: int) -> Hamiltonian
 
 def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
     """H(sigma) = sqrt(N) sum over terms of the block contracted with the
-    species blocks of sigma, one per slot, plus any field."""
+    species blocks of sigma, one per slot."""
     if sigma.layout != h.layout:
         raise ValueError("configuration layout does not match instance")
     x = sigma.coords
@@ -188,32 +163,27 @@ def energy(h: HamiltonianInstance, sigma: Configuration) -> float:
         for sl in reversed(slices[1:]):
             t = t.reshape(-1, sl.stop - sl.start).dot(x[sl])
         total += float(t.dot(x[slices[0]]))
-    total *= math.sqrt(h.layout.n)
-    if h.field is not None:
-        total += float(h.field.vector @ x)
-    return total
+    return total * math.sqrt(h.layout.n)
 
 
 @dataclass(frozen=True, eq=False)
 class InstanceGroup:
     """Instances of one mixture on one layout, with each term's blocks
-    stacked once on a leading instance axis, and any external fields as one
-    more one-slot block over all N coordinates (a zero row where an instance
-    has none), so one batched contraction evaluates every instance.  When
-    every instance is the same object the group holds views of its term
-    blocks with a leading axis of 1, broadcast over the group's rows."""
+    stacked once on a leading instance axis, so one batched contraction
+    evaluates every instance.  When every instance is the same object the
+    group holds views of its term blocks with a leading axis of 1, broadcast
+    over the group's rows."""
 
     size: int
     layout: SpeciesLayout
     slot_slices: tuple[tuple[slice, ...], ...]
-    blocks: tuple[np.ndarray, ...]  # per term, then any field: (K or 1, *block shape)
+    blocks: tuple[np.ndarray, ...]  # per term: (K or 1, *block shape)
     flats: tuple[np.ndarray, ...]  # views of blocks as (K or 1, d_last, rest), last axis first
 
 
 def stack_instances(hs) -> InstanceGroup:
     """Stack the blocks of instances that share mixture terms and layout;
-    one instance repeated is not copied, its blocks are shared.  A field is
-    the block J_i D_s / sqrt(N_s): _block_scale's one-spin block of D_s^2."""
+    one instance repeated is not copied, its blocks are shared."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one instance")
@@ -222,17 +192,11 @@ def stack_instances(hs) -> InstanceGroup:
     if any(h.layout != layout or [p for p, _ in h.mixture.terms] != keys for h in hs):
         raise ValueError("grouped instances must share mixture terms and layout")
     members = hs[:1] if all(h is first for h in hs) else hs
-    blocks = [a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
-              for t, a in enumerate(first.tensors)]
-    slot_slices = [tuple(layout.slices[s] for s in _slots(p)) for p in keys]
-    if any(h.field is not None for h in members):
-        blocks.append(np.stack([np.zeros(layout.n) if h.field is None else h.field.normals *
-                                np.repeat(np.divide(h.field.delta_coeffs,
-                                                    np.sqrt(layout.size_array)), layout.sizes)
-                                for h in members]))
-        slot_slices.append((slice(0, layout.n),))
+    blocks = tuple(a[None] if len(members) == 1 else np.stack([h.tensors[t] for h in members])
+                   for t, a in enumerate(first.tensors))
+    slot_slices = tuple(tuple(layout.slices[s] for s in _slots(p)) for p in keys)
     flats = tuple(b.reshape(len(members), -1, b.shape[-1]).transpose(0, 2, 1) for b in blocks)
-    return InstanceGroup(len(hs), layout, tuple(slot_slices), tuple(blocks), flats)
+    return InstanceGroup(len(hs), layout, slot_slices, blocks, flats)
 
 
 def _contract(group: InstanceGroup, coords, gradients: bool):
@@ -340,78 +304,6 @@ def realize_on_points(xi: Mixture, layout: SpeciesLayout, points, seed: int) -> 
     return factor_covariance(cov) @ z
 
 
-@functools.lru_cache(maxsize=128)
-def _field_coefficients(shifted: Mixture, q: tuple[float, ...]) -> np.ndarray:
-    """Read-only per-species field coefficients D_s = sqrt((1 - q_s) d_s
-    xi(q)) of a base mixture xi solved from the mixture shifted and q, the
-    same for every instance of one (mixture, q).
-
-    Solves on shifted's own terms only: from the highest degree down, each
-    base coefficient c_p is the one the overlap-shift map (triangular in the
-    componentwise partial order, diagonal prod_s (1-q_s)^p(s) > 0) needs to
-    reproduce shifted's coefficient at p, given the c_p solved above it.  It
-    does not invert the map: the lower |p| >= 2 terms the solved xi recenters
-    to are not checked against shifted.  So {(2,1): 1, (0,2): 0.5} at
-    q = (0.2, 0.4) passes, although its preimage under the shift, the
-    recentering at q' = -q/(1-q), has (1,1) and (2,0) coefficients of -1.04.
-    A solved c_p below -1e-9 and a one-spin term of shifted are refused; base
-    one-spin coefficients are taken to be zero (they leave no trace in the
-    shifted |p| >= 2 block).
-    """
-    qv = np.array(q)
-    targets = shifted.as_dict()
-    if any(sum(p) < 2 for p in targets):
-        raise ValueError("shifted mixture must not carry one-spin terms")
-    solved: dict[tuple[int, ...], float] = {}
-    for p in sorted(targets, key=lambda t: (-sum(t), t)):
-        acc = targets[p]
-        for pp, c in solved.items():
-            if pp == p or any(a < b for a, b in zip(pp, p)):
-                continue
-            w = c
-            for s in range(len(p)):
-                w *= math.comb(pp[s], p[s]) * (1.0 - qv[s]) ** p[s] * qv[s] ** (pp[s] - p[s])
-            acc -= w
-        diag = 1.0
-        for s in range(len(p)):
-            diag *= (1.0 - qv[s]) ** p[s]
-        val = acc / diag
-        if val < -1e-9:
-            raise ValueError(
-                f"mixture is not a recentering of a nonnegative mixture (degree {p})")
-        if val > 0.0:
-            solved[p] = val
-    slope = (grad_mixture(Mixture.from_terms(solved, n_species=len(q)), qv) if solved
-             else np.zeros(len(q)))
-    delta = np.sqrt((1.0 - qv) * slope)
-    delta.setflags(write=False)
-    return delta
-
-
-def attach_external_field(hq: HamiltonianInstance, q, seed: int) -> HamiltonianInstance:
-    """Add the independent one-spin Gaussian term restoring the full
-    recentered covariance.
-
-    hq must hold the recentered mixture with one-spin terms removed; the
-    per-species field coefficients D_s are the one-spin coefficients of the
-    full recentered mixture, solved from hq.mixture and q.  The returned
-    instance shares hq's disorder and evaluates H_hq(sigma) + field . sigma;
-    a group contracts the field as one more block (stack_instances).
-    """
-    layout = hq.layout
-    qv = require_shell_overlap(q, layout.n_species)
-    delta = _field_coefficients(hq.mixture, tuple(qv.tolist()))
-    rng = np.random.default_rng(int(seed))
-    normals = rng.standard_normal(layout.n)
-    vector = normals * np.repeat(np.sqrt(layout.n / layout.size_array) * delta,
-                                 layout.sizes)
-    normals.setflags(write=False)
-    vector.setflags(write=False)
-    field = ExternalField(int(seed), tuple(float(v) for v in qv),
-                          tuple(float(d) for d in delta), normals, vector)
-    return HamiltonianInstance(hq.mixture, hq.layout, hq.seed, hq.tensors, field)
-
-
 def sample_in_ball(layout: SpeciesLayout, rng: np.random.Generator) -> Configuration:
     """Uniform draw from the closed ball R_s(sigma, sigma) <= 1 per species."""
     coords = np.empty(layout.n)
@@ -462,32 +354,25 @@ def lipschitz_ratio(h: HamiltonianInstance, pairs: int, rng: np.random.Generator
 
 
 def save_instance(h: HamiltonianInstance, path) -> None:
-    """Checkpoint header only, {"schema", "backend", "seed", "model", "field"?}: the
+    """Checkpoint header only, {"schema", "backend", "seed", "model"}: the
     disorder is always redrawn from the seed on load, never serialized."""
     header = {"schema": 1, "backend": _FORMAT, "seed": int(h.seed),
               "model": model_to_json(h.layout, h.mixture)}
-    if h.field is not None:
-        header["field"] = {"seed": int(h.field.seed), "q": list(h.field.q)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(header, fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_instance(path) -> HamiltonianInstance:
-    """Read a save_instance checkpoint; a bad header raises ConfigError at its field."""
+    """Read a save_instance checkpoint; a bad header raises ConfigError at its
+    field, and any key outside the four, such as the "field" object that
+    checkpoints once carried, is an unknown field."""
     with open(path, "rb") as fh:
-        header = _expect_keys(_decode_json(fh.read()), "",
-                              ("schema", "backend", "seed", "model", "field"))
+        header = _expect_keys(_decode_json(fh.read()), "", ("schema", "backend", "seed", "model"))
     _expect_schema(header.get("schema"))
     if header.get("backend") != _FORMAT:
         raise ConfigError("backend", f"unknown checkpoint format {header.get('backend')!r}")
     layout, mixture = model_from_json(_required(header, "model", "model"))
     seed = _expect_int(_required(header, "seed", "seed"), "seed", minimum=0)
-    if "field" in header:
-        field = _expect_keys(header["field"], "field", ("seed", "q"))
-        field_seed = _expect_int(_required(field, "seed", "field.seed"), "field.seed", minimum=0)
-        q = [_expect_number(v, f"field.q[{k}]")
-             for k, v in enumerate(_expect_list(_required(field, "q", "field.q"), "field.q"))]
     _at("model", _check_budget, mixture, layout)
-    h = build_instance(mixture, layout, seed)
-    return _at("field.q", attach_external_field, h, q, field_seed) if "field" in header else h
+    return build_instance(mixture, layout, seed)

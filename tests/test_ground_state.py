@@ -8,7 +8,6 @@ import pytest
 from multispin import ground_state
 from multispin.geometry import Configuration, sample_on_shell, sign_patterns, species_overlaps
 from multispin.hamiltonian import (
-    attach_external_field,
     build_instance,
     energy,
     energy_many,
@@ -122,11 +121,12 @@ def _assert_same_ascent(res, alone):
 ])
 def test_grouped_ascent_matches_each_instance_alone(terms, sizes, q, field):
     # every (instance, restart) row of the fixed-shape batch follows the path
-    # it follows alone, stopped rows included; one instance may carry a field
+    # it follows alone, stopped rows included; the mixture may carry a field,
+    # one-spin terms whose blocks have one slot
+    if field:
+        terms = {**terms, (1, 0): 0.3, (0, 1): 0.2}
     lay = SpeciesLayout(("a", "b"), sizes)
     hs = [build_instance(Mixture.from_terms(terms), lay, seed=20 + k) for k in range(3)]
-    if field:
-        hs[1] = attach_external_field(hs[1], [0.2, 0.4], seed=9)
     grouped = ascend_many(hs, q, 4, 60, [np.random.default_rng(40 + k) for k in range(3)])
     assert len(grouped) == 3
     for k, (h, res) in enumerate(zip(hs, grouped)):

@@ -1,4 +1,4 @@
-"""Hamiltonian realization: coefficients, determinism, covariance, field."""
+"""Hamiltonian realization: coefficients, determinism, covariance, checkpoints."""
 
 import json
 import math
@@ -21,7 +21,6 @@ from multispin.geometry import (
 from multispin.ground_state import ascend, eigen_oracle_2spin
 from multispin import hamiltonian
 from multispin.hamiltonian import (
-    attach_external_field,
     build_instance,
     energy,
     energy_many,
@@ -44,7 +43,6 @@ from multispin.mixture import (
     SpeciesLayout,
     eval_mixture,
     random_mixture,
-    shifted_coefficients,
     xi_q,
 )
 
@@ -302,72 +300,6 @@ def test_backends_agree_in_law():
     assert np.all(np.abs(emp - cov_exact) <= 3 * se)
 
 
-def test_attach_field_vanishes_at_zero_center():
-    lay = SpeciesLayout(("a", "b"), (3, 3))
-    base = Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.5})
-    hq = build_instance(xi_q(base, [0.0, 0.0]), lay, seed=2)
-    h = attach_external_field(hq, [0.0, 0.0], seed=3)
-    assert h.field.delta_coeffs == (0.0, 0.0)
-    np.testing.assert_array_equal(h.field.vector, np.zeros(6))
-    sig = sample_uniform(lay, np.random.default_rng(0))
-    assert energy(h, sig) == energy(hq, sig)
-
-
-def test_attached_field_vector_matches_a_loop_over_blocks():
-    lay = SpeciesLayout(("a", "b", "c"), (2, 3, 1))
-    q = [0.3, 0.5, 0.2]
-    base = Mixture.from_terms({(2, 0, 0): 0.5, (1, 1, 0): 0.5, (0, 1, 1): 0.7})
-    field = attach_external_field(build_instance(xi_q(base, q), lay, seed=2), q, seed=3).field
-    want = np.array(field.normals)
-    for s, sl in enumerate(lay.slices):
-        want[sl] *= math.sqrt(lay.n / lay.sizes[s]) * field.delta_coeffs[s]
-    assert field.vector.tobytes() == want.tobytes()
-
-
-def test_attach_field_recovers_one_spin_coefficients():
-    # the field coefficients must equal the one-spin coefficients of the
-    # recentered mixture, computed independently from the base mixture
-    rng = np.random.default_rng(18)
-    lay = SpeciesLayout(("a", "b"), (4, 4))
-    for _ in range(10):
-        base = random_mixture(rng, 2, min_total_degree=2)
-        q = rng.uniform(0.0, 0.9, size=2)
-        tilde = shifted_coefficients(base, q)
-        hq = build_instance(xi_q(base, q), lay, seed=5)
-        h = attach_external_field(hq, q, seed=6)
-        for s, key in enumerate([(1, 0), (0, 1)]):
-            assert h.field.delta_coeffs[s] ** 2 == pytest.approx(
-                tilde.coefficient(key), abs=1e-10)
-        got = h.law_mixture.as_dict()
-        want = {p: c for p, c in tilde.as_dict().items()}
-        assert set(got) == set(want)
-        for p in want:
-            assert got[p] == pytest.approx(want[p], rel=1e-9, abs=1e-12)
-
-
-def test_attached_field_covariance():
-    # combined process has covariance N * (recentered mixture)(R) at 3 SE
-    lay = SpeciesLayout(("a", "b"), (4, 4))
-    base = Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.4, (0, 3): 0.3})
-    q = np.array([0.4, 0.2])
-    tilde = shifted_coefficients(base, q)
-    hq_mix = xi_q(base, q)
-    rng = np.random.default_rng(19)
-    pairs = [(sample_uniform(lay, rng), sample_uniform(lay, rng)) for _ in range(3)]
-    coords = np.array([p.coords for pair in pairs for p in pair])
-    n_inst = 20000
-    prods = np.empty((n_inst, 3))
-    for i in range(n_inst):
-        hq = build_instance(hq_mix, lay, seed=60000 + i)
-        h = attach_external_field(hq, q, seed=90000 + i)
-        vals = energy_many(h, coords)
-        prods[i] = vals[0::2] * vals[1::2] / lay.n
-    for k, (a, b) in enumerate(pairs):
-        want = eval_mixture(tilde, overlap(a, b))
-        se = prods[:, k].std(ddof=1) / math.sqrt(n_inst)
-        assert abs(prods[:, k].mean() - want) <= 3 * se
-
-
 def test_lipschitz_ratio_linear_case():
     # xi = delta^2 x: H = delta J.sigma, so the ratio never exceeds
     # |delta| ||J|| / sqrt(N)
@@ -402,8 +334,7 @@ def test_instance_checkpoint_round_trip(tmp_path):
     lay = SpeciesLayout(("a", "b"), (3, 4))
     base = Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.7})
     q = [0.3, 0.2]
-    hq = build_instance(xi_q(base, q), lay, seed=91)
-    h = attach_external_field(hq, q, seed=92)
+    h = build_instance(xi_q(base, q), lay, seed=91)
     path = tmp_path / "instance.json"
     save_instance(h, path)
     # header only: no disorder payload in the checkpoint
@@ -412,10 +343,7 @@ def test_instance_checkpoint_round_trip(tmp_path):
     pts = [sample_uniform(lay, rng) for _ in range(5)]
     for p in pts:
         assert energy(back, p) == energy(h, p)
-    save_instance(hq, path)
-    back_plain = load_instance(path)
-    assert back_plain.field is None
-    assert energy(back_plain, pts[0]) == energy(hq, pts[0])
+    assert back.field is None
 
 
 def test_checkpoint_refuses_other_formats(tmp_path):
@@ -431,11 +359,11 @@ def test_checkpoint_refuses_other_formats(tmp_path):
 
 
 def _field_instance():
-    """A 2+3 instance of a recentered mixture with its one-spin field attached."""
+    """A 2+3 instance of a recentered mixture, whose checkpoint header the
+    field-path tests mangle."""
     lay = SpeciesLayout(("a", "b"), (2, 3))
     q = [0.3, 0.2]
-    hq = build_instance(xi_q(Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.7}), q), lay, seed=91)
-    return attach_external_field(hq, q, seed=92)
+    return build_instance(xi_q(Mixture.from_terms({(2, 0): 0.5, (1, 1): 0.7}), q), lay, seed=91)
 
 
 @pytest.mark.parametrize("mangle, path", [
@@ -451,9 +379,8 @@ def _field_instance():
     (lambda d: d.__setitem__("layout", {}), "layout"),
     (lambda d: d["model"].__setitem__("proportions", [0.4, 0.6]), "model.proportions"),
     (lambda d: d["model"]["terms"][0].__setitem__("delta", 1.0), "model.terms[0].delta"),
-    (lambda d: d["field"].__setitem__("seed", 2.5), "field.seed"),
-    (lambda d: d["field"]["q"].__setitem__(1, None), "field.q[1]"),
-    (lambda d: d["field"]["q"].__setitem__(1, 1.5), "field.q"),
+    # the field object that checkpoints carried before it was retired
+    (lambda d: d.__setitem__("field", {"seed": 92, "q": [0.3, 0.2]}), "field"),
     (lambda d: d.__setitem__("schema", 2), "schema"),
 ])
 def test_load_instance_names_the_bad_field(tmp_path, mangle, path):
@@ -461,7 +388,7 @@ def test_load_instance_names_the_bad_field(tmp_path, mangle, path):
     file = tmp_path / "instance.json"
     save_instance(h, file)
     header = json.loads(file.read_text())
-    assert set(header) == {"schema", "backend", "seed", "model", "field"}
+    assert set(header) == {"schema", "backend", "seed", "model"}
     mangle(header)
     file.write_text(json.dumps(header))
     with pytest.raises(ConfigError) as err:
@@ -577,69 +504,6 @@ def test_undecodable_checkpoint_header_is_a_document_error(tmp_path, kind, mangl
     assert err.value.path == "<document>"
 
 
-def test_field_coefficient_refusals(tmp_path):
-    # a one-spin term of the shifted mixture, and a term whose solved base
-    # coefficient is negative ({(3,): 1, (2,): 0.5} at q = 0.5 solves (2,)
-    # to (0.5 - 3 * 8 * 0.25 * 0.5) / 0.25 = -10), are refused; a checkpoint
-    # carrying the latter names field.q
-    lay = SpeciesLayout(("a",), (3,))
-    one_spin = build_instance(Mixture.from_terms({(2,): 1.0, (1,): 0.3}), lay, seed=1)
-    with pytest.raises(ValueError, match="one-spin"):
-        attach_external_field(one_spin, [0.5], seed=2)
-    hq = build_instance(Mixture.from_terms({(3,): 1.0, (2,): 0.5}), lay, seed=1)
-    with pytest.raises(ValueError, match=r"degree \(2,\)"):
-        attach_external_field(hq, [0.5], seed=2)
-    file = tmp_path / "instance.json"
-    save_instance(hq, file)
-    header = json.loads(file.read_text())
-    header["field"] = {"seed": 2, "q": [0.5]}
-    file.write_text(json.dumps(header))
-    with pytest.raises(ConfigError) as err:
-        load_instance(file)
-    assert err.value.path == "field.q"
-
-
-def test_field_is_one_more_block_of_the_group():
-    # a group with a field instance holds one extra one-slot block over all
-    # N coordinates, a zero row for the instance without a field, the field
-    # vector over sqrt(N); a group without one holds the term blocks only
-    lay = SpeciesLayout(("a", "b"), (3, 4))
-    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
-    plain = build_instance(mix, lay, seed=60)
-    with_field = attach_external_field(build_instance(mix, lay, seed=61), [0.2, 0.4], seed=9)
-    assert len(stack_instances([plain, plain]).blocks) == 2
-    group = stack_instances([plain, with_field])
-    assert len(group.blocks) == 3 and group.slot_slices[-1] == (slice(0, lay.n),)
-    assert not group.blocks[-1][0].any()
-    np.testing.assert_allclose(group.blocks[-1][1] * math.sqrt(lay.n), with_field.field.vector,
-                               rtol=1e-15)
-
-
-def test_field_contribution_bound_on_replica_tuples():
-    # per-tuple field average obeys sqrt((1/n + rho)/N) ||J|| sum_s D_s
-    # on tuples whose pairwise species overlaps are within rho of zero
-    lay = SpeciesLayout(("a", "b"), (4, 4))
-    base = Mixture.from_terms({(2, 0): 0.6, (1, 1): 0.5, (0, 2): 0.4})
-    q = np.array([0.3, 0.5])
-    hq = build_instance(xi_q(base, q), lay, seed=7)
-    h = attach_external_field(hq, q, seed=8)
-    rng = np.random.default_rng(20)
-    n_rep, rho = 3, 0.5
-    bound = math.sqrt((1.0 / n_rep + rho) / lay.n) * float(
-        np.linalg.norm(h.field.normals)) * sum(h.field.delta_coeffs)
-    tuples_checked = 0
-    while tuples_checked < 50:
-        reps = [sample_uniform(lay, rng) for _ in range(n_rep)]
-        ok = all(
-            np.all(np.abs(overlap(reps[i], reps[j])) <= rho)
-            for i in range(n_rep) for j in range(i + 1, n_rep))
-        if not ok:
-            continue
-        tuples_checked += 1
-        total = sum(float(h.field.vector @ r.coords) for r in reps)
-        assert abs(total) / (lay.n * n_rep) <= bound + 1e-12
-
-
 def _dense_reference(h):
     """Per-term dense (N,)*k coefficient arrays, zero outside the term's
     canonical sub-block, which holds the raw normals times
@@ -700,11 +564,10 @@ def test_blocks_match_dense_reference():
 
 def test_group_energies_match_each_instance():
     # one stacked contraction gives every instance the values it gets alone,
-    # field included; instances of different mixtures cannot be grouped
+    # one-spin term included; instances of different mixtures cannot be grouped
     lay = SpeciesLayout(("a", "b"), (3, 4))
-    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
     hs = [build_instance(mix, lay, seed=60 + i) for i in range(3)]
-    hs[1] = attach_external_field(build_instance(mix, lay, seed=61), [0.2, 0.4], seed=9)
     coords = np.random.default_rng(8).standard_normal((3, 5, lay.n))
     grouped = group_energies(stack_instances(hs), coords)
     for k, h in enumerate(hs):
@@ -724,35 +587,33 @@ def test_group_energies_match_each_instance():
 def test_repeated_instance_group_shares_blocks():
     # n copies of one instance hold views of its blocks, not copies, and the
     # broadcast contraction gives every row the values the instance gets
-    # alone, field included
+    # alone, one-spin term included
     lay = SpeciesLayout(("a", "b"), (3, 4))
-    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
     h = build_instance(mix, lay, seed=62)
     group = stack_instances([h] * 3)
     assert group.size == 3
     for flat, block in zip(group.flats, h.tensors):
         assert np.shares_memory(flat, block)
     coords = np.random.default_rng(8).standard_normal((3, 5, lay.n))
-    for inst in (h, attach_external_field(h, [0.2, 0.4], seed=9)):
-        grouped = group_energies(stack_instances([inst] * 3), coords)
-        for k in range(3):
-            assert np.array_equal(grouped[k], energy_many(inst, coords[k]))
-        assert all(np.array_equal(g, gradient_many(inst, c)) for g, c in
-                   zip(group_gradients(stack_instances([inst] * 3), coords), coords))
-        energies, grads = group_energies_and_gradients(stack_instances([inst] * 3), coords)
-        assert np.array_equal(energies, grouped)
-        assert all(np.array_equal(g, gradient_many(inst, c)) for g, c in zip(grads, coords))
+    grouped = group_energies(group, coords)
+    for k in range(3):
+        assert np.array_equal(grouped[k], energy_many(h, coords[k]))
+    assert all(np.array_equal(g, gradient_many(h, c)) for g, c in
+               zip(group_gradients(group, coords), coords))
+    energies, grads = group_energies_and_gradients(group, coords)
+    assert np.array_equal(energies, grouped)
+    assert all(np.array_equal(g, gradient_many(h, c)) for g, c in zip(grads, coords))
 
 
 def test_energy_and_gradient_pass_splits_into_chunks(monkeypatch):
     # under a small element cap the pass runs in row chunks: its energies
     # still equal group_energies bit for bit, and its gradients the ones of
-    # the unsplit batch, on every slot count from 1 to 3 and with a field
+    # the unsplit batch, on every slot count from 1 to 3, on stacked and on
+    # shared blocks
     lay = SpeciesLayout(("a", "b"), (3, 4))
     mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
     hs = [build_instance(mix, lay, seed=80 + i) for i in range(3)]
-    hs[1] = attach_external_field(build_instance(
-        Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5}), lay, seed=81), [0.2, 0.4], seed=9)
     coords = np.random.default_rng(5).standard_normal((3, 7, lay.n))
     for group in (stack_instances([hs[0], hs[2], hs[0]]),
                   stack_instances([hs[1]] * 3)):
@@ -766,12 +627,11 @@ def test_energy_and_gradient_pass_splits_into_chunks(monkeypatch):
 
 
 def test_group_gradients_match_central_differences():
-    # each instance of a group differentiates its own energies, and only the
-    # field-attached one carries the field's constant gradient
+    # each instance of a group differentiates its own energies, the constant
+    # gradient of its own one-spin block included
     lay = SpeciesLayout(("a", "b"), (3, 4))
-    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5})
-    hs = [build_instance(mix, lay, seed=70),
-          attach_external_field(build_instance(mix, lay, seed=71), [0.2, 0.4], seed=9)]
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
+    hs = [build_instance(mix, lay, seed=70), build_instance(mix, lay, seed=71)]
     group = stack_instances(hs)
     coords = np.random.default_rng(3).standard_normal((2, 2, lay.n))
     grads = group_gradients(group, coords)

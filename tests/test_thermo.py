@@ -20,12 +20,11 @@ from multispin.geometry import (
     sign_patterns,
 )
 from multispin.hamiltonian import (
-    attach_external_field,
     build_instance,
     energy,
     energy_many,
 )
-from multispin.mixture import Mixture, SpeciesLayout, xi_q
+from multispin.mixture import Mixture, SpeciesLayout
 from multispin.tap import EstimatorConfig, replica_symmetry_diagnostic, resolve_fe_method
 from multispin.thermo import (
     FreeEnergyEstimate,
@@ -734,10 +733,10 @@ def test_multisamplability_monotone_in_eps_and_floor():
 
 
 def _field_instance():
+    # a field: one-spin terms, whose blocks have one slot
     lay = SpeciesLayout(("a", "b"), (4, 6))
-    q = [0.3, 0.4]
-    mix = Mixture.from_terms({(1, 1): 1.0, (2, 0): 0.5, (0, 3): 0.3})
-    return attach_external_field(build_instance(xi_q(mix, q), lay, seed=8), q, seed=9)
+    mix = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3})
+    return build_instance(mix, lay, seed=8)
 
 
 REPLICA_CASES = {

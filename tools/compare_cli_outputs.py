@@ -19,10 +19,11 @@ the tempering engine (coupled replicas with synchronized sign flips,
 one- and four-chain `pt_sampler`, `multisamplability_records` and
 `replica_symmetry_diagnostic`), four-chain `pt_sampler` and two-replica
 `multi_replica_fe` on a (3, 1, 3) layout, whose two 3-blocks are separate
-runs of equal-size blocks, and checkpoint round trips: instance
-energies after `save_instance` and `load_instance`, with and without an
-external field, and configuration coordinates and layout after
-`save_configuration` and `load_configuration`.  For each differing output
+runs of equal-size blocks, the energies and gradients of a three-instance
+group whose mixture has one-spin terms (one-slot blocks), and checkpoint
+round trips: instance energies after `save_instance` and `load_instance`,
+and configuration coordinates and layout after `save_configuration` and
+`load_configuration`.  For each differing output
 file, stdout or library value it prints how many numbers differ and the
 largest relative difference between corresponding numbers, with its line
 and both values, or that the texts differ in more than their numbers.  Uses the standard library
@@ -147,8 +148,8 @@ import json, sys, tempfile
 import numpy as np
 from multispin.geometry import (BandSpec, Configuration, load_configuration, sample_on_shell,
                                 sample_uniform_batch, save_configuration)
-from multispin.hamiltonian import (attach_external_field, build_instance, energy_many,
-                                   load_instance, save_instance)
+from multispin.hamiltonian import (build_instance, energy_many, group_energies_and_gradients,
+                                   load_instance, save_instance, stack_instances)
 from multispin.mixture import Mixture, SpeciesLayout, xi_q
 from multispin.tap import EstimatorConfig, replica_symmetry_diagnostic
 from multispin.thermo import (exact_fe_quadrature, exact_multi_replica_fe_enumeration,
@@ -243,19 +244,26 @@ record("multisamplability_records n 3", multisamplability_records, h, (0.0, 0.0)
 record("replica_symmetry_diagnostic n 3", replica_symmetry_diagnostic, h, 3, 0.5,
        EstimatorConfig(beta_grid=(0.0, 0.5, 1.0), sweeps=60, master_seed=8))
 
-# checkpoint round trips: instance energies after save and load, with and
-# without a field, and configuration coordinates (and layout) after save and load
+# one contraction pass over a group of three instances whose mixture has
+# one-spin terms, each a one-slot block
+spin_xi = Mixture.from_terms({(2, 1): 1.0, (0, 2): 0.5, (1, 0): 0.3, (0, 1): 0.2})
+layout = SpeciesLayout(("a", "b"), (3, 4))
+group = stack_instances([build_instance(spin_xi, layout, seed=seed) for seed in range(3)])
+energies, gradients = group_energies_and_gradients(
+    group, np.random.default_rng(10).standard_normal((3, 5, layout.n)))
+values.append(["one-spin group energies and gradients",
+               repr((energies.tolist(), gradients.tolist()))])
+
+# checkpoint round trips: instance energies after save and load, and
+# configuration coordinates (and layout) after save and load
 with tempfile.TemporaryDirectory() as tmp:
-    layout = SpeciesLayout(("a", "b"), (3, 4))
     rows = sample_uniform_batch(layout, 4, np.random.default_rng(9))
     for seed in range(2):
-        hq = build_instance(xi_q(quad_xi, (0.3, 0.2)), layout, seed=seed)
-        h = attach_external_field(hq, (0.3, 0.2), seed + 10)
-        for label, h in (("plain", hq), ("field", h)):
-            save_instance(h, tmp + "/instance.json")
-            back = load_instance(tmp + "/instance.json")
-            values.append([f"instance checkpoint {label} seed {seed}",
-                           repr(energy_many(back, rows).tolist())])
+        save_instance(build_instance(xi_q(quad_xi, (0.3, 0.2)), layout, seed=seed),
+                      tmp + "/instance.json")
+        back = load_instance(tmp + "/instance.json")
+        values.append([f"instance checkpoint seed {seed}",
+                       repr(energy_many(back, rows).tolist())])
     save_configuration(Configuration(rows[0], layout), tmp + "/sigma.bin")
     back = load_configuration(tmp + "/sigma.bin")
     values.append(["configuration checkpoint", repr((
