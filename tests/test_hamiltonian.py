@@ -379,8 +379,16 @@ def _field_instance():
     (lambda d: d.__setitem__("layout", {}), "layout"),
     (lambda d: d["model"].__setitem__("proportions", [0.4, 0.6]), "model.proportions"),
     (lambda d: d["model"]["terms"][0].__setitem__("delta", 1.0), "model.terms[0].delta"),
-    # the field object that checkpoints carried before it was retired
+    # the field object that checkpoints carried before it was retired: whole or
+    # with one of the three mistakes its reader used to name inside it, it is
+    # an unknown field; the ids keep the names those three cases had
     (lambda d: d.__setitem__("field", {"seed": 92, "q": [0.3, 0.2]}), "field"),
+    pytest.param(lambda d: d.__setitem__("field", {"seed": 2.5, "q": [0.3, 0.2]}), "field",
+                 id="<lambda>-field.seed"),
+    pytest.param(lambda d: d.__setitem__("field", {"seed": 92, "q": [0.3, None]}), "field",
+                 id="<lambda>-field.q[1]"),
+    pytest.param(lambda d: d.__setitem__("field", {"seed": 92, "q": [0.3, 1.5]}), "field",
+                 id="<lambda>-field.q"),
     (lambda d: d.__setitem__("schema", 2), "schema"),
 ])
 def test_load_instance_names_the_bad_field(tmp_path, mangle, path):
